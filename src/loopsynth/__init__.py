@@ -24,7 +24,7 @@ from .smt import (
     solve_structured,
     vandermonde_zero_check,
 )
-from .synth import Loop, SynthRequest, SynthResult, synthesize
+from .synth import Loop, RequestError, SynthRequest, SynthResult, synthesize
 from .template import (
     ParamSpec,
     RecurrenceTemplate,
@@ -40,7 +40,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraicTag", "Atom", "CFiniteConstraint", "Clause", "ConcreteSystem",
     "DegenerateInvariantError", "Loop", "Monomial", "ParamSpec", "ParseError",
-    "Pcp", "PcpBundle", "Polynomial", "RecurrenceTemplate", "ShapeTier",
+    "Pcp", "PcpBundle", "Polynomial", "RecurrenceTemplate", "RequestError", "ShapeTier",
     "SolverConfig", "SolverError", "SolverTimeout", "SymbolTable",
     "SynthRequest", "SynthResult", "Var", "Verdict", "build_pcp",
     "build_template", "check_equiv_modulo", "check_invariant",

@@ -20,7 +20,7 @@ import click
 from .parser import LoopFile, ParseError, SpecFile, parse_invariant, parse_loop, parse_spec
 from .poly import Var
 from .smt import SolverConfig, SolverError, SolverTimeout
-from .synth import SynthRequest, SynthResult, first_cell_script, synthesize
+from .synth import RequestError, SynthRequest, SynthResult, first_cell_script, synthesize
 from .template import ShapeTier
 from .verify import check_equiv_modulo, check_invariant
 
@@ -110,11 +110,13 @@ def synth(specfile, solver, timeout, tier, partition, size, aux_one, count, emit
         request = _build_request(spec, tier, partition, size, aux_one, timeout, count)
     except (ParseError, ValueError) as e:
         raise SystemExit(_fail(EXIT_INPUT, str(e), as_json))
-    if emit_smt2:
-        Path(emit_smt2).write_text(first_cell_script(request))
     cfg = SolverConfig.default(request.timeout, solver)
     try:
+        if emit_smt2:
+            Path(emit_smt2).write_text(first_cell_script(request))
         result = synthesize(request, cfg)
+    except RequestError as e:
+        raise SystemExit(_fail(EXIT_INPUT, str(e), as_json))
     except SolverTimeout:
         raise SystemExit(_fail(EXIT_TIMEOUT, "solver budget exhausted", as_json))
     except SolverError as e:
@@ -260,6 +262,8 @@ def bench(directory, solver, timeout, jobs, csv_path, include_reconstructed):
                 row["verified"] = "yes" if lp.verified else "no"
         except ParseError as e:
             row["status"], row["note"] = "parse-error", str(e)
+        except RequestError as e:
+            row["status"], row["note"] = "input-error", str(e)
         except SolverTimeout as e:
             row["status"], row["note"] = "timeout", str(e)
         except SolverError as e:

@@ -273,22 +273,34 @@ class PcpBundle:
         self.hard.extend(clauses)
 
 
-def build_pcp(tpl: RecurrenceTemplate, invariants: Sequence[Polynomial]) -> PcpBundle:
+def base_clauses(tpl: RecurrenceTemplate) -> list[Clause]:
+    """The root, coefficient and initial-value families, in that order,
+    decomposed over the parameter symbols of a parameterized template.
+
+    They never read the invariants.  Template symbols are named by
+    position, so in the triangular tiers these clauses depend only on the
+    tier, the partition, and which positions are pinned (to which value)
+    or parameterized -- not on the variable order itself.
+    """
+    base = gen_roots(tpl) + gen_coeff(tpl) + gen_init(tpl)
+    return _parameter_free(tpl, base)
+
+
+def build_pcp(
+    tpl: RecurrenceTemplate,
+    invariants: Sequence[Polynomial],
+    base: Sequence[Clause] | None = None,
+) -> PcpBundle:
     """Union of the four clause families, in a fixed deterministic order.
 
     For parameterized templates every clause is decomposed over the
-    parameter symbols; the result is guaranteed parameter-free.
+    parameter symbols; the result is guaranteed parameter-free.  `base`,
+    when given, must equal `base_clauses(tpl)`; it lets a caller that
+    builds many templates sharing those families compute them once.
     """
-    base = gen_roots(tpl) + gen_coeff(tpl) + gen_init(tpl)
+    base = base_clauses(tpl) if base is None else list(base)
     alg, cfcs = gen_alg(tpl, invariants)
-    if tpl.params:
-        params = list(tpl.params)
-        base = decompose(base, params)
-        alg = decompose(alg, params)
-        for c in base + alg:
-            leftover = c.variables() & set(params)
-            if leftover:
-                raise AssertionError(f"parameter symbols survived decomposition: {leftover}")
+    alg = _parameter_free(tpl, alg)
     _reject_degenerate(alg)
     return PcpBundle(
         template=tpl,
@@ -297,6 +309,18 @@ def build_pcp(tpl: RecurrenceTemplate, invariants: Sequence[Polynomial]) -> PcpB
         alg_clauses=alg,
         cfcs=cfcs,
     )
+
+
+def _parameter_free(tpl: RecurrenceTemplate, clauses: list[Clause]) -> list[Clause]:
+    if not tpl.params:
+        return clauses
+    params = list(tpl.params)
+    out = decompose(clauses, params)
+    for c in out:
+        leftover = c.variables() & set(params)
+        if leftover:
+            raise AssertionError(f"parameter symbols survived decomposition: {leftover}")
+    return out
 
 
 def _reject_degenerate(clauses: Iterable[Clause]) -> None:

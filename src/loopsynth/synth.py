@@ -8,6 +8,13 @@ before full matrices; within a tier the identity variable order first; and
 within one order every multiplicity partition, largest part first.  Every
 emitted loop is re-verified by exact unrolling before it leaves this
 module, so a wrong solver answer can never surface as output.
+
+The unit-upper-triangular tier searches only the partition (s): its
+characteristic polynomial is always (z-1)^s, so a partition with two or
+more parts would ask for distinct roots that cannot exist.  Within one
+search, the triangular tiers build the order-independent clause families
+(roots, coefficients, initial values) once per pinning pattern and reuse
+them across variable orders.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .constraints import Clause, Pcp
-from .pcpgen import DegenerateInvariantError, PcpBundle, build_pcp
+from .pcpgen import DegenerateInvariantError, PcpBundle, base_clauses, build_pcp
 from .poly import Polynomial, SymbolTable, Var
 from .smt import (
     AlgebraicTag,
@@ -37,6 +44,11 @@ from .template import (
     int_partitions,
 )
 from .verify import ConcreteSystem, check_invariant
+
+
+class RequestError(ValueError):
+    """A synthesis request that cannot be searched as given: an input
+    error, not a negative answer."""
 
 
 @dataclass
@@ -184,14 +196,15 @@ def synthesize(request: SynthRequest, cfg: SolverConfig | None = None) -> SynthR
         if request.partitions is None or p in request.partitions
     ]
     if not partitions:
-        raise ValueError(f"no admissible multiplicity partition of {s}")
+        raise RequestError(f"no admissible multiplicity partition of {s}")
 
     found: list[Loop] = []
     saw_unknown = False
+    bases: dict[tuple, list[Clause]] = {}  # lives for this search only
     for tier, perm, part in _cells(vars, tiers, partitions):
         if time.monotonic() >= deadline:
             return _finish(found, start, cfg, timeout=True)
-        bundle = _cell_problem(request, perm, tier, part, pinned)
+        bundle = _cell_problem(request, perm, tier, part, pinned, bases)
         if bundle is None:
             continue
         while len(found) < request.count:
@@ -258,7 +271,7 @@ def _effective_vars(request: SynthRequest) -> tuple[list[Var], dict[str, Fractio
         aux.append(name)
     target = request.size if request.size is not None else len(vars)
     if target < len(vars):
-        raise ValueError(f"size {target} is below the variable count {len(vars)}")
+        raise RequestError(f"size {target} is below the variable count {len(vars)}")
     for k in range(target - len(vars)):
         name = fresh(f"t{k + 1}")
         vars.append(Var(name, "program", len(vars)))
@@ -272,13 +285,18 @@ def _cells(
     partitions: Sequence[tuple[int, ...]],
 ):
     for tier in tiers:
+        parts = partitions
         if tier is ShapeTier.FULL:
             # a full matrix template is symmetric under variable reordering
             perms: Iterable[tuple[Var, ...]] = [tuple(vars)]
         else:
             perms = itertools.permutations(vars)
+        if tier is ShapeTier.UNIT_UPPER:
+            # char_poly(B) = (z-1)^s, which no product of two or more
+            # pairwise distinct root factors equals
+            parts = [p for p in partitions if len(p) == 1]
         for perm in perms:
-            for part in partitions:
+            for part in parts:
                 yield tier, perm, part
 
 
@@ -288,15 +306,33 @@ def _cell_problem(
     tier: ShapeTier,
     partition: tuple[int, ...],
     pinned: Mapping[str, Fraction],
+    bases: dict[tuple, list[Clause]] | None = None,
 ) -> PcpBundle | None:
+    """The cell's constraint problem, or None if no loop can come from it.
+
+    `bases` caches `base_clauses` for the triangular tiers, keyed by what
+    those clauses depend on; the full tier searches a single order, so
+    holding its (large) clause sets would gain nothing.
+    """
     paramspec = None
     if request.params:
         paramspec = ParamSpec(
             tuple((p, perm.index(v)) for p, v in request.params)
         )
     tpl = build_template(perm, tier, partition, pinned, paramspec, SymbolTable())
+    base = None
+    if bases is not None and tier is not ShapeTier.FULL:
+        key = (
+            tier,
+            partition,
+            tuple(pinned.get(v.name) for v in perm),
+            paramspec.indices if paramspec else (),
+        )
+        base = bases.get(key)
+        if base is None:
+            base = bases[key] = base_clauses(tpl)
     try:
-        bundle = build_pcp(tpl, request.invariants)
+        bundle = build_pcp(tpl, request.invariants, base)
     except DegenerateInvariantError:
         return None
     nt = _nontriviality_clause(tpl)
@@ -407,8 +443,10 @@ def _changes_something(
 
 
 def first_cell_script(request: SynthRequest) -> str:
-    """SMT-LIB script of the first search cell's full constraint problem
-    (for inspection; the search itself drives the solver incrementally)."""
+    """SMT-LIB script of the first search cell's full constraint problem,
+    for inspection.  The search itself does not run this script: it hands
+    each cell to the solver in stages, each a fresh solver process or a
+    fresh in-process solve."""
     vars, pinned, _aux = _effective_vars(request)
     tiers = request.tiers or [ShapeTier.UNIT_UPPER, ShapeTier.UPPER, ShapeTier.FULL]
     partitions = [
@@ -419,4 +457,4 @@ def first_cell_script(request: SynthRequest) -> str:
         bundle = _cell_problem(request, perm, tier, part, pinned)
         if bundle is not None:
             return emit_smtlib(list(bundle.pcp), bundle.pcp.variables())
-    raise ValueError("no admissible search cell")
+    raise RequestError("no admissible search cell")

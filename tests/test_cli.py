@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -76,6 +80,36 @@ class TestSynthCommand:
         spec = write(tmp_path, "d.spec", DOUBLE_SPEC)
         res = runner.invoke(main, ["synth", spec, "--partition", "zebra"])
         assert res.exit_code != EXIT_OK
+
+
+class TestInputErrors:
+    TOO_SMALL_SPEC = "vars x y\ninvariant x == 2y\nsize 1\n"
+
+    def test_synth_size_below_variable_count(self, runner, tmp_path):
+        spec = write(tmp_path, "small.spec", self.TOO_SMALL_SPEC)
+        res = runner.invoke(main, ["synth", spec, "--solver", "builtin"])
+        assert res.exit_code == EXIT_INPUT, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output == "error: size 1 is below the variable count 2\n"
+
+    def test_bench_records_input_error_and_carries_on(self, runner, tmp_path):
+        write(tmp_path, "double.spec", DOUBLE_SPEC)
+        write(tmp_path, "small.spec", self.TOO_SMALL_SPEC)
+        res = runner.invoke(main, ["bench", str(tmp_path), "--solver", "builtin"])
+        assert res.exit_code == EXIT_NEGATIVE, res.output
+        rows = {r["instance"]: r for r in csv.DictReader(io.StringIO(res.output))}
+        assert rows["small"]["status"] == "input-error"
+        assert "below the variable count" in rows["small"]["note"]
+        assert rows["double"]["status"] == "found"
+
+    def test_python_dash_m_entry_point(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        res = subprocess.run([sys.executable, "-m", "loopsynth", "--help"],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert "Usage: loopsynth" in res.stdout
 
 
 class TestBackendReporting:

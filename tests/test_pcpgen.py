@@ -15,6 +15,7 @@ from loopsynth.pcpgen import (
     gen_roots,
     substitute_invariant,
 )
+from loopsynth.matrix import char_poly
 from loopsynth.poly import Monomial, Polynomial, Var
 from loopsynth.template import ParamSpec, ShapeTier, build_template
 
@@ -184,3 +185,14 @@ class TestDegenerate:
         tpl = doubling_template()
         with pytest.raises(DegenerateInvariantError):
             build_pcp(tpl, [Polynomial.const(1)])
+
+
+class TestUnitUpperRoots:
+    @pytest.mark.parametrize("s", range(1, 6))
+    def test_characteristic_polynomial_is_a_power_of_z_minus_one(self, s):
+        """Why the un tier searches only the partition (s): with distinct
+        roots, prod (z - w_i)^m_i = (z - 1)^s has no solution once the
+        partition has two parts."""
+        tpl = build_template(make_vars(*"abcde"[:s]), ShapeTier.UNIT_UPPER, (s,))
+        z = Var("z", "root")
+        assert char_poly(tpl.b, z) == (Polynomial.var(z) - Polynomial.const(1)) ** s

@@ -1,18 +1,24 @@
+import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from loopsynth.parser import parse_invariant, parse_loop
+from loopsynth import synth as synth_module
+from loopsynth.parser import parse_invariant, parse_loop, parse_spec
 from loopsynth.poly import Polynomial, Var
 from loopsynth.smt import SolverConfig
 from loopsynth.synth import (
     Loop,
+    RequestError,
     SynthRequest,
+    _cell_problem,
+    _cells,
     _effective_vars,
     first_cell_script,
     synthesize,
 )
-from loopsynth.template import ShapeTier
+from loopsynth.template import ShapeTier, int_partitions
 from loopsynth.verify import check_invariant
 
 
@@ -158,3 +164,68 @@ class TestScriptExport:
         script = first_cell_script(req)
         assert script.startswith("(set-logic QF_NRA)")
         assert "(check-sat)" in script and "(declare-const" in script
+
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def benchmark_request(name, tiers):
+    spec = parse_spec((BENCHMARKS / f"{name}.spec").read_text())
+    symbols = spec.symbols()
+    return SynthRequest(
+        invariants=spec.invariants(),
+        vars=[symbols[v] for v in spec.var_names],
+        params=[(symbols[p], symbols[v]) for p, v in spec.params],
+        pinned=dict(spec.init_pins),
+        tiers=tiers,
+        size=spec.size,
+        aux_one=spec.aux_one,
+    )
+
+
+class TestSearchSpace:
+    TIERS = [ShapeTier.UNIT_UPPER, ShapeTier.UPPER, ShapeTier.FULL]
+
+    def test_unit_upper_tier_searches_only_the_single_part_partition(self):
+        vars = make_vars("x", "y", "z")
+        parts = int_partitions(3)
+        cells = list(_cells(vars, self.TIERS, parts))
+        perms = list(itertools.permutations(vars))
+        assert cells == (
+            [(ShapeTier.UNIT_UPPER, perm, (3,)) for perm in perms]
+            + [(ShapeTier.UPPER, perm, part) for perm in perms for part in parts]
+            + [(ShapeTier.FULL, tuple(vars), part) for part in parts]
+        )
+
+    def test_multi_part_unit_upper_request_is_a_clean_notfound(self, monkeypatch):
+        def no_solver(*args, **kwargs):
+            raise AssertionError("no cell should reach the solver")
+
+        monkeypatch.setattr(synth_module, "solve_structured", no_solver)
+        req = request_for(
+            "x == 2y", ["x", "y"], size=3,
+            tiers=[ShapeTier.UNIT_UPPER], partitions=[(2, 1)], timeout=60.0,
+        )
+        res = synthesize(req, cfg())
+        assert res.status == "notfound" and res.note == ""
+        with pytest.raises(RequestError):
+            first_cell_script(req)
+
+    @pytest.mark.parametrize("name, tiers", [
+        ("square", [ShapeTier.UNIT_UPPER, ShapeTier.UPPER]),
+        ("fmi2", [ShapeTier.UNIT_UPPER, ShapeTier.UPPER]),
+        ("eucliddiv", [ShapeTier.UNIT_UPPER]),  # parameters and the aux-one pin
+    ])
+    def test_shared_clause_families_match_a_fresh_build(self, name, tiers):
+        req = benchmark_request(name, tiers)
+        vars, pinned, _aux = _effective_vars(req)
+        bases = {}
+        cells = list(_cells(vars, tiers, int_partitions(len(vars))))
+        for tier, perm, part in cells:
+            shared = _cell_problem(req, perm, tier, part, pinned, bases)
+            fresh = _cell_problem(req, perm, tier, part, pinned)
+            assert (shared is None) == (fresh is None)
+            if fresh is not None:
+                assert [str(c) for c in shared.pcp] == [str(c) for c in fresh.pcp]
+                assert [str(c) for c in shared.hard] == [str(c) for c in fresh.hard]
+        assert 0 < len(bases) <= len(cells)
