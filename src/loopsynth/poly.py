@@ -7,14 +7,24 @@ coefficients.  All arithmetic is exact; no floating point enters the core.
 Terms are kept canonical under a graded lexicographic order.  The global
 variable order puts user-declared program variables first (in declaration
 order) and generated symbols after them, alphabetically.
+
+The order is realized by a plain sort key, `MONO_KEY(m)`: a flat tuple of
+the degree followed, for each variable of `m` in the global order, by that
+variable's inverted sort key and its exponent.  The inverted key
+(`Var.order_key`, computed once per variable) is larger for an earlier
+variable: (0, -pos) for a positioned program variable, (-1, 0) for any
+other, then the negated code points of the name and a trailing sentinel 1.
+The sentinel gives a name a larger key than every name it is a proper
+prefix of (b1 before b11), so `order_key` inverts `sort_key` on its own;
+inside `MONO_KEY` the positive exponent after each name does the same.
+Degrees are compared first, so two flat keys of equal degree are decided
+within the first (variable, exponent) pair the monomials do not share.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Iterable, Mapping
 
 #: Recognized symbol kinds.  "counter" is the loop-counter symbol n.
@@ -32,24 +42,42 @@ class Var:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown variable kind {self.kind!r}")
-
-    @property
-    def sort_key(self) -> tuple:
         # Program variables first, in declaration order; generated symbols
         # after them, alphabetically.
         if self.kind == "program" and self.pos >= 0:
-            return (0, self.pos, self.name)
-        return (1, 0, self.name)
+            sort_key = (0, self.pos, self.name)
+        else:
+            sort_key = (1, 0, self.name)
+        rank, pos, name = sort_key
+        derived = {
+            "sort_key": sort_key,
+            # larger for an earlier variable; see the module docstring
+            "order_key": (-rank, -pos, *(-ord(ch) for ch in name), 1),
+            # the dataclass hash, computed once
+            "_hash": hash((self.name, self.kind, self.pos)),
+        }
+        for attr, value in derived.items():
+            object.__setattr__(self, attr, value)
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"Var({self.name!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Monomial:
     """A power product of variables; exponents are strictly positive."""
 
     powers: tuple[tuple[Var, int], ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.powers))
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def make(powers: Mapping[Var, int]) -> "Monomial":
@@ -112,19 +140,16 @@ class Monomial:
         return Monomial(tuple((u, e) for u, e in self.powers if u != v))
 
 
-def _mono_cmp(a: Monomial, b: Monomial) -> int:
-    """Graded lexicographic comparison; earlier variables are more significant."""
-    if a.degree != b.degree:
-        return -1 if a.degree < b.degree else 1
-    da, db = dict(a.powers), dict(b.powers)
-    for v in sorted(da.keys() | db.keys(), key=lambda u: u.sort_key):
-        ea, eb = da.get(v, 0), db.get(v, 0)
-        if ea != eb:
-            return 1 if ea > eb else -1
-    return 0
+def MONO_KEY(m: Monomial) -> tuple:
+    """Sort key of the graded lexicographic order, in which earlier
+    variables are more significant (see the module docstring)."""
+    degree, key = 0, ()
+    for v, e in m.powers:
+        degree += e
+        key += v.order_key + (e,)
+    return (degree,) + key
 
 
-MONO_KEY = cmp_to_key(_mono_cmp)
 _MONOMIAL_ONE = Monomial(())
 
 Rat = Fraction | int
@@ -143,8 +168,9 @@ class Polynomial:
         t: dict[Monomial, Fraction] = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
+                if type(c) is not Fraction:
+                    c = Fraction(c)
+                if c:
                     t[m] = c
         object.__setattr__(self, "terms", t)
         object.__setattr__(self, "_hash", None)
@@ -373,17 +399,6 @@ def sign_normalize(p: Polynomial) -> Polynomial:
         return p
     _, c = p.leading()
     return -p if c < 0 else p
-
-
-def poly_arith(p: Polynomial, q: Polynomial, op: str) -> Polynomial:
-    """Convenience dispatcher for add/sub/mul (mostly for tests)."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown operation {op!r}")
 
 
 class SymbolTable:

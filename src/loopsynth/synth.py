@@ -14,13 +14,15 @@ characteristic polynomial is always (z-1)^s, so a partition with two or
 more parts would ask for distinct roots that cannot exist.  Within one
 search, the triangular tiers build the order-independent clause families
 (roots, coefficients, initial values) once per pinning pattern and reuse
-them across variable orders.
+them across variable orders, holding each only until the last cell that
+uses it.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -200,8 +202,11 @@ def synthesize(request: SynthRequest, cfg: SolverConfig | None = None) -> SynthR
 
     found: list[Loop] = []
     saw_unknown = False
-    bases: dict[tuple, list[Clause]] = {}  # lives for this search only
-    for tier, perm, part in _cells(vars, tiers, partitions):
+    cells = list(_cells(vars, tiers, partitions))
+    bases = _SharedBases(
+        _base_key(request, perm, tier, part, pinned) for tier, perm, part in cells
+    )
+    for tier, perm, part in cells:
         if time.monotonic() >= deadline:
             return _finish(found, start, cfg, timeout=True)
         bundle = _cell_problem(request, perm, tier, part, pinned, bases)
@@ -300,19 +305,57 @@ def _cells(
                 yield tier, perm, part
 
 
+def _base_key(
+    request: SynthRequest,
+    perm: tuple[Var, ...],
+    tier: ShapeTier,
+    partition: tuple[int, ...],
+    pinned: Mapping[str, Fraction],
+) -> tuple:
+    """What the cell's `base_clauses` depend on (see there).  The full tier
+    searches a single order, so no two of its cells share a key."""
+    return (
+        tier,
+        partition,
+        tuple(pinned.get(v.name) for v in perm),
+        tuple(perm.index(v) for _, v in request.params),
+    )
+
+
+class _SharedBases:
+    """`base_clauses` shared by the cells of one search.
+
+    Built from the base keys of all its cells, it holds a key's clauses
+    from its first cell to its last.  A key that a single cell uses is
+    never built or held here.
+    """
+
+    def __init__(self, keys: Iterable[tuple]):
+        self.uses = Counter(keys)
+        self.held: dict[tuple, list[Clause]] = {}
+
+    def take(self, key: tuple, tpl: RecurrenceTemplate) -> list[Clause] | None:
+        """The cell's base clauses, or None when no other cell shares them."""
+        self.uses[key] -= 1
+        base = self.held.pop(key, None)
+        if self.uses[key] > 0:
+            if base is None:
+                base = base_clauses(tpl)
+            self.held[key] = base
+        return base
+
+
 def _cell_problem(
     request: SynthRequest,
     perm: tuple[Var, ...],
     tier: ShapeTier,
     partition: tuple[int, ...],
     pinned: Mapping[str, Fraction],
-    bases: dict[tuple, list[Clause]] | None = None,
+    bases: _SharedBases | None = None,
 ) -> PcpBundle | None:
     """The cell's constraint problem, or None if no loop can come from it.
 
-    `bases` caches `base_clauses` for the triangular tiers, keyed by what
-    those clauses depend on; the full tier searches a single order, so
-    holding its (large) clause sets would gain nothing.
+    With `bases`, cells of the same base key share `base_clauses`.
     """
     paramspec = None
     if request.params:
@@ -321,16 +364,8 @@ def _cell_problem(
         )
     tpl = build_template(perm, tier, partition, pinned, paramspec, SymbolTable())
     base = None
-    if bases is not None and tier is not ShapeTier.FULL:
-        key = (
-            tier,
-            partition,
-            tuple(pinned.get(v.name) for v in perm),
-            paramspec.indices if paramspec else (),
-        )
-        base = bases.get(key)
-        if base is None:
-            base = bases[key] = base_clauses(tpl)
+    if bases is not None:
+        base = bases.take(_base_key(request, perm, tier, partition, pinned), tpl)
     try:
         bundle = build_pcp(tpl, request.invariants, base)
     except DegenerateInvariantError:

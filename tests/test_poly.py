@@ -1,4 +1,6 @@
+import itertools
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,19 @@ from loopsynth.poly import (
 X = Var("x", "program", 0)
 Y = Var("y", "program", 1)
 Z = Var("z", "program", 2)
+
+
+def _mono_cmp(a, b):
+    """Order oracle: graded lexicographic comparison, earlier variables
+    more significant, written out as a comparison function."""
+    if a.degree != b.degree:
+        return -1 if a.degree < b.degree else 1
+    da, db = dict(a.powers), dict(b.powers)
+    for v in sorted(da.keys() | db.keys(), key=lambda u: u.sort_key):
+        ea, eb = da.get(v, 0), db.get(v, 0)
+        if ea != eb:
+            return 1 if ea > eb else -1
+    return 0
 
 
 def poly_of(*terms):
@@ -163,6 +178,52 @@ class TestStructure:
         n = sign_normalize(p)
         assert sign_normalize(n) == n
         assert sign_normalize(-p) == n
+
+
+# Program variables with positions, one without (it orders among the
+# generated symbols), and generated names that are prefixes of one another.
+ORDER_POOL = (
+    X, Y, Z,
+    Var("t", "program"),
+    Var("a", "coeff"), Var("ab", "coeff"),
+    Var("b1", "matrix"), Var("b11", "matrix"), Var("b12", "matrix"),
+    Var("w1", "root"), Var("c1_1_1", "coeff"),
+)
+
+# the empty dict gives the empty monomial
+monomials = st.dictionaries(
+    st.sampled_from(ORDER_POOL), st.integers(1, 3), max_size=4
+).map(Monomial.make)
+
+
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
+class TestMonomialOrder:
+    def test_var_order_key_inverts_sort_key(self):
+        for u, v in itertools.product(ORDER_POOL, repeat=2):
+            assert _sign(v.order_key, u.order_key) == _sign(u.sort_key, v.sort_key)
+
+    def test_a_name_orders_before_its_extensions(self):
+        b1, b11, b12 = ORDER_POOL[6:9]
+        assert MONO_KEY(Monomial.of(b1)) > MONO_KEY(Monomial.of(b11)) > MONO_KEY(Monomial.of(b12))
+        squares = [Monomial.of(b1, 2), Monomial.of(b11, 2), Monomial.make({b1: 1, b12: 1})]
+        assert sorted(squares, key=MONO_KEY) == [squares[1], squares[2], squares[0]]
+
+    @given(monomials, monomials)
+    @settings(deadline=None, max_examples=400)
+    def test_mono_key_agrees_with_the_oracle(self, a, b):
+        assert _sign(MONO_KEY(a), MONO_KEY(b)) == _mono_cmp(a, b)
+
+    @given(st.lists(monomials, max_size=8), st.lists(rationals, min_size=8, max_size=8))
+    @settings(deadline=None, max_examples=100)
+    def test_leading_and_sorted_terms_follow_the_oracle(self, monos, coeffs):
+        p = Polynomial(dict(zip(monos, coeffs)))
+        expected = sorted(p.terms, key=cmp_to_key(_mono_cmp), reverse=True)
+        assert [m for m, _ in p.sorted_terms()] == expected
+        if expected:
+            assert p.leading() == (expected[0], p.terms[expected[0]])
 
 
 class TestSymbolTable:

@@ -1,17 +1,23 @@
+import hashlib
 import itertools
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from loopsynth import synth as synth_module
 from loopsynth.parser import parse_invariant, parse_loop, parse_spec
+from loopsynth.pcpgen import base_clauses
 from loopsynth.poly import Polynomial, Var
-from loopsynth.smt import SolverConfig
+from loopsynth.smt import SolverConfig, emit_smtlib
 from loopsynth.synth import (
     Loop,
     RequestError,
     SynthRequest,
+    _SharedBases,
+    _base_key,
     _cell_problem,
     _cells,
     _effective_vars,
@@ -216,11 +222,19 @@ class TestSearchSpace:
         ("fmi2", [ShapeTier.UNIT_UPPER, ShapeTier.UPPER]),
         ("eucliddiv", [ShapeTier.UNIT_UPPER]),  # parameters and the aux-one pin
     ])
-    def test_shared_clause_families_match_a_fresh_build(self, name, tiers):
+    def test_shared_clause_families_match_a_fresh_build(self, name, tiers, monkeypatch):
+        built = []
+
+        def counting_base_clauses(tpl):
+            built.append(tpl)
+            return base_clauses(tpl)
+
+        monkeypatch.setattr(synth_module, "base_clauses", counting_base_clauses)
         req = benchmark_request(name, tiers)
         vars, pinned, _aux = _effective_vars(req)
-        bases = {}
         cells = list(_cells(vars, tiers, int_partitions(len(vars))))
+        keys = [_base_key(req, perm, tier, part, pinned) for tier, perm, part in cells]
+        bases = _SharedBases(keys)
         for tier, perm, part in cells:
             shared = _cell_problem(req, perm, tier, part, pinned, bases)
             fresh = _cell_problem(req, perm, tier, part, pinned)
@@ -228,4 +242,68 @@ class TestSearchSpace:
             if fresh is not None:
                 assert [str(c) for c in shared.pcp] == [str(c) for c in fresh.pcp]
                 assert [str(c) for c in shared.hard] == [str(c) for c in fresh.hard]
-        assert 0 < len(bases) <= len(cells)
+        # one build per shared key, and nothing held once the search is over
+        assert len(built) == sum(1 for n in Counter(keys).values() if n > 1) < len(cells)
+        assert bool(built) == (name != "eucliddiv")
+        assert not bases.held
+
+    @pytest.mark.parametrize("name, tiers, holds", [
+        ("eucliddiv", [ShapeTier.UNIT_UPPER], False),  # each order pins differently
+        ("square", [ShapeTier.UNIT_UPPER, ShapeTier.UPPER], True),
+    ])
+    def test_a_search_holds_clause_families_only_while_a_later_cell_uses_them(
+        self, name, tiers, holds, monkeypatch
+    ):
+        sizes = []
+
+        class RecordingBases(_SharedBases):
+            def take(self, key, tpl):
+                base = super().take(key, tpl)
+                sizes.append(len(self.held))
+                return base
+
+        monkeypatch.setattr(synth_module, "_SharedBases", RecordingBases)
+        monkeypatch.setattr(
+            synth_module, "solve_structured",
+            lambda *args, **kwargs: SimpleNamespace(status="unknown"),
+        )
+        req = benchmark_request(name, tiers)
+        res = synthesize(req, cfg())
+        assert res.status == "notfound"
+        vars, _pinned, _aux = _effective_vars(req)
+        assert len(sizes) == len(list(_cells(vars, tiers, int_partitions(len(vars)))))
+        assert (max(sizes) > 0) == holds
+        assert sizes[-1] == 0
+
+
+def _cell_text_digest(req):
+    """SHA-256 over the SMT-LIB script and the structured constraints of
+    every search cell of the request, in search order."""
+    vars, pinned, _aux = _effective_vars(req)
+    digest = hashlib.sha256()
+    for tier, perm, part in _cells(vars, req.tiers, int_partitions(len(vars))):
+        bundle = _cell_problem(req, perm, tier, part, pinned)
+        if bundle is None:
+            digest.update(b"none\n")
+            continue
+        digest.update(emit_smtlib(list(bundle.pcp), bundle.pcp.variables()).encode())
+        for cfc in bundle.cfcs:
+            for w, u in cfc.terms:
+                digest.update(f"{Polynomial({w: 1})} : {u}\n".encode())
+            digest.update(b";\n")
+    return digest.hexdigest()
+
+
+class TestClauseTextIdentity:
+    # Recorded with the comparison-function (cmp_to_key) monomial order that
+    # the precomputed sort key replaced; any change to term order, clause
+    # order or coefficients changes them.
+    FULL_TIER_DIGESTS = {
+        "fmi2": "3e4acbad2a1d90f3c6eec3650ea0f0394013af08ba8250bd4548796f8b113442",
+        "eucliddiv": "3a72f28f13868c25671a6e33661159c2c5d37b6524c20613b14a4aa215cceacc",
+    }
+
+    @pytest.mark.parametrize("name", sorted(FULL_TIER_DIGESTS))
+    def test_full_tier_cells_emit_the_recorded_text(self, name):
+        req = benchmark_request(name, [ShapeTier.FULL])
+        assert _cell_text_digest(req) == self.FULL_TIER_DIGESTS[name]
