@@ -10,14 +10,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-import sys
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 from pathlib import Path
 
 import click
 
-from .parser import LoopFile, ParseError, SpecFile, parse_invariant, parse_loop, parse_spec
+from .parser import LoopFile, ParseError, parse_invariant, parse_loop, parse_spec
 from .poly import Var
 from .smt import SolverConfig, SolverError, SolverTimeout
 from .synth import RequestError, SynthRequest, SynthResult, first_cell_script, synthesize
@@ -63,34 +61,6 @@ def _parse_partition(text: str) -> tuple[int, ...]:
     return parts
 
 
-def _build_request(
-    spec: SpecFile,
-    tier: str | None,
-    partition: str | None,
-    size: int | None,
-    aux_one: bool,
-    timeout: float | None,
-    count: int,
-) -> SynthRequest:
-    symbols = spec.symbols()
-    vars = [symbols[name] for name in spec.var_names]
-    params = [(symbols[p], symbols[v]) for p, v in spec.params]
-    tier_text = tier or spec.tier
-    tiers = None if tier_text == "auto" else [ShapeTier.parse(tier_text)]
-    return SynthRequest(
-        invariants=spec.invariants(),
-        vars=vars,
-        params=params,
-        pinned=dict(spec.init_pins),
-        tiers=tiers,
-        partitions=[_parse_partition(partition)] if partition else None,
-        size=size if size is not None else spec.size,
-        aux_one=aux_one or spec.aux_one,
-        timeout=timeout if timeout is not None else (spec.timeout or 60.0),
-        count=count,
-    )
-
-
 @main.command()
 @click.argument("specfile", type=click.Path(exists=True, dir_okay=False))
 @_solver_option
@@ -106,10 +76,19 @@ def _build_request(
 def synth(specfile, solver, timeout, tier, partition, size, aux_one, count, emit_smt2, as_json):
     """Synthesize loops satisfying the invariants in SPECFILE."""
     try:
-        spec = parse_spec(_read(specfile))
-        request = _build_request(spec, tier, partition, size, aux_one, timeout, count)
+        request = SynthRequest.from_spec(parse_spec(_read(specfile)))
     except (ParseError, ValueError) as e:
         raise SystemExit(_fail(EXIT_INPUT, str(e), as_json))
+    if tier:
+        request.tiers = None if tier == "auto" else [ShapeTier.parse(tier)]
+    if partition:
+        request.partitions = [_parse_partition(partition)]
+    if size is not None:
+        request.size = size
+    if timeout is not None:
+        request.timeout = timeout
+    request.aux_one |= aux_one
+    request.count = count
     cfg = SolverConfig.default(request.timeout, solver)
     try:
         if emit_smt2:
@@ -246,7 +225,8 @@ def bench(directory, solver, timeout, jobs, csv_path, include_reconstructed):
             if spec.reconstructed and not include_reconstructed:
                 row["status"] = "skipped"
                 return row
-            request = _build_request(spec, None, None, None, False, timeout, 1)
+            request = SynthRequest.from_spec(spec)
+            request.timeout = timeout
             cfg = SolverConfig.default(request.timeout, solver)
             row["backend"] = cfg.backend
             result = synthesize(request, cfg)
@@ -259,7 +239,7 @@ def bench(directory, solver, timeout, jobs, csv_path, include_reconstructed):
                 row["partition"] = " ".join(map(str, lp.partition))
                 row["permutation"] = " ".join(lp.permutation)
                 row["millis"] = str(lp.millis)
-                row["verified"] = "yes" if lp.verified else "no"
+                row["verified"] = "yes"  # synthesize returns verified loops only
         except ParseError as e:
             row["status"], row["note"] = "parse-error", str(e)
         except RequestError as e:

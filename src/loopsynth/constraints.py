@@ -1,26 +1,28 @@
 """Polynomial constraint problems: atoms, clauses, clause sets.
 
 A constraint problem is a set of clauses, each a disjunction of polynomial
-(in)equalities against zero.  A single variable assignment must satisfy all
-clauses at once.
+equations p = 0 and disequations p != 0.  A single variable assignment must
+satisfy all clauses at once.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .poly import Polynomial, Var, sign_normalize
 
-RELATIONS = ("=", "!=", "<", "<=", ">", ">=")
-_FLIP = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+RELATIONS = ("=", "!=")
 
 
 @dataclass(frozen=True)
 class Atom:
-    """A single constraint `lhs rel 0` with canonical lhs."""
+    """A single constraint `lhs rel 0` with canonical lhs.
+
+    Both relations are invariant under negating lhs, so lhs is stored with
+    a positive leading coefficient.
+    """
 
     lhs: Polynomial
     rel: str
@@ -29,24 +31,11 @@ class Atom:
     def make(lhs: Polynomial, rel: str) -> "Atom":
         if rel not in RELATIONS:
             raise ValueError(f"unknown relation {rel!r}")
-        norm = sign_normalize(lhs)
-        if norm is not lhs and norm != lhs:
-            rel = _FLIP[rel]
-        return Atom(norm, rel)
+        return Atom(sign_normalize(lhs), rel)
 
     def holds(self, assignment: Mapping[Var, Fraction]) -> bool:
-        v = self.lhs.evaluate(assignment)
-        if self.rel == "=":
-            return v == 0
-        if self.rel == "!=":
-            return v != 0
-        if self.rel == "<":
-            return v < 0
-        if self.rel == "<=":
-            return v <= 0
-        if self.rel == ">":
-            return v > 0
-        return v >= 0
+        zero = self.lhs.evaluate(assignment) == 0
+        return zero if self.rel == "=" else not zero
 
     def __str__(self):
         return f"{self.lhs} {self.rel} 0"
@@ -54,21 +43,21 @@ class Atom:
 
 @dataclass(frozen=True)
 class Clause:
-    """A nonempty disjunction of atoms; `soft` marks optimization targets."""
+    """A nonempty disjunction of atoms; a model satisfies it by satisfying
+    at least one atom."""
 
     atoms: tuple[Atom, ...]
-    soft: bool = False
 
     @staticmethod
-    def unit(lhs: Polynomial, rel: str = "=", soft: bool = False) -> "Clause":
-        return Clause((Atom.make(lhs, rel),), soft)
+    def unit(lhs: Polynomial, rel: str = "=") -> "Clause":
+        return Clause((Atom.make(lhs, rel),))
 
     @staticmethod
-    def any(parts: Iterable[tuple[Polynomial, str]], soft: bool = False) -> "Clause":
+    def any(parts: Iterable[tuple[Polynomial, str]]) -> "Clause":
         atoms = tuple(Atom.make(p, r) for p, r in parts)
         if not atoms:
             raise ValueError("clause needs at least one disjunct")
-        return Clause(atoms, soft)
+        return Clause(atoms)
 
     @property
     def is_unit_equality(self) -> bool:
@@ -115,26 +104,6 @@ class Pcp:
             out |= c.variables()
         return sorted(out, key=lambda v: v.sort_key)
 
-    def check_model(self, assignment: Mapping[Var, Fraction]) -> Clause | None:
-        """Return the first violated clause, or None if the model satisfies all."""
-        for c in self.clauses:
-            if not c.holds(assignment):
-                return c
-        return None
-
-    def to_json(self) -> str:
-        payload = {
-            "symbols": [{"name": v.name, "kind": v.kind} for v in self.variables()],
-            "clauses": [
-                {
-                    "soft": c.soft,
-                    "atoms": [{"lhs": str(a.lhs), "rel": a.rel} for a in c.atoms],
-                }
-                for c in self.clauses
-            ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
     def __len__(self):
         return len(self.clauses)
 
@@ -143,6 +112,14 @@ class Pcp:
 
     def __str__(self):
         return "\n".join(str(c) for c in self.clauses)
+
+
+def first_violated(clauses: Iterable[Clause], model: Mapping[Var, Fraction]) -> Clause | None:
+    """The first clause the model does not satisfy, or None if it satisfies all."""
+    for c in clauses:
+        if not c.holds(model):
+            return c
+    return None
 
 
 def decompose_poly(p: Polynomial, vars: Sequence[Var]) -> list[Polynomial]:
@@ -172,7 +149,7 @@ def decompose(clauses: Iterable[Clause], vars: Sequence[Var]) -> list[Clause]:
     for c in clauses:
         if vars and c.is_unit_equality:
             for q in decompose_poly(c.atoms[0].lhs, vars):
-                out.append(Clause.unit(q, "=", soft=c.soft))
+                out.append(Clause.unit(q))
         else:
             out.append(c)
     return out

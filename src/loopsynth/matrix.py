@@ -9,8 +9,7 @@ blowup of cofactor expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .poly import Polynomial, Rat, Var
 
@@ -41,10 +40,6 @@ class SymMatrix:
             [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         )
 
-    @staticmethod
-    def column(entries: Sequence[Entry]) -> "SymMatrix":
-        return SymMatrix.make([[e] for e in entries])
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -57,9 +52,6 @@ class SymMatrix:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i},{j}) out of range for {self.rows}x{self.cols} matrix")
         return self.entries[i][j]
-
-    def col(self, j: int) -> tuple[Polynomial, ...]:
-        return tuple(row[j] for row in self.entries)
 
     def __add__(self, other: "SymMatrix") -> "SymMatrix":
         self._require_same_shape(other)
@@ -150,41 +142,6 @@ def det(m: SymMatrix) -> Polynomial:
     return result if sign == 1 else -result
 
 
-def det_leibniz(m: SymMatrix) -> Polynomial:
-    """Determinant by permutation expansion; exponential, for small oracles."""
-    if m.rows != m.cols:
-        raise ValueError("determinant requires a square matrix")
-    n = m.rows
-    import itertools
-
-    total = Polynomial.zero()
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        term = Polynomial.const(sign)
-        for i in range(n):
-            term = term * m.entries[i][perm[i]]
-        total = total + term
-    return total
-
-
-def _perm_sign(perm: Iterable[int]) -> int:
-    perm = list(perm)
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def char_poly(b: SymMatrix, omega: Var) -> Polynomial:
     """Characteristic polynomial det(wI - B) in the indeterminate `omega`.
 
@@ -212,6 +169,3 @@ def mat_apply(m: SymMatrix, vec: Sequence[Polynomial | Rat]) -> tuple[Polynomial
         out.append(acc)
     return tuple(out)
 
-
-def numeric_matrix(rows: Sequence[Sequence[Rat]]) -> SymMatrix:
-    return SymMatrix.make([[Fraction(e) for e in row] for row in rows])

@@ -319,6 +319,8 @@ def parse_spec(text: str) -> SpecFile:
     for name in spec.init_pins:
         if name not in spec.var_names:
             raise ParseError(f"pinned initial value for unknown variable {name!r}")
+        if any(vname == name for _, vname in spec.params):
+            raise ParseError(f"variable {name!r} is both pinned and parameterized")
     return spec
 
 
@@ -343,9 +345,9 @@ def _parse_spec_line(spec: SpecFile, key: str, rest: str) -> None:
             name, sep, value = item.partition("=")
             if not sep:
                 raise ParseError(f"expected var=value, found {item!r}")
-            spec.init_pins[name] = Fraction(value)
+            spec.init_pins[name] = _number(Fraction, value)
     elif key == "size":
-        spec.size = int(rest)
+        spec.size = _number(int, rest)
     elif key == "tier":
         if rest not in ("un", "up", "fu", "auto"):
             raise ParseError(f"unknown tier {rest!r}")
@@ -353,11 +355,18 @@ def _parse_spec_line(spec: SpecFile, key: str, rest: str) -> None:
     elif key == "aux-one":
         spec.aux_one = True
     elif key == "timeout":
-        spec.timeout = float(rest)
+        spec.timeout = _number(float, rest)
     elif key == "reconstructed":
         spec.reconstructed = True
     else:
         raise ParseError(f"unknown directive {key!r}")
+
+
+def _number(kind: type, text: str):
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad number {text!r}") from None
 
 
 # ---------------------------------------------------------------------------

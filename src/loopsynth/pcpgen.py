@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .constraints import Clause, Pcp, decompose, decompose_poly
-from .matrix import SymMatrix, char_poly, mat_apply
+from .constraints import Clause, Pcp, decompose
+from .matrix import char_poly, mat_apply
 from .poly import Monomial, MONO_KEY, Polynomial, Var
 from .template import RecurrenceTemplate
 
@@ -105,9 +105,6 @@ class ExpPoly:
         for _ in range(k):
             out = out * self
         return out
-
-    def scale(self, c: Fraction) -> "ExpPoly":
-        return ExpPoly({key: p.scale(c) for key, p in self.terms.items()})
 
     def by_npower(self) -> dict[int, dict[Monomial, Polynomial]]:
         """Regroup as { n-power: { exponential base: coefficient } }."""
@@ -263,7 +260,6 @@ class PcpBundle:
     template: RecurrenceTemplate
     pcp: Pcp  # full problem, relation instantiations included
     hard: Pcp  # without the relation instantiations (structured solving)
-    alg_clauses: list[Clause]
     cfcs: list[CFiniteConstraint]
 
     def add_side_clauses(self, clauses: Iterable[Clause]) -> None:
@@ -306,7 +302,6 @@ def build_pcp(
         template=tpl,
         pcp=Pcp(base + alg),
         hard=Pcp(base),
-        alg_clauses=alg,
         cfcs=cfcs,
     )
 

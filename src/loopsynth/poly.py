@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-#: Recognized symbol kinds.  "counter" is the loop-counter symbol n.
-KINDS = ("program", "initial", "root", "matrix", "coeff", "param", "counter")
+#: Recognized symbol kinds.
+KINDS = ("program", "initial", "root", "matrix", "coeff", "param")
 
 
 @dataclass(frozen=True)
@@ -425,12 +425,3 @@ class SymbolTable:
         while name in self._vars:
             name = "_" + name
         return self.declare(Var(name, kind))
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._vars
-
-    def get(self, name: str) -> Var | None:
-        return self._vars.get(name)
-
-    def all(self) -> list[Var]:
-        return sorted(self._vars.values(), key=lambda v: v.sort_key)

@@ -37,7 +37,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .constraints import Atom, Clause, Pcp
+from .constraints import Atom, Clause, Pcp, first_violated
 from .pcpgen import CFiniteConstraint
 from .poly import MONO_KEY, Monomial, Polynomial, Var
 
@@ -144,7 +144,6 @@ def _node_module_bases() -> Iterator[Path]:
 class SolveResult:
     status: str  # sat | unsat | unknown
     model: dict[Var, ModelValue] = field(default_factory=dict)
-    core: tuple[str, ...] = ()
 
     @property
     def rational(self) -> bool:
@@ -189,11 +188,7 @@ def _smt_poly(p: Polynomial) -> str:
 
 def _smt_atom(lhs: Polynomial, rel: str) -> str:
     body = f"(= {_smt_poly(lhs)} 0)"
-    if rel == "=":
-        return body
-    if rel == "!=":
-        return f"(not {body})"
-    return f"({rel} {_smt_poly(lhs)} 0)"
+    return body if rel == "=" else f"(not {body})"
 
 
 def _smt_clause(c: Clause) -> str:
@@ -201,50 +196,20 @@ def _smt_clause(c: Clause) -> str:
     return rendered[0] if len(rendered) == 1 else "(or " + " ".join(rendered) + ")"
 
 
-def emit_smtlib(
-    clauses: Sequence[Clause],
-    variables: Iterable[Var] | None = None,
-    *,
-    get_model: bool = True,
-    named: bool = False,
-) -> str:
-    """Deterministic SMT-LIB 2 script for the clause set.
-
-    Soft clauses become `assert-soft`; when any are present the logic
-    declaration is omitted so the optimizing engine is engaged.  With
-    `named`, hard asserts are labeled c0, c1, ... and an unsat core is
-    requested.
-    """
+def emit_smtlib(clauses: Sequence[Clause], variables: Iterable[Var] | None = None) -> str:
+    """Deterministic SMT-LIB 2 script for the clause set: the QF_NRA
+    logic, one real constant per variable (by default the clauses'
+    variables), one assert per clause, then check-sat and get-model."""
     if variables is None:
         vs: set[Var] = set()
         for c in clauses:
             vs |= c.variables()
         variables = vs
     declared = sorted(set(variables), key=lambda v: v.sort_key)
-    has_soft = any(c.soft for c in clauses)
-
-    lines = []
-    if named:
-        lines.append("(set-option :produce-unsat-cores true)")
-    if not has_soft:
-        lines.append("(set-logic QF_NRA)")
-    for v in declared:
-        lines.append(f"(declare-const {v.name} Real)")
-    hard_idx = 0
-    for c in clauses:
-        body = _smt_clause(c)
-        if c.soft:
-            lines.append(f"(assert-soft {body})")
-        elif named:
-            lines.append(f"(assert (! {body} :named c{hard_idx}))")
-            hard_idx += 1
-        else:
-            lines.append(f"(assert {body})")
-    lines.append("(check-sat)")
-    if get_model:
-        lines.append("(get-model)")
-    if named:
-        lines.append("(get-unsat-core)")
+    lines = ["(set-logic QF_NRA)"]
+    lines.extend(f"(declare-const {v.name} Real)" for v in declared)
+    lines.extend(f"(assert {_smt_clause(c)})" for c in clauses)
+    lines.extend(["(check-sat)", "(get-model)"])
     return "\n".join(lines) + "\n"
 
 
@@ -323,7 +288,6 @@ def parse_solver_output(text: str, variables: Iterable[Var]) -> SolveResult:
 
     rest = text.split(status, 1)[1]
     model: dict[Var, ModelValue] = {}
-    core: list[str] = []
     for node in _parse_sexprs(_sexpr_tokens(rest)):
         if not isinstance(node, list):
             continue
@@ -335,12 +299,10 @@ def parse_solver_output(text: str, variables: Iterable[Var]) -> SolveResult:
                 name = item[1]
                 if name in by_name:
                     model[by_name[name]] = _atom_to_value(item[4])
-        if all(isinstance(x, str) and x.startswith("c") for x in node) and node:
-            core = list(node)
     if status == "sat":
         for v in by_name.values():
             model.setdefault(v, Fraction(0))
-    return SolveResult(status=status, model=model if status == "sat" else {}, core=tuple(core))
+    return SolveResult(status=status, model=model if status == "sat" else {})
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +337,6 @@ def solve(
     cfg: SolverConfig,
     variables: Iterable[Var] | None = None,
     timeout: float | None = None,
-    named: bool = False,
 ) -> SolveResult:
     if variables is None:
         vs: set[Var] = set()
@@ -387,23 +348,14 @@ def solve(
     if cfg.builtin:
         result = solve_builtin(clauses, variables, cfg.timeout if timeout is None else timeout)
     else:
-        script = emit_smtlib(clauses, variables, named=named)
+        script = emit_smtlib(clauses, variables)
         output = run_solver(script, cfg, timeout)
         result = parse_solver_output(output, variables)
     if result.status == "sat" and result.rational:
-        violated = _first_violated(clauses, result.rational_model())
+        violated = first_violated(clauses, result.rational_model())
         if violated is not None:
             raise SolverError(f"solver model fails exact re-check on: {violated}")
     return result
-
-
-def _first_violated(clauses: Iterable[Clause], model: Mapping[Var, Fraction]) -> Clause | None:
-    for c in clauses:
-        if c.soft:
-            continue
-        if not c.holds(model):
-            return c
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +382,7 @@ def solve_builtin(clauses: Sequence[Clause], variables: Sequence[Var], budget: f
     """
     if budget <= 0:
         raise SolverTimeout("no time budget left")
-    root = _Problem([], [c.atoms for c in clauses if not c.soft], [], time.monotonic() + budget)
+    root = _Problem([], [c.atoms for c in clauses], [], time.monotonic() + budget)
     try:
         root.propagate()
     except _Conflict:

@@ -27,11 +27,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .constraints import Clause, Pcp
+from .constraints import Clause
+from .parser import SpecFile
 from .pcpgen import DegenerateInvariantError, PcpBundle, base_clauses, build_pcp
 from .poly import Polynomial, SymbolTable, Var
 from .smt import (
-    AlgebraicTag,
     ModelValue,
     SolverConfig,
     SolverTimeout,
@@ -68,13 +68,30 @@ class SynthRequest:
     timeout: float = 60.0
     count: int = 1
 
+    @staticmethod
+    def from_spec(spec: SpecFile) -> "SynthRequest":
+        """The request the spec describes, with a 60 s budget unless the
+        spec sets one."""
+        symbols = spec.symbols()
+        return SynthRequest(
+            invariants=spec.invariants(),
+            vars=[symbols[name] for name in spec.var_names],
+            params=[(symbols[p], symbols[v]) for p, v in spec.params],
+            pinned=dict(spec.init_pins),
+            tiers=None if spec.tier == "auto" else [ShapeTier.parse(spec.tier)],
+            size=spec.size,
+            aux_one=spec.aux_one,
+            timeout=spec.timeout or 60.0,
+        )
+
 
 @dataclass(frozen=True)
 class Loop:
     """A concrete affine loop: X <- U X starting from X = V.
 
     Initial values are rationals, or linear forms over the parameter
-    symbols in the parameterized case.
+    symbols in the parameterized case.  Every Loop that `synthesize`
+    returns has passed the exact invariant check.
     """
 
     vars: tuple[Var, ...]
@@ -85,7 +102,6 @@ class Loop:
     tier: str = ""
     partition: tuple[int, ...] = ()
     millis: int = 0
-    verified: bool = False
 
     @property
     def permutation(self) -> tuple[str, ...]:
@@ -133,7 +149,7 @@ class Loop:
             "partition": list(self.partition),
             "permutation": list(self.permutation),
             "millis": self.millis,
-            "verified": self.verified,
+            "verified": True,
             "loop": self.render(),
         }
 
@@ -190,19 +206,9 @@ def synthesize(request: SynthRequest, cfg: SolverConfig | None = None) -> SynthR
     start = time.monotonic()
     deadline = start + request.timeout
 
-    vars, pinned, aux = _effective_vars(request)
-    s = len(vars)
-    tiers = request.tiers or [ShapeTier.UNIT_UPPER, ShapeTier.UPPER, ShapeTier.FULL]
-    partitions = [
-        p for p in int_partitions(s)
-        if request.partitions is None or p in request.partitions
-    ]
-    if not partitions:
-        raise RequestError(f"no admissible multiplicity partition of {s}")
-
+    cells, pinned, aux = _search_space(request)
     found: list[Loop] = []
     saw_unknown = False
-    cells = list(_cells(vars, tiers, partitions))
     bases = _SharedBases(
         _base_key(request, perm, tier, part, pinned) for tier, perm, part in cells
     )
@@ -282,6 +288,22 @@ def _effective_vars(request: SynthRequest) -> tuple[list[Var], dict[str, Fractio
         vars.append(Var(name, "program", len(vars)))
         aux.append(name)
     return vars, pinned, tuple(aux)
+
+
+_Cell = tuple[ShapeTier, tuple[Var, ...], tuple[int, ...]]  # tier, order, partition
+
+
+def _search_space(request: SynthRequest) -> tuple[list[_Cell], dict[str, Fraction], tuple[str, ...]]:
+    """The request's search cells in search order, with the pinned initial
+    values and the auxiliary variable names of its padded variable list."""
+    vars, pinned, aux = _effective_vars(request)
+    partitions = [
+        p for p in int_partitions(len(vars))
+        if request.partitions is None or p in request.partitions
+    ]
+    if not partitions:
+        raise RequestError(f"no admissible multiplicity partition of {len(vars)}")
+    return list(_cells(vars, request.tiers or list(ShapeTier), partitions)), pinned, aux
 
 
 def _cells(
@@ -457,7 +479,6 @@ def _extract_loop(
         tier=tpl.tier.value,
         partition=tpl.partition,
         millis=int((time.monotonic() - start) * 1000),
-        verified=True,
     )
 
 
@@ -482,13 +503,8 @@ def first_cell_script(request: SynthRequest) -> str:
     for inspection.  The search itself does not run this script: it hands
     each cell to the solver in stages, each a fresh solver process or a
     fresh in-process solve."""
-    vars, pinned, _aux = _effective_vars(request)
-    tiers = request.tiers or [ShapeTier.UNIT_UPPER, ShapeTier.UPPER, ShapeTier.FULL]
-    partitions = [
-        p for p in int_partitions(len(vars))
-        if request.partitions is None or p in request.partitions
-    ]
-    for tier, perm, part in _cells(vars, tiers, partitions):
+    cells, pinned, _aux = _search_space(request)
+    for tier, perm, part in cells:
         bundle = _cell_problem(request, perm, tier, part, pinned)
         if bundle is not None:
             return emit_smtlib(list(bundle.pcp), bundle.pcp.variables())

@@ -64,10 +64,6 @@ class ParamSpec:
     def params(self) -> tuple[Var, ...]:
         return tuple(p for p, _ in self.bindings)
 
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for _, i in self.bindings)
-
 
 @dataclass(frozen=True)
 class RecurrenceTemplate:
@@ -95,29 +91,6 @@ class RecurrenceTemplate:
     @property
     def size(self) -> int:
         return len(self.vars)
-
-    @property
-    def parameterized(self) -> bool:
-        return bool(self.params)
-
-    @property
-    def basis(self) -> tuple[Polynomial, ...]:
-        """The vector the A-matrix multiplies: (params..., 1) or just (1,)."""
-        if self.params:
-            return tuple(Polynomial.var(p) for p in self.params) + (Polynomial.const(1),)
-        return (Polynomial.const(1),)
-
-    def unknowns(self) -> list[Var]:
-        """All solver-facing symbols (everything except the parameters)."""
-        out = {v for v in self.b.variables()}
-        out |= {v for v in self.a_matrix.variables()}
-        for w, _ in self.rootspec:
-            out.add(w)
-        for col in self.coeff_columns.values():
-            for p in col:
-                out |= p.variables()
-        out -= set(self.params)
-        return sorted(out, key=lambda v: v.sort_key)
 
 
 def build_template(

@@ -84,6 +84,34 @@ class TestSynthCommand:
 
 class TestInputErrors:
     TOO_SMALL_SPEC = "vars x y\ninvariant x == 2y\nsize 1\n"
+    BAD_SPECS = {
+        "zero_denominator": ("vars x y\ninvariant x == 2y\ninit y=1/0\n",
+                             "error: line 3: bad number '1/0'\n"),
+        "pinned_param": ("vars x y\nparams x0=x\ninvariant x == 2y + x0\ninit x=1\n",
+                         "error: variable 'x' is both pinned and parameterized\n"),
+        "bad_size": ("vars x y\ninvariant x == 2y\nsize abc\n",
+                     "error: line 3: bad number 'abc'\n"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAD_SPECS))
+    def test_synth_bad_spec_value(self, runner, tmp_path, name):
+        text, message = self.BAD_SPECS[name]
+        spec = write(tmp_path, f"{name}.spec", text)
+        res = runner.invoke(main, ["synth", spec, "--solver", "builtin"])
+        assert res.exit_code == EXIT_INPUT, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output == message
+
+    def test_bench_records_bad_spec_values_and_carries_on(self, runner, tmp_path):
+        write(tmp_path, "double.spec", DOUBLE_SPEC)
+        for name, (text, _message) in self.BAD_SPECS.items():
+            write(tmp_path, f"{name}.spec", text)
+        res = runner.invoke(main, ["bench", str(tmp_path), "--solver", "builtin"])
+        assert res.exit_code == EXIT_NEGATIVE, res.output
+        rows = {r["instance"]: r for r in csv.DictReader(io.StringIO(res.output))}
+        for name in self.BAD_SPECS:
+            assert rows[name]["status"] == "parse-error", rows[name]
+        assert rows["double"]["status"] == "found"
 
     def test_synth_size_below_variable_count(self, runner, tmp_path):
         spec = write(tmp_path, "small.spec", self.TOO_SMALL_SPEC)

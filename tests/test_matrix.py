@@ -1,46 +1,69 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopsynth.matrix import (
-    SymMatrix,
-    char_poly,
-    det,
-    det_leibniz,
-    mat_apply,
-    numeric_matrix,
-)
+from loopsynth.matrix import SymMatrix, char_poly, det, mat_apply
 from loopsynth.poly import Polynomial, Var
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
+def det_leibniz(m: SymMatrix) -> Polynomial:
+    """Determinant by permutation expansion: exponential, an oracle for
+    small matrices."""
+    n = m.rows
+    total = Polynomial.zero()
+    for perm in itertools.permutations(range(n)):
+        term = Polynomial.const(_perm_sign(perm))
+        for i in range(n):
+            term = term * m.entries[i][perm[i]]
+        total = total + term
+    return total
+
+
+def _perm_sign(perm: tuple[int, ...]) -> int:
+    """(-1) to the number of even-length cycles."""
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
 def rational_matrix(n):
     return st.lists(
         st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n
-    ).map(numeric_matrix)
+    ).map(SymMatrix.make)
 
 
 class TestAlgebra:
     def test_identity_multiplication(self):
-        m = numeric_matrix([[1, 2], [3, 4]])
+        m = SymMatrix.make([[1, 2], [3, 4]])
         assert m * SymMatrix.identity(2) == m
         assert SymMatrix.identity(2) * m == m
 
     def test_shapes_checked(self):
         with pytest.raises(ValueError):
-            numeric_matrix([[1, 2], [3]])
+            SymMatrix.make([[1, 2], [3]])
         with pytest.raises(ValueError):
-            numeric_matrix([[1, 2]]) * numeric_matrix([[1, 2]])
+            SymMatrix.make([[1, 2]]) * SymMatrix.make([[1, 2]])
 
     def test_pow(self):
-        m = numeric_matrix([[1, 1], [0, 1]])
+        m = SymMatrix.make([[1, 1], [0, 1]])
         assert m.pow(3).at(0, 1) == Polynomial.const(3)
         assert m.pow(0) == SymMatrix.identity(2)
 
     def test_mat_apply(self):
-        m = numeric_matrix([[1, 2], [3, 4]])
+        m = SymMatrix.make([[1, 2], [3, 4]])
         assert mat_apply(m, [1, 1]) == (Polynomial.const(3), Polynomial.const(7))
 
 
@@ -59,17 +82,17 @@ class TestDeterminant:
         assert det(m) == expected == det_leibniz(m)
 
     def test_singular(self):
-        assert det(numeric_matrix([[1, 2], [2, 4]])).is_zero()
+        assert det(SymMatrix.make([[1, 2], [2, 4]])).is_zero()
 
     def test_zero_pivot_needs_row_swap(self):
-        m = numeric_matrix([[0, 1], [1, 0]])
+        m = SymMatrix.make([[0, 1], [1, 0]])
         assert det(m) == Polynomial.const(-1)
 
 
 class TestCharPoly:
     def test_monic_of_matrix_size(self):
         w = Var("w", "root")
-        m = numeric_matrix([[2, 1], [0, 3]])
+        m = SymMatrix.make([[2, 1], [0, 3]])
         chi = char_poly(m, w)
         assert chi.degree_in(w) == 2
         coeffs = dict((k, c) for k, c in chi.coeffs_in(w))
@@ -77,7 +100,7 @@ class TestCharPoly:
 
     def test_roots_of_triangular(self):
         w = Var("w", "root")
-        m = numeric_matrix([[2, 5], [0, 3]])
+        m = SymMatrix.make([[2, 5], [0, 3]])
         chi = char_poly(m, w)
         for root in (2, 3):
             assert chi.substitute({w: Polynomial.const(root)}).is_zero()

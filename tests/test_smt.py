@@ -58,11 +58,6 @@ class TestEmission:
         c = Clause.any([(Polynomial.var(X), "="), (Polynomial.var(Y) - 1, "=")])
         assert "(or " in emit_smtlib([c])
 
-    def test_named_asserts(self):
-        script = emit_smtlib([Clause.unit(Polynomial.var(X))], named=True)
-        assert ":named c0" in script and "(get-unsat-core)" in script
-        assert "produce-unsat-cores" in script
-
 
 class TestOutputParsing:
     def test_sat_model(self):
@@ -87,10 +82,6 @@ class TestOutputParsing:
         assert not res.rational
         with pytest.raises(SolverError):
             res.rational_model()
-
-    def test_unsat_with_core(self):
-        res = parse_solver_output("unsat\n(c0 c2)\n", [X])
-        assert res.status == "unsat" and res.core == ("c0", "c2")
 
     def test_error_raises(self):
         with pytest.raises(SolverError):

@@ -51,7 +51,7 @@ class TestEndToEnd:
         res = synthesize(req, cfg())
         assert res.status == "found"
         (loop,) = res.loops
-        assert loop.verified and loop.tier == "un"
+        assert loop.tier == "un"
         assert check_invariant(loop.system(), req.invariants[0]).holds
         # the loop must actually move
         sys = loop.system()
@@ -83,7 +83,6 @@ class TestEndToEnd:
         l1, l2 = res.loops
         assert (l1.update, l1.init) != (l2.update, l2.init)
         for loop in res.loops:
-            assert loop.verified
             assert check_invariant(loop.system(), req.invariants[0]).holds
 
     def test_trivial_invariant_still_yields_moving_loop(self):
@@ -140,7 +139,6 @@ class TestRendering:
             aux=("one",),
             tier="un",
             partition=(3,),
-            verified=True,
         )
 
     def test_constant_one_folds_into_affine_constants(self):
@@ -216,6 +214,20 @@ class TestSearchSpace:
         assert res.status == "notfound" and res.note == ""
         with pytest.raises(RequestError):
             first_cell_script(req)
+
+    def test_emitted_script_is_the_first_cell_the_search_solves(self, monkeypatch):
+        solved = []
+
+        def record(hard, cfcs, full, cfg, timeout=None):
+            solved.append(emit_smtlib(list(full), full.variables()))
+            return SimpleNamespace(status="unknown")
+
+        monkeypatch.setattr(synth_module, "solve_structured", record)
+        # every unit-upper cell is pruned, so both paths must skip that tier
+        req = request_for("x == 2y", ["x", "y"], size=3, partitions=[(2, 1)])
+        assert synthesize(req, cfg()).status == "notfound"
+        assert solved and solved[0] == first_cell_script(req)
+        assert "b21" not in solved[0]  # an upper-triangular cell, not a full one
 
     @pytest.mark.parametrize("name, tiers", [
         ("square", [ShapeTier.UNIT_UPPER, ShapeTier.UPPER]),

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from loopsynth.matrix import mat_apply, numeric_matrix
+from loopsynth.matrix import SymMatrix, mat_apply
 from loopsynth.poly import Polynomial, SymbolTable, Var
 from loopsynth.template import (
     ParamSpec,
@@ -98,18 +98,11 @@ class TestTemplate:
         with pytest.raises(ValueError):
             build_template(vars, ShapeTier.FULL, (2,), pinned_inits={"x": Fraction(1)}, params=spec)
 
-    def test_unknowns_exclude_params(self):
-        vars = make_vars("x", "y")
-        spec = ParamSpec(((Var("x0", "param"), 0),))
-        tpl = build_template(vars, ShapeTier.FULL, (2,), params=spec)
-        names = {v.name for v in tpl.unknowns()}
-        assert "x0" not in names and any(n.startswith("b") for n in names)
-
 
 class TestCompanionEmbedding:
     def test_shift_structure(self):
         m = companion_embedding([-1, -1])  # x(n+2) = x(n+1) + x(n)
-        assert m == numeric_matrix([[0, 1], [1, 1]])
+        assert m == SymMatrix.make([[0, 1], [1, 1]])
 
     def test_rejects_singular(self):
         with pytest.raises(ValueError):
