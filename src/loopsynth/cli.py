@@ -64,7 +64,8 @@ def _parse_partition(text: str) -> tuple[int, ...]:
 @main.command()
 @click.argument("specfile", type=click.Path(exists=True, dir_okay=False))
 @_solver_option
-@click.option("--timeout", type=float, default=None, help="Total budget in seconds (default 60).")
+@click.option("--timeout", type=click.FloatRange(min=0, min_open=True), default=None,
+              help="Total budget in seconds (default 60).")
 @click.option("--tier", type=click.Choice(["un", "up", "fu", "auto"]), default=None)
 @click.option("--partition", default=None, help="Fix the multiplicity partition, e.g. '2,1'.")
 @click.option("--size", type=int, default=None, help="System size (pad with auxiliary variables).")
@@ -205,7 +206,7 @@ def _parse_mapping(text: str, lf1: LoopFile, lf2: LoopFile) -> dict[Var, Var]:
 @main.command()
 @click.argument("directory", type=click.Path(exists=True, file_okay=False))
 @_solver_option
-@click.option("--timeout", type=float, default=60.0, show_default=True)
+@click.option("--timeout", type=click.FloatRange(min=0, min_open=True), default=60.0, show_default=True)
 @click.option("--jobs", type=int, default=1, show_default=True)
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None,
               help="Write results as CSV (default: stdout).")

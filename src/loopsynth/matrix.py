@@ -1,17 +1,17 @@
-"""Symbolic matrices over the polynomial ring, determinants, characteristic
+"""Symbolic matrices over the polynomial ring and their characteristic
 polynomials.
 
-The determinant uses fraction-free Bareiss elimination, which stays inside
-the polynomial ring (every division is exact) and avoids the factorial
-blowup of cofactor expansion.
+The characteristic polynomial uses Berkowitz's algorithm, which needs ring
+operations only: no division, and no indeterminate inside the matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from fractions import Fraction
+from typing import Iterable, Sequence
 
-from .poly import Polynomial, Rat, Var
+from .poly import Monomial, Polynomial, Rat, Var
 
 Entry = Polynomial | Rat
 
@@ -34,12 +34,6 @@ class SymMatrix:
             out.append(tuple(Polynomial.coerce(e) for e in row))
         return SymMatrix(tuple(out))
 
-    @staticmethod
-    def identity(n: int) -> "SymMatrix":
-        return SymMatrix.make(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -53,17 +47,9 @@ class SymMatrix:
             raise IndexError(f"entry ({i},{j}) out of range for {self.rows}x{self.cols} matrix")
         return self.entries[i][j]
 
-    def __add__(self, other: "SymMatrix") -> "SymMatrix":
-        self._require_same_shape(other)
-        return SymMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            )
-        )
-
     def __sub__(self, other: "SymMatrix") -> "SymMatrix":
-        self._require_same_shape(other)
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch")
         return SymMatrix(
             tuple(
                 tuple(a - b for a, b in zip(r1, r2))
@@ -85,24 +71,6 @@ class SymMatrix:
             out.append(tuple(row))
         return SymMatrix(tuple(out))
 
-    def scale(self, c: Polynomial | Rat) -> "SymMatrix":
-        c = Polynomial.coerce(c)
-        return SymMatrix(tuple(tuple(c * e for e in row) for row in self.entries))
-
-    def pow(self, k: int) -> "SymMatrix":
-        if self.rows != self.cols:
-            raise ValueError("matrix power requires a square matrix")
-        if k < 0:
-            raise ValueError("negative matrix power")
-        out = SymMatrix.identity(self.rows)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def _require_same_shape(self, other: "SymMatrix"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-
     def variables(self) -> set[Var]:
         out: set[Var] = set()
         for row in self.entries:
@@ -114,34 +82,6 @@ class SymMatrix:
         return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.entries) + "]"
 
 
-def det(m: SymMatrix) -> Polynomial:
-    """Determinant via fraction-free Bareiss elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant requires a square matrix")
-    n = m.rows
-    a = [list(row) for row in m.entries]
-    sign = 1
-    prev = Polynomial.const(1)
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            # pivot: find a row below with a nonzero entry in column k
-            for r in range(k + 1, n):
-                if not a[r][k].is_zero():
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Polynomial.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num.divexact(prev)
-            a[i][k] = Polynomial.zero()
-        prev = a[k][k]
-    result = a[n - 1][n - 1]
-    return result if sign == 1 else -result
-
-
 def char_poly(b: SymMatrix, omega: Var) -> Polynomial:
     """Characteristic polynomial det(wI - B) in the indeterminate `omega`.
 
@@ -151,9 +91,41 @@ def char_poly(b: SymMatrix, omega: Var) -> Polynomial:
         raise ValueError("characteristic polynomial requires a square matrix")
     if omega in b.variables():
         raise ValueError(f"indeterminate {omega.name!r} already occurs in the matrix")
-    w = Polynomial.var(omega)
-    shifted = SymMatrix.identity(b.rows).scale(w) - b
-    return det(shifted)
+    terms: dict[Monomial, Fraction] = {}
+    for k, coeff in enumerate(_berkowitz(b)):
+        wk = Monomial.of(omega, b.rows - k)
+        for m, c in coeff.terms.items():
+            terms[m.mul(wk)] = c
+    return Polynomial(terms)
+
+
+def _berkowitz(b: SymMatrix) -> list[Polynomial]:
+    """Coefficients of det(zI - B), leading first, by Berkowitz's recursion.
+
+    Step r borders the leading r x r block A with the column c above the
+    corner a and the row d left of it.  The bordered block's coefficient
+    vector is A's times the lower-triangular Toeplitz matrix whose first
+    column is 1, -a, -d c, -d A c, ..., -d A^(r-1) c.
+    """
+    e = b.entries
+    coeffs = [Polynomial.const(1)]
+    for r in range(b.rows):
+        col = [-e[r][r]]  # the Toeplitz column below its leading 1
+        x = [e[i][r] for i in range(r)]
+        for k in range(r):
+            col.append(-_dot(e[r][:r], x))
+            if k + 1 < r:
+                x = [_dot(e[i][:r], x) for i in range(r)]
+        coeffs.append(Polynomial.zero())
+        coeffs = [coeffs[i] + _dot(col[:i], reversed(coeffs[:i])) for i in range(r + 2)]
+    return coeffs
+
+
+def _dot(xs: Iterable[Polynomial], ys: Iterable[Polynomial]) -> Polynomial:
+    acc = Polynomial.zero()
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    return acc
 
 
 def mat_apply(m: SymMatrix, vec: Sequence[Polynomial | Rat]) -> tuple[Polynomial, ...]:
@@ -161,11 +133,5 @@ def mat_apply(m: SymMatrix, vec: Sequence[Polynomial | Rat]) -> tuple[Polynomial
     if m.cols != len(vec):
         raise ValueError("dimension mismatch")
     vs = [Polynomial.coerce(v) for v in vec]
-    out = []
-    for row in m.entries:
-        acc = Polynomial.zero()
-        for e, v in zip(row, vs):
-            acc = acc + e * v
-        out.append(acc)
-    return tuple(out)
+    return tuple(_dot(row, vs) for row in m.entries)
 

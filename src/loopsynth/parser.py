@@ -313,9 +313,15 @@ def parse_spec(text: str) -> SpecFile:
         raise ParseError("spec declares no variables")
     if not spec.invariant_texts:
         raise ParseError("spec declares no invariant")
+    seen: dict[str, str] = {}
     for pname, vname in spec.params:
         if vname not in spec.var_names:
             raise ParseError(f"parameter {pname!r} refers to unknown variable {vname!r}")
+        if pname in seen:
+            raise ParseError(f"parameter {pname!r} is declared twice")
+        if vname in seen.values():
+            raise ParseError(f"variable {vname!r} is named by two parameters")
+        seen[pname] = vname
     for name in spec.init_pins:
         if name not in spec.var_names:
             raise ParseError(f"pinned initial value for unknown variable {name!r}")
@@ -356,6 +362,8 @@ def _parse_spec_line(spec: SpecFile, key: str, rest: str) -> None:
         spec.aux_one = True
     elif key == "timeout":
         spec.timeout = _number(float, rest)
+        if not spec.timeout > 0:
+            raise ParseError(f"timeout must be positive, found {rest!r}")
     elif key == "reconstructed":
         spec.reconstructed = True
     else:

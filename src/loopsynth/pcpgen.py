@@ -160,7 +160,10 @@ def gen_coeff(tpl: RecurrenceTemplate) -> list[Clause]:
 
 def gen_init(tpl: RecurrenceTemplate) -> list[Clause]:
     out: list[Clause] = []
+    unrolled = tpl.init_exprs
     for n in range(tpl.size):
+        if n > 0:
+            unrolled = mat_apply(tpl.b, unrolled)
         # closed form evaluated at the concrete index n
         x_n = [Polynomial.zero()] * tpl.size
         for (w, j), col in tpl.coeff_columns.items():
@@ -169,7 +172,6 @@ def gen_init(tpl: RecurrenceTemplate) -> list[Clause]:
             if weight == 0:
                 continue
             x_n = [acc + col[i] * factor * weight for i, acc in enumerate(x_n)]
-        unrolled = mat_apply(tpl.b.pow(n), tpl.init_exprs)
         for lhs, rhs in zip(x_n, unrolled):
             out.append(Clause.unit(lhs - rhs))
     return out

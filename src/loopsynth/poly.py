@@ -126,16 +126,6 @@ class Monomial:
             return Monomial.one()
         return Monomial.make({v: e * k for v, e in self.powers})
 
-    def divide(self, other: "Monomial") -> "Monomial | None":
-        """Return self/other if the division is exact, else None."""
-        acc = dict(self.powers)
-        for v, e in other.powers:
-            r = acc.get(v, 0) - e
-            if r < 0:
-                return None
-            acc[v] = r
-        return Monomial.make(acc)
-
     def without(self, v: Var) -> "Monomial":
         return Monomial(tuple((u, e) for u, e in self.powers if u != v))
 
@@ -326,23 +316,6 @@ class Polynomial:
             if not p.is_zero():
                 out.append((k, p))
         return out
-
-    def divexact(self, d: "Polynomial") -> "Polynomial":
-        """Exact division; raises ValueError if d does not divide self."""
-        if d.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        q = Polynomial.zero()
-        r = self
-        dm, dc = d.leading()
-        while not r.is_zero():
-            rm, rc = r.leading()
-            tm = rm.divide(dm)
-            if tm is None:
-                raise ValueError("inexact polynomial division")
-            t = Polynomial({tm: rc / dc})
-            q = q + t
-            r = r - t * d
-        return q
 
     # -- comparison / hashing -----------------------------------------
 

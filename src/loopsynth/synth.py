@@ -81,7 +81,7 @@ class SynthRequest:
             tiers=None if spec.tier == "auto" else [ShapeTier.parse(spec.tier)],
             size=spec.size,
             aux_one=spec.aux_one,
-            timeout=spec.timeout or 60.0,
+            timeout=60.0 if spec.timeout is None else spec.timeout,
         )
 
 

@@ -91,6 +91,14 @@ class TestInputErrors:
                          "error: variable 'x' is both pinned and parameterized\n"),
         "bad_size": ("vars x y\ninvariant x == 2y\nsize abc\n",
                      "error: line 3: bad number 'abc'\n"),
+        "param_names_a_variable_twice": ("vars x y\nparams p=x q=x\ninvariant x == p\n",
+                                         "error: variable 'x' is named by two parameters\n"),
+        "param_declared_twice": ("vars x y\nparams p=x\nparams p=y\ninvariant x == p\n",
+                                 "error: parameter 'p' is declared twice\n"),
+        "zero_timeout": ("vars x y\ninvariant x == 2y\ntimeout 0\n",
+                         "error: line 3: timeout must be positive, found '0'\n"),
+        "negative_timeout": ("vars x y\ninvariant x == 2y\ntimeout -1\n",
+                             "error: line 3: timeout must be positive, found '-1'\n"),
     }
 
     @pytest.mark.parametrize("name", sorted(BAD_SPECS))
@@ -112,6 +120,16 @@ class TestInputErrors:
         for name in self.BAD_SPECS:
             assert rows[name]["status"] == "parse-error", rows[name]
         assert rows["double"]["status"] == "found"
+
+    @pytest.mark.parametrize("command", ["synth", "bench"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_timeout_flag_is_a_usage_error(self, runner, tmp_path, command, value):
+        spec = write(tmp_path, "double.spec", DOUBLE_SPEC)
+        target = spec if command == "synth" else str(tmp_path)
+        res = runner.invoke(main, [command, target, "--solver", "builtin", "--timeout", value])
+        assert res.exit_code == EXIT_INPUT, res.output
+        assert "Invalid value for '--timeout'" in res.output
+        assert "Traceback" not in res.output
 
     def test_synth_size_below_variable_count(self, runner, tmp_path):
         spec = write(tmp_path, "small.spec", self.TOO_SMALL_SPEC)

@@ -119,6 +119,16 @@ timeout 30
         with pytest.raises(ParseError):
             parse_spec("vars x\ninvariant x == 1\nfrobnicate\n")
 
+    @pytest.mark.parametrize("params", ["p=x q=x", "p=x p=y", "p=x\nparams q=x"])
+    def test_duplicate_parameters_rejected(self, params):
+        with pytest.raises(ParseError, match="twice|two parameters"):
+            parse_spec(f"vars x y\nparams {params}\ninvariant x == p\n")
+
+    @pytest.mark.parametrize("value", ["0", "-1", "-0.5", "nan"])
+    def test_nonpositive_timeout_rejected(self, value):
+        with pytest.raises(ParseError, match="line 3: timeout must be positive"):
+            parse_spec(f"vars x\ninvariant x == 1\ntimeout {value}\n")
+
     def test_corpus_parses(self):
         import pathlib
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +16,13 @@ from loopsynth.pcpgen import (
     gen_roots,
     substitute_invariant,
 )
-from loopsynth.matrix import char_poly
-from loopsynth.poly import Monomial, Polynomial, Var
+from loopsynth.matrix import SymMatrix, char_poly, mat_apply
+from loopsynth.parser import parse_spec
+from loopsynth.poly import Monomial, Polynomial, SymbolTable, Var
+from loopsynth.synth import SynthRequest, _search_space
 from loopsynth.template import ParamSpec, ShapeTier, build_template
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def make_vars(*names):
@@ -101,6 +106,36 @@ class TestClauseFamilies:
             names["c1_1_1"]: Fraction(2), names["c1_1_2"]: Fraction(1),
         })
         assert first_violated(bundle.pcp, model) is None
+
+
+def init_clauses_by_matrix_powers(tpl):
+    """The initial-value family written out directly: the closed form at n
+    against B^n X_0, with B^n multiplied up from the identity."""
+    out = []
+    power = SymMatrix.make([[int(i == j) for j in range(tpl.size)] for i in range(tpl.size)])
+    for n in range(tpl.size):
+        unrolled = mat_apply(power, tpl.init_exprs)
+        for i in range(tpl.size):
+            closed = Polynomial.zero()
+            for (w, j), col in tpl.coeff_columns.items():
+                closed = closed + col[i] * Polynomial({Monomial.of(w, n): Fraction(n) ** (j - 1)})
+            out.append(Clause.unit(closed - unrolled[i]))
+        power = power * tpl.b
+    return out
+
+
+class TestInitialValues:
+    @pytest.mark.parametrize("name", ["fmi2", "eucliddiv"])
+    def test_full_tier_matches_matrix_powers(self, name):
+        request = SynthRequest.from_spec(parse_spec((BENCHMARKS / f"{name}.spec").read_text()))
+        request.tiers = [ShapeTier.FULL]
+        cells, pinned, _ = _search_space(request)
+        for tier, perm, part in cells:
+            paramspec = None
+            if request.params:
+                paramspec = ParamSpec(tuple((p, perm.index(v)) for p, v in request.params))
+            tpl = build_template(perm, tier, part, pinned, paramspec, SymbolTable())
+            assert gen_init(tpl) == init_clauses_by_matrix_powers(tpl)
 
 
 class TestClosedForms:

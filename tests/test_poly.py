@@ -152,17 +152,6 @@ class TestStructure:
             rebuilt = rebuilt + coeff * Polynomial.var(Y) ** k
         assert rebuilt == p
 
-    @given(polynomials(), polynomials())
-    @settings(deadline=None, max_examples=40)
-    def test_divexact_inverts_multiplication(self, p, q):
-        if q.is_zero():
-            return
-        assert (p * q).divexact(q) == p
-
-    def test_divexact_rejects_inexact(self):
-        with pytest.raises(ValueError):
-            Polynomial.var(X).divexact(Polynomial.var(Y))
-
     def test_graded_order(self):
         lo = Monomial.make({Y: 1})
         hi = Monomial.make({X: 2})

@@ -124,6 +124,15 @@ class TestRequestExpansion:
         with pytest.raises(ValueError):
             synthesize(req, cfg())
 
+    def test_spec_timeout_is_kept_and_defaults_to_60(self):
+        spec = parse_spec("vars x\ninvariant x == 1\ntimeout 0.5\n")
+        assert SynthRequest.from_spec(spec).timeout == 0.5
+        spec.timeout = None
+        assert SynthRequest.from_spec(spec).timeout == 60.0
+        # a zero budget that reaches the request is not replaced by the default
+        spec.timeout = 0.0
+        assert SynthRequest.from_spec(spec).timeout == 0.0
+
 
 class TestRendering:
     def sample_loop(self):
