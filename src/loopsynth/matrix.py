@@ -8,7 +8,6 @@ operations only: no division, and no indeterminate inside the matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .poly import Monomial, Polynomial, Rat, Var
@@ -91,7 +90,7 @@ def char_poly(b: SymMatrix, omega: Var) -> Polynomial:
         raise ValueError("characteristic polynomial requires a square matrix")
     if omega in b.variables():
         raise ValueError(f"indeterminate {omega.name!r} already occurs in the matrix")
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[Monomial, Rat] = {}
     for k, coeff in enumerate(_berkowitz(b)):
         wk = Monomial.of(omega, b.rows - k)
         for m, c in coeff.terms.items():

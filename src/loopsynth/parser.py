@@ -274,7 +274,7 @@ class SpecFile:
             lines.append("invariant " + text.strip())
         if self.init_pins:
             lines.append(
-                "init " + " ".join(f"{k}={_fmt_fraction(v)}" for k, v in self.init_pins.items())
+                "init " + " ".join(f"{k}={v}" for k, v in self.init_pins.items())
             )
         if self.size is not None:
             lines.append(f"size {self.size}")
@@ -287,10 +287,6 @@ class SpecFile:
         if self.reconstructed:
             lines.append("reconstructed")
         return "\n".join(lines) + "\n"
-
-
-def _fmt_fraction(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def _fmt_number(x: float) -> str:
@@ -508,12 +504,12 @@ def _linearize(
         const = Fraction(0)
         for mono, coeff in p.terms.items():
             if mono.degree == 0:
-                const = coeff
+                const = Fraction(coeff)
             elif mono.degree == 1:
                 (uvar, _), = mono.powers
                 if uvar not in prog_vars:
                     raise ParseError(f"update for {v.name!r} uses unknown symbol {uvar.name!r}")
-                row[prog_vars.index(uvar)] = coeff
+                row[prog_vars.index(uvar)] = Fraction(coeff)
             else:
                 raise ParseError(f"update for {v.name!r} is not affine: {p}")
         rows.append(row)

@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .constraints import Clause, Pcp, decompose
 from .matrix import char_poly, mat_apply
-from .poly import Monomial, MONO_KEY, Polynomial, Var
+from .poly import Monomial, MONO_KEY, Polynomial, Rat, Var
 from .template import RecurrenceTemplate
 
 
@@ -59,7 +58,7 @@ class CFiniteConstraint:
         """The polynomial equality obtained by fixing the iteration index."""
         acc = Polynomial.zero()
         for w, u in self.terms:
-            acc = acc + Polynomial({w.pow(n): Fraction(1)}) * u
+            acc = acc + Polynomial({w.pow(n): 1}) * u
         return acc
 
 
@@ -167,8 +166,8 @@ def gen_init(tpl: RecurrenceTemplate) -> list[Clause]:
         # closed form evaluated at the concrete index n
         x_n = [Polynomial.zero()] * tpl.size
         for (w, j), col in tpl.coeff_columns.items():
-            factor = Polynomial({Monomial.of(w, n): Fraction(1)}) if n > 0 else Polynomial.const(1)
-            weight = Fraction(n) ** (j - 1) if n > 0 or j == 1 else Fraction(0)
+            factor = Polynomial({Monomial.of(w, n): 1}) if n > 0 else Polynomial.const(1)
+            weight = n ** (j - 1) if n > 0 or j == 1 else 0
             if weight == 0:
                 continue
             x_n = [acc + col[i] * factor * weight for i, acc in enumerate(x_n)]
@@ -217,7 +216,7 @@ def gen_alg(
             for j in range(ell):
                 acc = Polynomial.zero()
                 for w in ws:
-                    acc = acc + Polynomial({w.pow(j): Fraction(1)}) * group[w]
+                    acc = acc + Polynomial({w.pow(j): 1}) * group[w]
                 clauses.append(Clause.unit(acc))
             cfcs.extend(_structured_constraints(tpl, [(w, group[w]) for w in ws]))
     return clauses, cfcs
@@ -239,17 +238,15 @@ def _structured_constraints(
     out: list[CFiniteConstraint] = []
     slices: dict[Monomial, list[tuple[Monomial, Polynomial]]] = {}
     for w, u in terms:
-        groups: dict[Monomial, dict[Monomial, Fraction]] = {}
+        groups: dict[Monomial, dict[Monomial, Rat]] = {}
         for mono, coeff in u.terms.items():
             pm = Monomial.make({v: mono.degree_of(v) for v in params})
             rest = mono
             for v in params:
                 rest = rest.without(v)
-            groups.setdefault(pm, {})[rest] = groups.get(pm, {}).get(rest, Fraction(0)) + coeff
+            groups.setdefault(pm, {})[rest] = coeff  # (pm, rest) determines mono
         for pm, restterms in groups.items():
-            upart = Polynomial(restterms)
-            if not upart.is_zero():
-                slices.setdefault(pm, []).append((w, upart))
+            slices.setdefault(pm, []).append((w, Polynomial(restterms)))
     for pm in sorted(slices, key=MONO_KEY):
         out.append(CFiniteConstraint(tuple(slices[pm])))
     return out

@@ -1,8 +1,10 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
 Everything in the synthesis pipeline is built on the :class:`Polynomial`
-type defined here: a sparse term map from monomials to ``Fraction``
-coefficients.  All arithmetic is exact; no floating point enters the core.
+type defined here: a sparse term map from monomials to exact coefficients,
+each an ``int`` when integral and a ``Fraction`` otherwise; a float is a
+``TypeError``.  Scalars leave the core as ``Fraction`` (`constant_value`,
+`evaluate`).  All arithmetic is exact; no floating point enters the core.
 
 Terms are kept canonical under a graded lexicographic order.  The global
 variable order puts user-declared program variables first (in declaration
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Mapping
 
 #: Recognized symbol kinds.
@@ -86,7 +89,7 @@ class Monomial:
             if e < 0:
                 raise ValueError(f"negative exponent for {v.name}")
         items.sort(key=lambda p: p[0].sort_key)
-        return Monomial(tuple(items))
+        return _monomial(tuple(items))
 
     @staticmethod
     def one() -> "Monomial":
@@ -102,7 +105,7 @@ class Monomial:
 
     def degree_of(self, v: Var) -> int:
         for u, e in self.powers:
-            if u == v:
+            if u is v or u == v:
                 return e
         return 0
 
@@ -114,20 +117,51 @@ class Monomial:
         return {v for v, _ in self.powers}
 
     def mul(self, other: "Monomial") -> "Monomial":
-        acc = dict(self.powers)
-        for v, e in other.powers:
-            acc[v] = acc.get(v, 0) + e
-        return Monomial.make(acc)
+        """The product, by merging the two power tuples, which are both
+        sorted by `Var.sort_key`."""
+        a, b = self.powers, other.powers
+        if not a or not b:
+            return self if not b else other
+        out, i, j = [], 0, 0
+        while i < len(a) and j < len(b):
+            (u, e), (v, f) = a[i], b[j]
+            if u.sort_key < v.sort_key:
+                out.append(a[i])
+                i += 1
+            elif v.sort_key < u.sort_key:
+                out.append(b[j])
+                j += 1
+            elif u is v or u == v:
+                out.append((u, e + f))
+                i += 1
+                j += 1
+            else:  # distinct symbols sharing a sort key: order them as make does
+                acc = dict(a)
+                for w, g in b:
+                    acc[w] = acc.get(w, 0) + g
+                return Monomial.make(acc)
+        return _monomial((*out, *a[i:], *b[j:]))
 
     def pow(self, k: int) -> "Monomial":
         if k < 0:
             raise ValueError("negative monomial power")
         if k == 0:
             return Monomial.one()
-        return Monomial.make({v: e * k for v, e in self.powers})
+        return _monomial(tuple((v, e * k) for v, e in self.powers))
 
     def without(self, v: Var) -> "Monomial":
-        return Monomial(tuple((u, e) for u, e in self.powers if u != v))
+        for i, (u, _) in enumerate(self.powers):
+            if u is v or u == v:
+                return _monomial(self.powers[:i] + self.powers[i + 1:])
+        return self
+
+
+def _monomial(powers: tuple[tuple[Var, int], ...]) -> Monomial:
+    """A monomial from powers already sorted, with positive exponents."""
+    m = object.__new__(Monomial)
+    object.__setattr__(m, "powers", powers)
+    object.__setattr__(m, "_hash", hash(powers))
+    return m
 
 
 def MONO_KEY(m: Monomial) -> tuple:
@@ -145,25 +179,39 @@ _MONOMIAL_ONE = Monomial(())
 Rat = Fraction | int
 
 
+def _exact(c) -> Rat:
+    """`c` as a stored coefficient: an ``int`` when integral, else a ``Fraction``."""
+    if isinstance(c, int):
+        return int(c)
+    if type(c) is not Fraction:
+        if not isinstance(c, Rational):
+            raise TypeError(f"polynomial coefficients must be rational, not {type(c).__name__}")
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class Polynomial:
     """A sparse multivariate polynomial with exact rational coefficients.
 
     Instances are treated as immutable; all operations return new objects.
-    The zero polynomial is the empty term map.
+    The zero polynomial is the empty term map.  A coefficient in `terms` is
+    nonzero, an ``int`` when integral and a ``Fraction`` otherwise; `__init__`
+    normalizes to that and refuses non-rational values with ``TypeError``.
+    `constant_value` and `evaluate` return a ``Fraction``.
     """
 
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, Rat] | None = None):
-        t: dict[Monomial, Fraction] = {}
+        t: dict[Monomial, Rat] = {}
         if terms:
             for m, c in terms.items():
-                if type(c) is not Fraction:
-                    c = Fraction(c)
+                if type(c) is not int:
+                    c = _exact(c)
                 if c:
                     t[m] = c
-        object.__setattr__(self, "terms", t)
-        object.__setattr__(self, "_hash", None)
+        self.terms = t
+        self._hash = None
 
     # -- constructors -------------------------------------------------
 
@@ -173,11 +221,11 @@ class Polynomial:
 
     @staticmethod
     def const(c: Rat) -> "Polynomial":
-        return Polynomial({Monomial.one(): Fraction(c)})
+        return Polynomial({_MONOMIAL_ONE: c})
 
     @staticmethod
     def var(v: Var) -> "Polynomial":
-        return Polynomial({Monomial.of(v): Fraction(1)})
+        return _polynomial({_monomial(((v, 1),)): 1})
 
     @staticmethod
     def coerce(x: "Polynomial | Rat") -> "Polynomial":
@@ -196,7 +244,7 @@ class Polynomial:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get(Monomial.one(), Fraction(0))
+        return Fraction(self.terms.get(_MONOMIAL_ONE, 0))
 
     @property
     def degree(self) -> int:
@@ -211,11 +259,11 @@ class Polynomial:
             out |= m.variables()
         return out
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Rat]]:
         """Terms in descending graded lexicographic order."""
         return sorted(self.terms.items(), key=lambda t: MONO_KEY(t[0]), reverse=True)
 
-    def leading(self) -> tuple[Monomial, Fraction]:
+    def leading(self) -> tuple[Monomial, Rat]:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
         m = max(self.terms, key=MONO_KEY)
@@ -225,15 +273,21 @@ class Polynomial:
 
     def __add__(self, other):
         other = Polynomial.coerce(other)
-        acc = dict(self.terms)
+        acc = self.terms.copy()
         for m, c in other.terms.items():
-            acc[m] = acc.get(m, Fraction(0)) + c
-        return Polynomial(acc)
+            c += acc.get(m, 0)
+            if not c:
+                del acc[m]
+            elif type(c) is Fraction and c.denominator == 1:
+                acc[m] = c.numerator
+            else:
+                acc[m] = c
+        return _polynomial(acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial({m: -c for m, c in self.terms.items()})
+        return _polynomial({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-Polynomial.coerce(other))
@@ -243,11 +297,11 @@ class Polynomial:
 
     def __mul__(self, other):
         other = Polynomial.coerce(other)
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Rat] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = m1.mul(m2)
-                acc[m] = acc.get(m, Fraction(0)) + c1 * c2
+                acc[m] = acc.get(m, 0) + c1 * c2
         return Polynomial(acc)
 
     __rmul__ = __mul__
@@ -265,7 +319,7 @@ class Polynomial:
         return out
 
     def scale(self, c: Rat) -> "Polynomial":
-        c = Fraction(c)
+        c = _exact(c)
         return Polynomial({m: c * k for m, k in self.terms.items()})
 
     # -- structural operations ----------------------------------------
@@ -290,7 +344,7 @@ class Polynomial:
                 if v in subs:
                     term = term * power(v, e)
                 else:
-                    term = term * Polynomial({Monomial.of(v, e): Fraction(1)})
+                    term = term * _polynomial({_monomial(((v, e),)): 1})
             acc = acc + term
         return acc
 
@@ -306,16 +360,11 @@ class Polynomial:
 
     def coeffs_in(self, v: Var) -> list[tuple[int, "Polynomial"]]:
         """Regroup as sum_k coeff_k * v^k; sorted by degree, zeros omitted."""
-        groups: dict[int, dict[Monomial, Fraction]] = {}
+        groups: dict[int, dict[Monomial, Rat]] = {}
         for m, c in self.terms.items():
             k = m.degree_of(v)
             groups.setdefault(k, {})[m.without(v)] = c
-        out = []
-        for k in sorted(groups):
-            p = Polynomial(groups[k])
-            if not p.is_zero():
-                out.append((k, p))
-        return out
+        return [(k, _polynomial(groups[k])) for k in sorted(groups)]
 
     # -- comparison / hashing -----------------------------------------
 
@@ -357,6 +406,14 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self})"
+
+
+def _polynomial(terms: dict[Monomial, Rat]) -> Polynomial:
+    """A polynomial that takes ownership of an already normalized term map."""
+    p = object.__new__(Polynomial)
+    p.terms = terms
+    p._hash = None
+    return p
 
 
 _ZERO = Polynomial()

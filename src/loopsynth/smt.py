@@ -39,7 +39,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .constraints import Atom, Clause, Pcp, first_violated
 from .pcpgen import CFiniteConstraint
-from .poly import MONO_KEY, Monomial, Polynomial, Var
+from .poly import MONO_KEY, Monomial, Polynomial, Rat, Var
 
 SOLVER_ENV = "LOOPSYNTH_SOLVER"
 BUILTIN = "builtin"  # command word selecting the in-process backend
@@ -483,7 +483,7 @@ class _Problem:
             return None
         mv = Monomial.of(v)
         c = best.terms[mv]
-        return v, Polynomial({m: -k / c for m, k in best.terms.items() if m != mv})
+        return v, Polynomial({m: Fraction(-k) / c for m, k in best.terms.items() if m != mv})
 
     def assign(self, v: Var, q: Polynomial) -> None:
         powers = {1: q}
@@ -493,7 +493,7 @@ class _Problem:
         self.bound.append((v, q))
 
     def substitute(self, p: Polynomial, v: Var, powers: dict[int, Polynomial]) -> Polynomial:
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Rat] = {}
         hit = False
         for m, c in p.terms.items():
             e = m.degree_of(v)
@@ -512,7 +512,7 @@ class _Problem:
         while e not in powers:
             k = max(powers)
             a, b = powers[k], powers[1]
-            acc: dict[Monomial, Fraction] = {}
+            acc: dict[Monomial, Rat] = {}
             for m1, c1 in a.terms.items():
                 self.tick()
                 for m2, c2 in b.terms.items():

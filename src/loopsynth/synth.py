@@ -127,7 +127,7 @@ class Loop:
                 del update[idx], vars[idx], init[idx], consts[idx]
 
         names = [v.name for v in vars]
-        inits = ", ".join(_render_value(v) for v in init)
+        inits = ", ".join(str(v) for v in init)
         lines = [f"{', '.join(names)} = {inits}", "while true"]
         if _is_upper(update):
             for i, row in enumerate(update):
@@ -142,7 +142,7 @@ class Loop:
         return {
             "vars": [v.name for v in self.vars],
             "update": [[str(c) for c in row] for row in self.update],
-            "init": [_render_value(v) for v in self.init],
+            "init": [str(v) for v in self.init],
             "params": [p.name for p in self.params],
             "aux": list(self.aux),
             "tier": self.tier,
@@ -152,12 +152,6 @@ class Loop:
             "verified": True,
             "loop": self.render(),
         }
-
-
-def _render_value(v: Fraction | Polynomial) -> str:
-    if isinstance(v, Fraction):
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    return str(v)
 
 
 def _is_upper(update: Sequence[Sequence[Fraction]]) -> bool:
@@ -176,11 +170,11 @@ def _render_affine(names: Sequence[str], row: Sequence[Fraction], const: Fractio
     for k, (c, name) in enumerate(parts):
         mag = abs(c)
         if name is None:
-            body = _render_value(mag)
+            body = str(mag)
         elif mag == 1:
             body = name
         else:
-            body = f"{_render_value(mag)}*{name}"
+            body = f"{mag}*{name}"
         if k == 0:
             out = body if c > 0 else f"-{body}"
         else:
@@ -263,6 +257,13 @@ def _finish(found: list[Loop], start: float, cfg: SolverConfig, timeout: bool) -
 
 
 def _effective_vars(request: SynthRequest) -> tuple[list[Var], dict[str, Fraction], tuple[str, ...]]:
+    seen: dict[Var, Var] = {}
+    for p, v in request.params:  # as parse_spec checks a spec's params
+        if p in seen:
+            raise RequestError(f"parameter {p.name!r} is declared twice")
+        if v in seen.values():
+            raise RequestError(f"variable {v.name!r} is named by two parameters")
+        seen[p] = v
     vars = list(request.vars)
     pinned = dict(request.pinned)
     taken = {v.name for v in vars} | {p.name for p, _ in request.params}

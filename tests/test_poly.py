@@ -114,6 +114,80 @@ class TestArithmetic:
             Polynomial.var(X) ** -1
 
 
+def _oracle(p):
+    """p's terms with every coefficient as a Fraction."""
+    return {m: Fraction(c) for m, c in p.terms.items()}
+
+
+def _oracle_add(a, b):
+    acc = dict(a)
+    for m, c in b.items():
+        acc[m] = acc.get(m, Fraction(0)) + c
+    return {m: c for m, c in acc.items() if c != 0}
+
+
+def _oracle_mul(a, b):
+    acc = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            exps = dict(m1.powers)
+            for v, e in m2.powers:
+                exps[v] = exps.get(v, 0) + e
+            m = Monomial.make(exps)
+            acc[m] = acc.get(m, Fraction(0)) + c1 * c2
+    return {m: c for m, c in acc.items() if c != 0}
+
+
+def _assert_normalized(p):
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+        assert c != 0
+
+
+class TestExactCoefficients:
+    @given(polynomials(), polynomials(), st.integers(0, 3))
+    @settings(deadline=None, max_examples=80)
+    def test_arithmetic_matches_a_fraction_oracle(self, p, q, k):
+        a, b = _oracle(p), _oracle(q)
+        power = {Monomial.one(): Fraction(1)}
+        for _ in range(k):
+            power = _oracle_mul(power, a)
+        cases = [
+            (p + q, _oracle_add(a, b)),
+            (p - q, _oracle_add(a, {m: -c for m, c in b.items()})),
+            (-p, {m: -c for m, c in a.items()}),
+            (p * q, _oracle_mul(a, b)),
+            (p ** k, power),
+            (p.scale(Fraction(2, 3)), {m: c * Fraction(2, 3) for m, c in a.items()}),
+        ]
+        for got, want in cases:
+            assert got.terms == want
+            _assert_normalized(got)
+
+    def test_integral_fractions_are_stored_as_ints(self):
+        half = Polynomial.const(Fraction(1, 2))
+        p = Polynomial({Monomial.of(X): Fraction(4, 2), Monomial.one(): Fraction(0)}) + half + half
+        assert p.terms == {Monomial.of(X): 2, Monomial.one(): 1}
+        _assert_normalized(p)
+
+    def test_floats_are_refused(self):
+        with pytest.raises(TypeError):
+            Polynomial({Monomial.of(X): 0.5})
+        with pytest.raises(TypeError):
+            Polynomial.const(1.0)
+        with pytest.raises(TypeError):
+            Polynomial.var(X).scale(0.5)
+
+    def test_scalars_leave_as_fractions(self):
+        p = Polynomial.const(3)
+        assert type(p.constant_value()) is Fraction
+        assert type(Polynomial.zero().constant_value()) is Fraction
+        q = 2 * Polynomial.var(X) + 1
+        assert type(q.evaluate({X: Fraction(1)})) is Fraction
+        assert type(q.evaluate({X: 1})) is Fraction
+        assert type(Polynomial.zero().evaluate({})) is Fraction
+
+
 class TestSubstitution:
     def test_simultaneous(self):
         # x <- y, y <- x must swap, not chain
@@ -204,6 +278,28 @@ class TestMonomialOrder:
     @settings(deadline=None, max_examples=400)
     def test_mono_key_agrees_with_the_oracle(self, a, b):
         assert _sign(MONO_KEY(a), MONO_KEY(b)) == _mono_cmp(a, b)
+
+    @given(monomials, monomials)
+    @settings(deadline=None, max_examples=400)
+    def test_merged_product_matches_make(self, a, b):
+        exps = dict(a.powers)
+        for v, e in b.powers:
+            exps[v] = exps.get(v, 0) + e
+        want = Monomial.make(exps)
+        got = a.mul(b)
+        assert got.powers == want.powers and hash(got) == hash(want) and got == want
+
+    def test_symbols_sharing_a_sort_key_multiply_as_make_does(self):
+        # distinct symbols with one name have equal sort keys; the merge
+        # leaves them to Monomial.make, so equal products stay equal
+        p, q = Var("s", "coeff"), Var("s", "root")
+        a, b = Monomial.make({p: 1, q: 2}), Monomial.make({q: 1, p: 1})
+        assert a.mul(b).powers == Monomial.make({p: 2, q: 3}).powers
+
+    def test_without_an_absent_variable_is_the_same_monomial(self):
+        m = Monomial.make({X: 2, ORDER_POOL[6]: 1})
+        assert m.without(Y) is m
+        assert m.without(X).powers == ((ORDER_POOL[6], 1),)
 
     @given(st.lists(monomials, max_size=8), st.lists(rationals, min_size=8, max_size=8))
     @settings(deadline=None, max_examples=100)

@@ -120,6 +120,21 @@ class TestBuiltinBackend:
         res = solve([Clause.unit(Polynomial.var(X) ** 2 - 2)], builtin())
         assert res.status == "unknown"
 
+    def test_pivot_division_is_exact(self):
+        # eliminating v from c*v + rest = 0 divides by c; on int
+        # coefficients that must stay a Fraction, never a float
+        v, w = Var("v", "coeff"), Var("w", "coeff")
+        res = smt.solve_builtin([Clause.unit(2 * Polynomial.var(v) + 1)], [v], 30.0)
+        assert res.status == "sat" and res.model == {v: Fraction(-1, 2)}
+        assert all(type(x) is Fraction for x in res.model.values())
+        clauses = [
+            Clause.unit(3 * Polynomial.var(v) - 2 * Polynomial.var(w)),
+            Clause.unit(Polynomial.var(w) - 1),
+        ]
+        res = smt.solve_builtin(clauses, [v, w], 30.0)
+        assert res.status == "sat" and res.model == {v: Fraction(2, 3), w: Fraction(1)}
+        assert all(type(x) is Fraction for x in res.model.values())
+
     def test_expired_budget_raises_timeout(self):
         with pytest.raises(SolverTimeout):
             solve([Clause.unit(Polynomial.var(X) - 1)], builtin(timeout=0.0))

@@ -124,6 +124,24 @@ class TestRequestExpansion:
         with pytest.raises(ValueError):
             synthesize(req, cfg())
 
+    @pytest.mark.parametrize("names, message", [
+        (("p", "p"), "parameter 'p' is declared twice"),
+        (("p", "q"), "variable 'x' is named by two parameters"),
+    ])
+    def test_code_built_request_rejects_duplicate_parameter_bindings(self, names, message):
+        # the checks parse_spec makes on a spec's params, for a request built in code
+        x, y = make_vars("x", "y")
+        p, q = (Var(n, "param") for n in names)
+        second = y if names[0] == names[1] else x
+        req = SynthRequest(
+            invariants=[Polynomial.var(x) - Polynomial.var(p)], vars=[x, y],
+            params=[(p, x), (q, second)], timeout=60.0,
+        )
+        with pytest.raises(RequestError, match=message):
+            synthesize(req, cfg())
+        with pytest.raises(RequestError, match=message):
+            first_cell_script(req)
+
     def test_spec_timeout_is_kept_and_defaults_to_60(self):
         spec = parse_spec("vars x\ninvariant x == 1\ntimeout 0.5\n")
         assert SynthRequest.from_spec(spec).timeout == 0.5
