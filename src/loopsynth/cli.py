@@ -51,6 +51,13 @@ def _read(path: str) -> str:
         raise click.ClickException(str(e)) from None
 
 
+def _write(path: str, text: str, as_json: bool) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise SystemExit(_fail(EXIT_INPUT, str(e), as_json)) from None
+
+
 def _parse_partition(text: str) -> tuple[int, ...]:
     try:
         parts = tuple(int(x) for x in text.replace(",", " ").split())
@@ -70,7 +77,7 @@ def _parse_partition(text: str) -> tuple[int, ...]:
 @click.option("--partition", default=None, help="Fix the multiplicity partition, e.g. '2,1'.")
 @click.option("--size", type=int, default=None, help="System size (pad with auxiliary variables).")
 @click.option("--aux-one", is_flag=True, help="Add an auxiliary variable with initial value 1.")
-@click.option("--count", type=int, default=1, help="Emit up to N distinct loops.")
+@click.option("--count", type=click.IntRange(min=1), default=1, help="Emit up to N distinct loops.")
 @click.option("--emit-smt2", type=click.Path(dir_okay=False), default=None,
               help="Write the first search cell's SMT-LIB script to this file.")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
@@ -90,10 +97,10 @@ def synth(specfile, solver, timeout, tier, partition, size, aux_one, count, emit
         request.timeout = timeout
     request.aux_one |= aux_one
     request.count = count
-    cfg = SolverConfig.default(request.timeout, solver)
+    cfg = SolverConfig.default(solver)
     try:
         if emit_smt2:
-            Path(emit_smt2).write_text(first_cell_script(request))
+            _write(emit_smt2, first_cell_script(request), as_json)
         result = synthesize(request, cfg)
     except RequestError as e:
         raise SystemExit(_fail(EXIT_INPUT, str(e), as_json))
@@ -228,7 +235,7 @@ def bench(directory, solver, timeout, jobs, csv_path, include_reconstructed):
                 return row
             request = SynthRequest.from_spec(spec)
             request.timeout = timeout
-            cfg = SolverConfig.default(request.timeout, solver)
+            cfg = SolverConfig.default(solver)
             row["backend"] = cfg.backend
             result = synthesize(request, cfg)
             row["status"] = result.status
@@ -261,7 +268,7 @@ def bench(directory, solver, timeout, jobs, csv_path, include_reconstructed):
     writer.writeheader()
     writer.writerows(rows)
     if csv_path:
-        Path(csv_path).write_text(buf.getvalue())
+        _write(csv_path, buf.getvalue(), False)
         click.echo(f"wrote {csv_path}")
     else:
         click.echo(buf.getvalue(), nl=False)

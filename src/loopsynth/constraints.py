@@ -7,6 +7,7 @@ satisfy all clauses at once.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -66,11 +67,12 @@ class Clause:
     def holds(self, assignment: Mapping[Var, Fraction]) -> bool:
         return any(a.holds(assignment) for a in self.atoms)
 
-    def variables(self) -> set[Var]:
-        out: set[Var] = set()
-        for a in self.atoms:
-            out |= a.lhs.variables()
-        return out
+    def variables(self) -> frozenset[Var]:
+        return self._variables
+
+    @functools.cached_property
+    def _variables(self) -> frozenset[Var]:  # computed once: a clause is immutable
+        return frozenset().union(*(a.lhs.variables() for a in self.atoms))
 
     def __str__(self):
         return " or ".join(str(a) for a in self.atoms)
@@ -99,10 +101,7 @@ class Pcp:
             self.add(c)
 
     def variables(self) -> list[Var]:
-        out: set[Var] = set()
-        for c in self.clauses:
-            out |= c.variables()
-        return sorted(out, key=lambda v: v.sort_key)
+        return variables_of(self.clauses)
 
     def __len__(self):
         return len(self.clauses)
@@ -112,6 +111,11 @@ class Pcp:
 
     def __str__(self):
         return "\n".join(str(c) for c in self.clauses)
+
+
+def variables_of(clauses: Iterable[Clause]) -> list[Var]:
+    """The clauses' variables, sorted by `sort_key`."""
+    return sorted(set().union(*(c.variables() for c in clauses)), key=lambda v: v.sort_key)
 
 
 def first_violated(clauses: Iterable[Clause], model: Mapping[Var, Fraction]) -> Clause | None:

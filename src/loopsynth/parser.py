@@ -266,32 +266,6 @@ class SpecFile:
             out.extend(parse_invariant(text, syms))
         return out
 
-    def render(self) -> str:
-        lines = ["vars " + " ".join(self.var_names)]
-        if self.params:
-            lines.append("params " + " ".join(f"{p}={v}" for p, v in self.params))
-        for text in self.invariant_texts:
-            lines.append("invariant " + text.strip())
-        if self.init_pins:
-            lines.append(
-                "init " + " ".join(f"{k}={v}" for k, v in self.init_pins.items())
-            )
-        if self.size is not None:
-            lines.append(f"size {self.size}")
-        if self.tier != "auto":
-            lines.append(f"tier {self.tier}")
-        if self.aux_one:
-            lines.append("aux-one")
-        if self.timeout is not None:
-            lines.append(f"timeout {_fmt_number(self.timeout)}")
-        if self.reconstructed:
-            lines.append("reconstructed")
-        return "\n".join(lines) + "\n"
-
-
-def _fmt_number(x: float) -> str:
-    return str(int(x)) if float(x).is_integer() else str(x)
-
 
 def parse_spec(text: str) -> SpecFile:
     spec = SpecFile()

@@ -37,7 +37,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .constraints import Atom, Clause, Pcp, first_violated
+from .constraints import Atom, Clause, Pcp, first_violated, variables_of
 from .pcpgen import CFiniteConstraint
 from .poly import MONO_KEY, Monomial, Polynomial, Rat, Var
 
@@ -69,13 +69,14 @@ ModelValue = Fraction | AlgebraicTag
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The solver backend, named by its command line."""
+
     command: tuple[str, ...]
-    timeout: float = 60.0
 
     @staticmethod
-    def default(timeout: float = 60.0, solver: str | None = None) -> "SolverConfig":
+    def default(solver: str | None = None) -> "SolverConfig":
         """The backend named by `solver` (a command line), else the default one."""
-        return SolverConfig(command=tuple(default_solver_command(solver)), timeout=timeout)
+        return SolverConfig(command=tuple(default_solver_command(solver)))
 
     @property
     def builtin(self) -> bool:
@@ -144,6 +145,7 @@ def _node_module_bases() -> Iterator[Path]:
 class SolveResult:
     status: str  # sat | unsat | unknown
     model: dict[Var, ModelValue] = field(default_factory=dict)
+    partition: tuple[tuple[int, ...], ...] | None = None  # from solve_structured: base blocks
 
     @property
     def rational(self) -> bool:
@@ -201,10 +203,7 @@ def emit_smtlib(clauses: Sequence[Clause], variables: Iterable[Var] | None = Non
     logic, one real constant per variable (by default the clauses'
     variables), one assert per clause, then check-sat and get-model."""
     if variables is None:
-        vs: set[Var] = set()
-        for c in clauses:
-            vs |= c.variables()
-        variables = vs
+        variables = variables_of(clauses)
     declared = sorted(set(variables), key=lambda v: v.sort_key)
     lines = ["(set-logic QF_NRA)"]
     lines.extend(f"(declare-const {v.name} Real)" for v in declared)
@@ -309,10 +308,9 @@ def parse_solver_output(text: str, variables: Iterable[Var]) -> SolveResult:
 # running the solver
 
 
-def run_solver(script: str, cfg: SolverConfig, timeout: float | None = None) -> str:
-    budget = cfg.timeout if timeout is None else timeout
-    if budget <= 0:
-        raise SolverTimeout("no time budget left")
+def run_solver(script: str, cfg: SolverConfig, deadline: float) -> str:
+    """The solver's output on `script`, killed at `deadline` (a `time.monotonic()` instant)."""
+    budget = deadline - time.monotonic()
     try:
         proc = subprocess.run(
             list(cfg.command),
@@ -335,21 +333,18 @@ def run_solver(script: str, cfg: SolverConfig, timeout: float | None = None) -> 
 def solve(
     clauses: Sequence[Clause],
     cfg: SolverConfig,
+    deadline: float,
     variables: Iterable[Var] | None = None,
-    timeout: float | None = None,
 ) -> SolveResult:
-    if variables is None:
-        vs: set[Var] = set()
-        for c in clauses:
-            vs |= c.variables()
-        variables = sorted(vs, key=lambda v: v.sort_key)
-    else:
-        variables = list(variables)
+    """Solve the clauses by `deadline` (a `time.monotonic()` instant)."""
+    if deadline <= time.monotonic():
+        raise SolverTimeout("no time budget left")
+    variables = variables_of(clauses) if variables is None else list(variables)
     if cfg.builtin:
-        result = solve_builtin(clauses, variables, cfg.timeout if timeout is None else timeout)
+        result = solve_builtin(clauses, variables, deadline)
     else:
         script = emit_smtlib(clauses, variables)
-        output = run_solver(script, cfg, timeout)
+        output = run_solver(script, cfg, deadline)
         result = parse_solver_output(output, variables)
     if result.status == "sat" and result.rational:
         violated = first_violated(clauses, result.rational_model())
@@ -364,7 +359,7 @@ def solve(
 _BRANCH_VALUES = tuple(Fraction(v) for v in (0, 1, -1, 2, -2, 3, -3, "1/2", "-1/2"))
 
 
-def solve_builtin(clauses: Sequence[Clause], variables: Sequence[Var], budget: float) -> SolveResult:
+def solve_builtin(clauses: Sequence[Clause], variables: Sequence[Var], deadline: float) -> SolveResult:
     """Search for an exact rational model in process.
 
     Propagation eliminates a variable that occurs linearly with a constant
@@ -380,9 +375,7 @@ def solve_builtin(clauses: Sequence[Clause], variables: Sequence[Var], budget: f
     may need values that were not tried.  The budget is checked inside
     propagation and substitution, not only between branches.
     """
-    if budget <= 0:
-        raise SolverTimeout("no time budget left")
-    root = _Problem([], [c.atoms for c in clauses], [], time.monotonic() + budget)
+    root = _Problem([], [c.atoms for c in clauses], [], deadline)
     try:
         root.propagate()
     except _Conflict:
@@ -602,17 +595,6 @@ def vandermonde_zero_check(ws: Sequence[Fraction], us: Sequence[Fraction]) -> bo
     return True
 
 
-@dataclass
-class StructuredResult:
-    status: str  # sat | unsat | unknown
-    model: dict[Var, ModelValue] = field(default_factory=dict)
-    partition: tuple[tuple[int, ...], ...] | None = None  # base-coincidence blocks
-
-    @property
-    def rational(self) -> bool:
-        return all(isinstance(v, Fraction) for v in self.model.values())
-
-
 _MAX_ENUMERATED_BASES = 8
 
 
@@ -621,28 +603,20 @@ def solve_structured(
     cfcs: Sequence[CFiniteConstraint],
     full: Pcp,
     cfg: SolverConfig,
-    timeout: float | None = None,
-) -> StructuredResult:
-    """Solve `hard` together with the for-all-n exponential-sum constraints.
+    deadline: float,
+) -> SolveResult:
+    """Solve `hard` together with the for-all-n exponential-sum constraints,
+    by `deadline` (a `time.monotonic()` instant).
 
     `full` is the same problem with the constraints instantiated at
     n = 0, ..., l-1; it is a necessary relaxation (unsat there is unsat
     everywhere) and its models suggest which bases coincide.
     """
-    deadline = time.monotonic() + (cfg.timeout if timeout is None else timeout)
-
-    def remaining() -> float:
-        left = deadline - time.monotonic()
-        if left <= 0:
-            raise SolverTimeout("structured search ran out of time")
-        return left
-
     variables = sorted(
         set(hard.variables()) | _cfc_variables(cfcs), key=lambda v: v.sort_key
     )
     if not cfcs:
-        res = solve(list(hard), cfg, variables, remaining())
-        return StructuredResult(res.status, res.model, None)
+        return solve(list(hard), cfg, deadline, variables)
 
     ws = sorted({w for cfc in cfcs for w, _ in cfc.terms}, key=MONO_KEY)
     w_polys = [Polynomial({w: Fraction(1)}) for w in ws]
@@ -650,22 +624,21 @@ def solve_structured(
 
     # stage 1: every coefficient zero (satisfies the constraints trivially)
     allzero = [Clause.unit(u) for u in us]
-    res = solve(list(hard) + allzero, cfg, variables, remaining())
+    res = solve(list(hard) + allzero, cfg, deadline, variables)
     if res.status == "sat":
-        return StructuredResult("sat", dict(res.model), _singletons(len(ws)))
+        return SolveResult("sat", res.model, _singletons(len(ws)))
 
     # stage 2: relaxed solve; a valid model ends the search, an invalid one
     # still reveals a candidate coincidence pattern for the bases
     hint: tuple[tuple[int, ...], ...] | None = None
-    res = solve(list(full), cfg, timeout=remaining())
+    res = solve(list(full), cfg, deadline)
     if res.status != "sat":
-        return StructuredResult(res.status)
+        return SolveResult(res.status)
     if res.rational:
         model = res.rational_model()
-        if _sums_vanish(model, cfcs):
-            hint = _partition_from_values([p.evaluate(model) for p in w_polys])
-            return StructuredResult("sat", dict(res.model), hint)
         hint = _partition_from_values([p.evaluate(model) for p in w_polys])
+        if _sums_vanish(model, cfcs):
+            return SolveResult("sat", res.model, hint)
 
     # stage 3: enumerate base-coincidence patterns, suggested one first
     if len(ws) > _MAX_ENUMERATED_BASES:
@@ -677,15 +650,15 @@ def solve_structured(
     undecided = len(ws) > _MAX_ENUMERATED_BASES
     for blocks in candidates:
         res = solve(list(hard) + _block_clauses(blocks, w_polys, cfcs, ws),
-                    cfg, variables, remaining())
+                    cfg, deadline, variables)
         if res.status == "unknown":
             undecided = True
             continue
         if res.status == "sat":
             if res.rational:
                 _check_structured(res.rational_model(), cfcs)
-            return StructuredResult("sat", dict(res.model), blocks)
-    return StructuredResult("unknown" if undecided else "unsat")
+            return SolveResult("sat", res.model, blocks)
+    return SolveResult("unknown" if undecided else "unsat")
 
 
 def _sums_vanish(model: Mapping[Var, Fraction], cfcs: Sequence[CFiniteConstraint]) -> bool:

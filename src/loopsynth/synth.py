@@ -196,7 +196,7 @@ class SynthResult:
 
 
 def synthesize(request: SynthRequest, cfg: SolverConfig | None = None) -> SynthResult:
-    cfg = cfg or SolverConfig.default(request.timeout)
+    cfg = cfg or SolverConfig.default()
     start = time.monotonic()
     deadline = start + request.timeout
 
@@ -214,10 +214,7 @@ def synthesize(request: SynthRequest, cfg: SolverConfig | None = None) -> SynthR
             continue
         while len(found) < request.count:
             try:
-                res = solve_structured(
-                    bundle.hard, bundle.cfcs, bundle.pcp, cfg,
-                    timeout=deadline - time.monotonic(),
-                )
+                res = solve_structured(bundle.hard, bundle.cfcs, bundle.pcp, cfg, deadline)
             except SolverTimeout:
                 return _finish(found, start, cfg, timeout=True)
             if res.status == "unknown":
@@ -297,6 +294,8 @@ _Cell = tuple[ShapeTier, tuple[Var, ...], tuple[int, ...]]  # tier, order, parti
 def _search_space(request: SynthRequest) -> tuple[list[_Cell], dict[str, Fraction], tuple[str, ...]]:
     """The request's search cells in search order, with the pinned initial
     values and the auxiliary variable names of its padded variable list."""
+    if request.count < 1:
+        raise RequestError(f"count must be at least 1, found {request.count}")
     vars, pinned, aux = _effective_vars(request)
     partitions = [
         p for p in int_partitions(len(vars))

@@ -134,7 +134,7 @@ def test_01_quoted_cubicroot_initial_value():
 def test_02_synthesis_round_trip(name):
     request = spec_request(name, tier="un", timeout=60.0)
     begin = time.monotonic()
-    result = synthesize(request, SolverConfig.default(request.timeout))
+    result = synthesize(request, SolverConfig.default())
     elapsed = time.monotonic() - begin
     assert result.status == "found", f"{name}: {result.status} ({result.note})"
     assert elapsed <= 60.0, f"{name} took {elapsed:.1f}s"
@@ -146,7 +146,7 @@ def test_02_synthesis_round_trip(name):
 def test_03_parameterized_synthesis_with_symbolic_verification():
     request = spec_request("eucliddiv", tier="un", timeout=60.0)
     begin = time.monotonic()
-    result = synthesize(request, SolverConfig.default(request.timeout))
+    result = synthesize(request, SolverConfig.default())
     assert result.status == "found"
     assert time.monotonic() - begin <= 60.0
     (loop,) = result.loops
@@ -238,7 +238,8 @@ def test_04_additive_solution_satisfies_doubling_problem():
         Clause.unit(4 * entry("b11") + 2 * entry("b12") - 6),
         Clause.unit(4 * entry("b21") + 2 * entry("b22") - 3),
     ]
-    res = solve(list(bundle.pcp) + trajectory_pins, SolverConfig.default(30.0))
+    res = solve(list(bundle.pcp) + trajectory_pins, SolverConfig.default(),
+                time.monotonic() + 30.0)
     assert res.status == "sat"
 
 
@@ -272,7 +273,8 @@ def test_05_verifier_agrees_with_extended_unrolling_on_random_systems():
 
 
 def test_06_structured_solver_stage_behavior():
-    cfg = SolverConfig.default(30.0)
+    cfg = SolverConfig.default()
+    deadline = time.monotonic() + 30.0
     w1, w2 = Var("w1", "root"), Var("w2", "root")
     u1, u2 = Var("u1", "coeff"), Var("u2", "coeff")
 
@@ -281,7 +283,7 @@ def test_06_structured_solver_stage_behavior():
     cfc = CFiniteConstraint(((Monomial.of(w1), Polynomial.var(u1)),
                              (Monomial.of(w2), Polynomial.var(u2))))
     full = Pcp([Clause.unit(cfc.instantiate(n)) for n in range(2)])
-    res = solve_structured(Pcp([]), [cfc], full, cfg)
+    res = solve_structured(Pcp([]), [cfc], full, cfg, deadline)
     assert res.status == "sat" and res.partition == ((0,), (1,))
     assert res.model[u1] == 0 and res.model[u2] == 0
 
@@ -289,7 +291,7 @@ def test_06_structured_solver_stage_behavior():
     # for all n with the two bases merged into one block
     hard = Pcp([Clause.unit(Polynomial.var(u1) - 1)])
     full = Pcp(list(hard) + [Clause.unit(cfc.instantiate(n)) for n in range(2)])
-    res = solve_structured(hard, [cfc], full, cfg)
+    res = solve_structured(hard, [cfc], full, cfg, deadline)
     assert res.status == "sat" and res.partition == ((0, 1),)
 
     # grid-search oracle: over a rational grid, every (w1, w2, u2) with

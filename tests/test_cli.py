@@ -131,6 +131,32 @@ class TestInputErrors:
         assert "Invalid value for '--timeout'" in res.output
         assert "Traceback" not in res.output
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_count_below_one_is_a_usage_error(self, runner, tmp_path, value):
+        spec = write(tmp_path, "double.spec", DOUBLE_SPEC)
+        res = runner.invoke(main, ["synth", spec, "--solver", "builtin", "--count", value])
+        assert res.exit_code == EXIT_INPUT, res.output
+        assert "Invalid value for '--count'" in res.output
+        assert "Traceback" not in res.output
+
+    def test_unwritable_emit_smt2_path(self, runner, tmp_path):
+        spec = write(tmp_path, "double.spec", DOUBLE_SPEC)
+        out = tmp_path / "missing" / "x.smt2"
+        res = runner.invoke(main, ["synth", spec, "--solver", "builtin", "--emit-smt2", str(out)])
+        assert res.exit_code == EXIT_INPUT, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith("error: ") and str(out) in res.output
+        assert "Traceback" not in res.output
+
+    def test_unwritable_csv_path(self, runner, tmp_path):
+        write(tmp_path, "double.spec", DOUBLE_SPEC)
+        out = tmp_path / "missing" / "out.csv"
+        res = runner.invoke(main, ["bench", str(tmp_path), "--solver", "builtin", "--csv", str(out)])
+        assert res.exit_code == EXIT_INPUT, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith("error: ") and str(out) in res.output
+        assert "Traceback" not in res.output
+
     def test_synth_size_below_variable_count(self, runner, tmp_path):
         spec = write(tmp_path, "small.spec", self.TOO_SMALL_SPEC)
         res = runner.invoke(main, ["synth", spec, "--solver", "builtin"])

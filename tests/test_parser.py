@@ -99,12 +99,6 @@ timeout 30
         kinds = {v.name: v.kind for v in p.variables()}
         assert kinds["x0"] == "param" and kinds["q"] == "program"
 
-    def test_render_round_trip(self):
-        spec = parse_spec(self.SPEC)
-        again = parse_spec(spec.render())
-        assert again == spec
-        assert parse_spec(again.render()) == again
-
     def test_validation(self):
         with pytest.raises(ParseError):
             parse_spec("invariant x == 1\n")  # no vars

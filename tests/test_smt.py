@@ -28,11 +28,15 @@ Y = Var("y", "program", 1)
 
 
 def cfg():
-    return SolverConfig.default(timeout=30.0)
+    return SolverConfig.default()
 
 
-def builtin(timeout=30.0):
-    return SolverConfig(command=("builtin",), timeout=timeout)
+BUILTIN = SolverConfig(command=("builtin",))
+
+
+def within(seconds=30.0):
+    """The deadline `seconds` from now."""
+    return time.monotonic() + seconds
 
 
 class TestEmission:
@@ -92,52 +96,52 @@ class TestOutputParsing:
 
 class TestSolverRoundTrip:
     def test_trivial_sat(self):
-        res = solve([Clause.unit(Polynomial.var(X) - 2)], cfg())
+        res = solve([Clause.unit(Polynomial.var(X) - 2)], cfg(), within())
         assert res.status == "sat" and res.model[X] == 2
 
     def test_trivial_unsat(self):
         res = solve(
             [Clause.unit(Polynomial.var(X)), Clause.unit(Polynomial.var(X), "!=")],
-            cfg(),
+            cfg(), within(),
         )
         assert res.status == "unsat"
 
     def test_lying_solver_is_caught(self):
-        fake = SolverConfig(command=("sh", "-c", "cat >/dev/null; echo sat"), timeout=5.0)
+        fake = SolverConfig(command=("sh", "-c", "cat >/dev/null; echo sat"))
         with pytest.raises(SolverError, match="re-check"):
-            solve([Clause.unit(Polynomial.var(X) - 2)], fake)
+            solve([Clause.unit(Polynomial.var(X) - 2)], fake, within(5.0))
 
     def test_timeout(self):
-        slow = SolverConfig(command=("sh", "-c", "sleep 5"), timeout=0.2)
+        slow = SolverConfig(command=("sh", "-c", "sleep 5"))
         with pytest.raises(SolverTimeout):
-            solve([Clause.unit(Polynomial.var(X))], slow)
+            solve([Clause.unit(Polynomial.var(X))], slow, within(0.2))
 
 
 class TestBuiltinBackend:
     def test_no_rational_root_is_unknown_not_unsat(self):
         # x^2 = 2 has real roots, so a search that tried only rationals
         # must not claim that there are none
-        res = solve([Clause.unit(Polynomial.var(X) ** 2 - 2)], builtin())
+        res = solve([Clause.unit(Polynomial.var(X) ** 2 - 2)], BUILTIN, within())
         assert res.status == "unknown"
 
     def test_pivot_division_is_exact(self):
         # eliminating v from c*v + rest = 0 divides by c; on int
         # coefficients that must stay a Fraction, never a float
         v, w = Var("v", "coeff"), Var("w", "coeff")
-        res = smt.solve_builtin([Clause.unit(2 * Polynomial.var(v) + 1)], [v], 30.0)
+        res = smt.solve_builtin([Clause.unit(2 * Polynomial.var(v) + 1)], [v], within())
         assert res.status == "sat" and res.model == {v: Fraction(-1, 2)}
         assert all(type(x) is Fraction for x in res.model.values())
         clauses = [
             Clause.unit(3 * Polynomial.var(v) - 2 * Polynomial.var(w)),
             Clause.unit(Polynomial.var(w) - 1),
         ]
-        res = smt.solve_builtin(clauses, [v, w], 30.0)
+        res = smt.solve_builtin(clauses, [v, w], within())
         assert res.status == "sat" and res.model == {v: Fraction(2, 3), w: Fraction(1)}
         assert all(type(x) is Fraction for x in res.model.values())
 
     def test_expired_budget_raises_timeout(self):
         with pytest.raises(SolverTimeout):
-            solve([Clause.unit(Polynomial.var(X) - 1)], builtin(timeout=0.0))
+            solve([Clause.unit(Polynomial.var(X) - 1)], BUILTIN, within(0.0))
 
     def test_budget_holds_inside_branching(self):
         # no small rationals satisfy this, and only a full assignment shows it
@@ -145,7 +149,7 @@ class TestBuiltinBackend:
         total = sum((Polynomial.var(v) ** 2 for v in xs), Polynomial.zero())
         begin = time.monotonic()
         with pytest.raises(SolverTimeout):
-            solve([Clause.unit(total - 1000003)], builtin(timeout=0.3))
+            solve([Clause.unit(total - 1000003)], BUILTIN, within(0.3))
         assert time.monotonic() - begin < 2.0
 
     def test_budget_holds_inside_propagation(self):
@@ -156,7 +160,7 @@ class TestBuiltinBackend:
         products = Polynomial({Monomial.make({a: 1, b: 1}): 1 for a, b in zip(ys, ys[1:])})
         begin = time.monotonic()
         with pytest.raises(SolverTimeout):
-            solve(chain + [Clause.unit(products - 7)], builtin(timeout=0.3))
+            solve(chain + [Clause.unit(products - 7)], BUILTIN, within(0.3))
         assert time.monotonic() - begin < 2.0
 
     def test_environment_variable_precedes_probe(self, monkeypatch):
@@ -166,9 +170,9 @@ class TestBuiltinBackend:
         monkeypatch.setattr(smt, "_probed_default", probe)
         monkeypatch.setenv(SOLVER_ENV, "z3 -in")
         assert default_solver_command() == ["z3", "-in"]
-        assert SolverConfig.default(5.0).backend == "z3"
+        assert SolverConfig.default().backend == "z3"
         monkeypatch.setenv(SOLVER_ENV, "builtin")
-        chosen = SolverConfig.default(5.0)
+        chosen = SolverConfig.default()
         assert chosen.command == ("builtin",) and chosen.backend == "builtin"
         # an explicit command line wins over the environment
         assert default_solver_command("cvc5 --lang smt2") == ["cvc5", "--lang", "smt2"]
@@ -239,7 +243,7 @@ class TestStructuredSolving:
         w1 = Var("w1", "root")
         u1 = Var("u1", "coeff")
         hard, cfcs, full = make_cfc_problem([], [(Monomial.of(w1), Polynomial.var(u1))])
-        res = solve_structured(hard, cfcs, full, cfg())
+        res = solve_structured(hard, cfcs, full, cfg(), within())
         assert res.status == "sat"
         assert res.partition == ((0,),)
         assert res.model[u1] == 0
@@ -253,7 +257,7 @@ class TestStructuredSolving:
             [Clause.unit(Polynomial.var(u1) - 1)],
             [(Monomial.of(w1), Polynomial.var(u1)), (Monomial.of(w2), Polynomial.var(u2))],
         )
-        res = solve_structured(hard, cfcs, full, cfg())
+        res = solve_structured(hard, cfcs, full, cfg(), within())
         assert res.status == "sat"
         assert res.partition == ((0, 1),)
         model = res.model
@@ -271,10 +275,10 @@ class TestStructuredSolving:
             ],
             [(Monomial.of(w1), Polynomial.var(u1)), (Monomial.of(w2), Polynomial.var(u2))],
         )
-        res = solve_structured(hard, cfcs, full, cfg())
+        res = solve_structured(hard, cfcs, full, cfg(), within())
         assert res.status == "unsat"
 
     def test_no_structured_constraints_plain_solve(self):
         hard = Pcp([Clause.unit(Polynomial.var(X) - 7)])
-        res = solve_structured(hard, [], Pcp(list(hard)), cfg())
+        res = solve_structured(hard, [], Pcp(list(hard)), cfg(), within())
         assert res.status == "sat" and res.model[X] == 7

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -39,7 +40,7 @@ def request_for(text, names, **kw):
 
 
 def cfg():
-    return SolverConfig.default(timeout=60.0)
+    return SolverConfig.default()
 
 
 class TestEndToEnd:
@@ -78,7 +79,7 @@ class TestEndToEnd:
             size=3, tiers=[ShapeTier.UNIT_UPPER], partitions=[(3,)],
             timeout=90.0, count=2,
         )
-        res = synthesize(req, SolverConfig.default(90.0))
+        res = synthesize(req, cfg())
         assert res.status == "found" and len(res.loops) == 2
         l1, l2 = res.loops
         assert (l1.update, l1.init) != (l2.update, l2.init)
@@ -104,6 +105,13 @@ class TestEndToEnd:
         res = synthesize(req, cfg())
         assert res.status == "timeout"
 
+    def test_request_budget_reaches_the_solver_process(self):
+        req = request_for("x == 2y", ["x", "y"], size=3, timeout=0.5)
+        begin = time.monotonic()
+        res = synthesize(req, SolverConfig(("sh", "-c", "sleep 5")))
+        assert res.status == "timeout"
+        assert time.monotonic() - begin < 2.0
+
 
 class TestRequestExpansion:
     def test_aux_one_and_padding(self):
@@ -118,6 +126,12 @@ class TestRequestExpansion:
         vars, pinned, aux = _effective_vars(req)
         assert [v.name for v in vars] == ["one", "t1", "_one"]
         assert pinned == {"_one": Fraction(1)}
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_count_below_one_rejected(self, count):
+        req = request_for("x == 2y", ["x", "y"], size=3, count=count)
+        with pytest.raises(RequestError, match="count must be at least 1"):
+            synthesize(req, cfg())
 
     def test_size_below_variable_count_rejected(self):
         req = request_for("x == 2y", ["x", "y"], size=1)
@@ -245,7 +259,7 @@ class TestSearchSpace:
     def test_emitted_script_is_the_first_cell_the_search_solves(self, monkeypatch):
         solved = []
 
-        def record(hard, cfcs, full, cfg, timeout=None):
+        def record(hard, cfcs, full, cfg, deadline):
             solved.append(emit_smtlib(list(full), full.variables()))
             return SimpleNamespace(status="unknown")
 
