@@ -224,6 +224,12 @@ def bench(directory, solver, timeout, jobs, csv_path, include_reconstructed):
     specs = sorted(Path(directory).glob("*.spec"))
     if not specs:
         raise SystemExit(_fail(EXIT_INPUT, f"no .spec files in {directory}", False))
+    if csv_path:
+        try:  # fail before the run; append mode keeps an existing file as it is
+            with open(csv_path, "a"):
+                pass
+        except OSError as e:
+            raise SystemExit(_fail(EXIT_INPUT, str(e), False)) from None
 
     def run_one(path: Path) -> dict:
         row = {"instance": path.stem, "status": "", "tier": "", "partition": "",

@@ -319,7 +319,7 @@ def run_solver(script: str, cfg: SolverConfig, deadline: float) -> str:
             text=True,
             timeout=budget,
         )
-    except FileNotFoundError as e:
+    except OSError as e:
         raise SolverError(f"cannot run solver {cfg.command[0]!r}: {e}") from None
     except subprocess.TimeoutExpired:
         raise SolverTimeout(f"solver exceeded {budget:.1f}s") from None

@@ -2,9 +2,11 @@
 
 The check is a decision procedure, not a bounded heuristic: substituting a
 linear system into a polynomial yields a C-finite sequence whose order is
-bounded by the syntactic closure rules, and such a sequence is identically
-zero exactly when its first `order` values are zero.  Unrolling up to the
-bound therefore proves or refutes the invariant.
+at most the symmetric-power bound of `order_bound` (the sum, over the
+distinct degrees k of the invariant's monomials, of C(s+k-1, k) for a
+system of size s), and such a sequence is identically zero exactly when
+its first `order` values are zero.  Unrolling up to the bound therefore
+proves or refutes the invariant.
 
 Entries of the system may be linear forms over parameter symbols; in that
 case the unrolled values are polynomials and the invariant must reduce to
@@ -14,6 +16,7 @@ parameter instantiations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -47,7 +50,8 @@ class ConcreteSystem:
         for row in self.update:
             acc: Value = Fraction(0)
             for coef, val in zip(row, state):
-                acc = acc + coef * val
+                if coef:  # update rows are sparse, e.g. the constant-one column
+                    acc = acc + coef * val
             out.append(acc)
         return tuple(out)
 
@@ -64,18 +68,32 @@ class Verdict:
 
 
 def order_bound(p: Polynomial, s: int, sequence_vars: Sequence[Var] | None = None) -> int:
-    """Upper bound on the order of the sequence p(X_n).
+    """Upper bound on the order of the sequence p(X_n) for X_{n+1} = U X_n
+    with U of size s: the sum of C(s+k-1, k) over the distinct degrees k of
+    p's monomials in the sequence variables.
 
-    Each variable driven by the size-s system is a sequence of order at
-    most s; products multiply orders, sums add them.  Symbols that are not
-    sequence variables (parameters, initial values) are constants of order
-    one.
+    Symbols that are not sequence variables (parameters, initial values)
+    are constants and add nothing to the degree.  Proof of the bound:
+
+    - The degree-k monomials of X_n span a space of dimension C(s+k-1, k),
+      and X -> UX acts on that space linearly, as Sym^k(U): m(U X_n) is a
+      form of degree k in X_n, a combination of the degree-k monomials.
+    - Stacking the vectors of those monomials for the distinct degrees of
+      p gives W_{n+1} = M W_n with dim W = r, the returned sum, and
+      p(X_n) = L W_n for a fixed row L.
+    - Cayley-Hamilton gives chi_M(M) = 0 with chi_M(z) = z^r + c_{r-1} z^{r-1}
+      + ... + c_0, and L M^n chi_M(M) W_0 = 0 reads p(X_{n+r}) = -(c_{r-1}
+      p(X_{n+r-1}) + ... + c_0 p(X_n)), a monic recurrence of order r.  It
+      holds for every n >= 0, also when M is singular and also over
+      Q[params].
+    - So if the first r values are zero, all values are zero.
+
+    C(s+k-1, k) <= s^k, so the bound never exceeds the per-term sum of
+    s^deg that the closure rules for C-finite sequences give.
     """
-    seq = set(sequence_vars) if sequence_vars is not None else {v for v in p.variables()}
-    total = 0
-    for mono in p.terms:
-        total += s ** mono.degree_in(seq)
-    return max(total, 1)
+    seq = set(sequence_vars) if sequence_vars is not None else p.variables()
+    degrees = {mono.degree_in(seq) for mono in p.terms}
+    return max(sum(math.comb(s + k - 1, k) if k else 1 for k in degrees), 1)
 
 
 def check_invariant(sys: ConcreteSystem, p: Polynomial) -> Verdict:
@@ -85,11 +103,11 @@ def check_invariant(sys: ConcreteSystem, p: Polynomial) -> Verdict:
     any other symbol (a parameter) passes through symbolically.
     """
     bound = order_bound(p, sys.size, sys.vars)
+    used = p.variables()
+    slots = [(i, v) for i, v in enumerate(sys.vars) if v in used]
     state = sys.init
     for n in range(bound):
-        bindings: dict[Var, Polynomial | Rat] = {
-            v: state[i] for i, v in enumerate(sys.vars) if v in p.variables()
-        }
+        bindings: dict[Var, Polynomial | Rat] = {v: state[i] for i, v in slots}
         value = p.substitute(bindings)
         if not value.is_zero():
             witness: Value = value.constant_value() if value.is_constant() else value

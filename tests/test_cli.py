@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from loopsynth.cli import EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, main
+from loopsynth.cli import EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, EXIT_SOLVER, main
 
 
 DOUBLE_SPEC = "vars x y\ninvariant x == 2y\nsize 3\ntier un\n"
@@ -35,6 +35,15 @@ def runner():
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
+    return str(path)
+
+
+def solver_script(tmp_path, action):
+    """An executable stand-in solver that runs the shell line `action`,
+    then answers unknown."""
+    path = tmp_path / "solver.sh"
+    path.write_text(f"#!/bin/sh\ncat >/dev/null\n{action}\necho unknown\n")
+    path.chmod(0o755)
     return str(path)
 
 
@@ -155,6 +164,40 @@ class TestInputErrors:
         assert res.exit_code == EXIT_INPUT, res.output
         assert isinstance(res.exception, SystemExit)
         assert res.output.startswith("error: ") and str(out) in res.output
+        assert "Traceback" not in res.output
+
+    def test_unwritable_csv_path_fails_before_any_spec_runs(self, runner, tmp_path):
+        specs = tmp_path / "specs"
+        specs.mkdir()
+        write(specs, "double.spec", DOUBLE_SPEC)
+        marker = tmp_path / "solver-ran"
+        solver = solver_script(tmp_path, f"touch '{marker}'")
+        out = tmp_path / "missing" / "out.csv"
+        res = runner.invoke(main, ["bench", str(specs), "--solver", solver, "--csv", str(out)])
+        assert res.exit_code == EXIT_INPUT, res.output
+        assert res.output.startswith("error: ") and str(out) in res.output
+        assert not marker.exists()
+
+    def test_existing_csv_is_kept_until_the_rows_are_written(self, runner, tmp_path):
+        specs = tmp_path / "specs"
+        specs.mkdir()
+        write(specs, "double.spec", DOUBLE_SPEC)
+        out = tmp_path / "out.csv"
+        out.write_text("earlier rows\n")
+        seen = tmp_path / "seen.csv"
+        solver = solver_script(tmp_path, f"cp '{out}' '{seen}'")
+        res = runner.invoke(main, ["bench", str(specs), "--solver", solver, "--csv", str(out)])
+        assert res.exit_code == EXIT_NEGATIVE, res.output
+        assert seen.read_text() == "earlier rows\n"
+        assert next(csv.DictReader(io.StringIO(out.read_text())))["instance"] == "double"
+
+    def test_solver_that_cannot_be_executed(self, runner, tmp_path):
+        spec = write(tmp_path, "double.spec", DOUBLE_SPEC)
+        solver = write(tmp_path, "not-a-program.txt", "plain text\n")
+        res = runner.invoke(main, ["synth", spec, "--solver", solver])
+        assert res.exit_code == EXIT_SOLVER, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith(f"error: cannot run solver '{solver}'")
         assert "Traceback" not in res.output
 
     def test_synth_size_below_variable_count(self, runner, tmp_path):

@@ -1,10 +1,19 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopsynth.poly import Monomial, Polynomial, Var
 from loopsynth.verify import ConcreteSystem, Verdict, check_equiv_modulo, check_invariant, order_bound
+
+
+def old_order_bound(p, vars):
+    """The closure-rule order bound, the sum of s^deg over p's terms; it is
+    never below `order_bound`, so unrolling to it checks more steps."""
+    return max(sum(len(vars) ** m.degree_in(vars) for m in p.terms), 1)
 
 
 def make_system(names, rows, init):
@@ -38,16 +47,112 @@ class TestOrderBound:
         x = Var("x", "program", 0)
         y = Var("y", "program", 1)
         assert order_bound(Polynomial.var(x), 2) == 2
-        assert order_bound(Polynomial.var(x) ** 2 * Polynomial.var(y), 3) == 27
+        assert order_bound(Polynomial.var(x) ** 2 * Polynomial.var(y), 3) == 10
 
     def test_parameters_are_order_one(self):
         x = Var("x", "program", 0)
         q = Var("q", "param")
         p = Polynomial.var(x) ** 2 + Polynomial.var(q)
-        assert order_bound(p, 2, [x]) == 5
+        assert order_bound(p, 2, [x]) == 4
 
     def test_constant_poly(self):
         assert order_bound(Polynomial.zero(), 3) == 1
+
+
+def monomials_of_degrees(vars, degrees):
+    """Every monomial over vars whose degree is in `degrees`."""
+    return [
+        Monomial.make(Counter(combo))
+        for k in sorted(degrees)
+        for combo in itertools.combinations_with_replacement(vars, k)
+    ]
+
+
+def monomial_rows(sys, monos, count):
+    """[m(X_n)] for n < count: one row per step, one column per monomial."""
+    rows, state = [], sys.init
+    for _ in range(count):
+        point = dict(zip(sys.vars, state))
+        rows.append([Polynomial({m: 1}).evaluate(point) for m in monos])
+        state = sys.step(state)
+    return rows
+
+
+def nullspace(rows, ncols):
+    """A basis of {v : rows . v = 0}, by exact row reduction."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c] != 0:
+                rows[i] = [a - row[c] * b for a, b in zip(row, rows[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for i, c in enumerate(pivots):
+            vec[c] = -rows[i][free]
+        basis.append(vec)
+    return basis
+
+
+ENTRY = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+
+
+@st.composite
+def systems_with_degrees(draw):
+    s = draw(st.integers(1, 3))
+    rows = [[draw(ENTRY) for _ in range(s)] for _ in range(s)]
+    init = [draw(ENTRY) for _ in range(s)]
+    degrees = draw(st.sets(st.integers(0, 3), min_size=1))
+    return make_system("xyz"[:s], rows, init), degrees
+
+
+class TestBoundSoundness:
+    """The symmetric-power bound r is enough (a relation among the
+    monomials of X_n that holds for n < r holds for every n) and cannot be
+    lowered (some p vanishes for n < r - 1 but not at n = r - 1)."""
+
+    @given(systems_with_degrees())
+    @settings(deadline=None, max_examples=60)
+    def test_relation_on_first_r_steps_holds_forever(self, case):
+        sys, degrees = case
+        monos = monomials_of_degrees(sys.vars, degrees)
+        r = len(monos)
+        assert order_bound(Polynomial(dict.fromkeys(monos, 1)), sys.size, sys.vars) == r
+        for vec in nullspace(monomial_rows(sys, monos, r), r):
+            p = Polynomial(dict(zip(monos, vec)))
+            assert order_bound(p, sys.size, sys.vars) <= r
+            assert check_invariant(sys, p).holds
+            state = sys.init
+            for _ in range(2 * old_order_bound(p, sys.vars)):
+                assert p.substitute(dict(zip(sys.vars, state))) == 0
+                state = sys.step(state)
+
+    @pytest.mark.parametrize("names, rows, init, degrees", [
+        ("x", [[2]], [1], {0, 1, 2, 3}),
+        ("xy", [[2, 1], [0, 3]], [0, 1], {0, 1, 2}),
+        ("xy", [[2, 1], [0, 3]], [0, 1], {0, 3}),
+        ("xyz", [[2, 1, 0], [0, 3, 1], [0, 0, 5]], [1, 1, 1], {1, 2}),
+    ])
+    def test_bound_is_attained(self, names, rows, init, degrees):
+        # the products of eigenvalues over all the degrees are pairwise
+        # distinct and the initial vector is generic, so the r monomial
+        # sequences are linearly independent
+        sys = make_system(names, rows, init)
+        monos = monomials_of_degrees(sys.vars, degrees)
+        r = len(monos)
+        vec, = nullspace(monomial_rows(sys, monos, r - 1), r)
+        verdict = check_invariant(sys, Polynomial(dict(zip(monos, vec))))
+        assert not verdict.holds and verdict.witness[0] == r - 1
+        assert verdict.bound_used == r
 
 
 class TestCubeGenerator:
@@ -73,7 +178,7 @@ class TestCubeGenerator:
     def test_bound_is_tight_enough(self):
         sys = make_system("ckmnu", CUBES_ROWS, [0, 1, 6, 0, 1])
         c, _, _, n, _ = var_polys(sys)
-        assert check_invariant(sys, c - n**3).bound_used == 5**1 + 5**3
+        assert check_invariant(sys, c - n**3).bound_used == 5 + 35
 
 
 class TestParameterized:
@@ -174,7 +279,7 @@ class TestRandomOracle:
             verdict = check_invariant(sys, p)
             state = init
             long_holds = True
-            for _ in range(5 * verdict.bound_used):
+            for _ in range(5 * old_order_bound(p, vars)):
                 if p.substitute(dict(zip(vars, state))) != 0:
                     long_holds = False
                     break
