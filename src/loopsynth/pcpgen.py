@@ -11,10 +11,12 @@ Four clause families are produced:
   with one application of the update matrix;
 - initial-value clauses: the closed form agrees with the unrolled system at
   n = 0, ..., s-1;
-- relation clauses: substituting the closed forms into each invariant gives
-  an exponential polynomial that must vanish for all n; grouping by powers
-  of n and instantiating n = 0, ..., l-1 (l = number of distinct
-  exponential bases) turns that into finitely many polynomial equalities.
+- relation clauses: the closed forms are ordinary polynomials in stand-in
+  symbols for each w^n and for n, so substituting them into each invariant
+  is one `Polynomial.substitute`; grouping the result by powers of n and
+  by exponential base gives sums that must vanish for all n, and
+  instantiating n = 0, ..., l-1 (l = number of distinct exponential bases)
+  turns each into finitely many polynomial equalities.
 
 For parameterized templates all clauses are decomposed over the parameter
 symbols so the resulting problem is parameter-free.
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .constraints import Clause, Pcp, decompose
 from .matrix import char_poly, mat_apply
@@ -62,66 +64,23 @@ class CFiniteConstraint:
         return acc
 
 
-class ExpPoly:
-    """An exponential polynomial in the iteration index n:
+def closed_forms(tpl: RecurrenceTemplate) -> tuple[list[Polynomial], Var, dict[Var, Var]]:
+    """Per-variable closed form X(n) = sum_ij C_ij w_i^n n^(j-1) as an
+    ordinary polynomial, with stand-in symbols for each w_i^n and for n.
 
-        sum over (w, k) of  coeff * w^n * n^k
-
-    with w a monomial in the root symbols and coeff an ordinary polynomial.
-    Only the arithmetic needed for invariant substitution is provided.
+    Returns the forms, the stand-in for n, and a map from each w^n
+    stand-in to its root w.  A stand-in's name holds a ``^``, which no
+    parsed or generated name can, so it collides with no other symbol.
     """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[tuple[Monomial, int], Polynomial] | None = None):
-        t: dict[tuple[Monomial, int], Polynomial] = {}
-        if terms:
-            for key, p in terms.items():
-                if not p.is_zero():
-                    t[key] = p
-        self.terms = t
-
-    @staticmethod
-    def const(p: Polynomial) -> "ExpPoly":
-        return ExpPoly({(Monomial.one(), 0): p})
-
-    def __add__(self, other: "ExpPoly") -> "ExpPoly":
-        acc = dict(self.terms)
-        for key, p in other.terms.items():
-            acc[key] = acc.get(key, Polynomial.zero()) + p
-        return ExpPoly(acc)
-
-    def __mul__(self, other: "ExpPoly") -> "ExpPoly":
-        acc: dict[tuple[Monomial, int], Polynomial] = {}
-        for (w1, k1), p1 in self.terms.items():
-            for (w2, k2), p2 in other.terms.items():
-                key = (w1.mul(w2), k1 + k2)
-                acc[key] = acc.get(key, Polynomial.zero()) + p1 * p2
-        return ExpPoly(acc)
-
-    def pow(self, k: int) -> "ExpPoly":
-        out = ExpPoly.const(Polynomial.const(1))
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def by_npower(self) -> dict[int, dict[Monomial, Polynomial]]:
-        """Regroup as { n-power: { exponential base: coefficient } }."""
-        out: dict[int, dict[Monomial, Polynomial]] = {}
-        for (w, k), p in self.terms.items():
-            out.setdefault(k, {})[w] = out.get(k, {}).get(w, Polynomial.zero()) + p
-        return out
-
-
-def closed_forms(tpl: RecurrenceTemplate) -> list[ExpPoly]:
-    """Per-variable closed form as an exponential polynomial."""
-    forms = []
-    for i in range(tpl.size):
-        terms: dict[tuple[Monomial, int], Polynomial] = {}
-        for (w, j), col in tpl.coeff_columns.items():
-            terms[(Monomial.of(w), j - 1)] = col[i]
-        forms.append(ExpPoly(terms))
-    return forms
+    n = Var("n^", "root")
+    standin = {w: Var(f"{w.name}^n", "root") for w, _ in tpl.rootspec}
+    forms: list[dict[Monomial, Rat]] = [{} for _ in tpl.vars]
+    for (w, j), col in tpl.coeff_columns.items():
+        factor = Monomial.make({standin[w]: 1, n: j - 1})
+        for form, entry in zip(forms, col):
+            for m, c in entry.terms.items():
+                form[m.mul(factor)] = c
+    return [Polynomial(f) for f in forms], n, {s: w for w, s in standin.items()}
 
 
 def gen_roots(tpl: RecurrenceTemplate) -> list[Clause]:
@@ -176,49 +135,48 @@ def gen_init(tpl: RecurrenceTemplate) -> list[Clause]:
     return out
 
 
-def substitute_invariant(tpl: RecurrenceTemplate, invariant: Polynomial) -> ExpPoly:
-    """Substitute closed forms (and parameters for themselves) into p."""
-    forms = closed_forms(tpl)
-    by_var = {v: forms[i] for i, v in enumerate(tpl.vars)}
-    for p in tpl.params:
-        by_var[p] = ExpPoly.const(Polynomial.var(p))
-    unknown = invariant.variables() - set(by_var)
+def substitute_invariant(
+    tpl: RecurrenceTemplate, invariant: Polynomial
+) -> dict[int, dict[Monomial, Polynomial]]:
+    """Substitute the closed forms into p, leaving the parameters symbolic,
+    and regroup the result as { n-power: { exponential base: coefficient } }.
+    No coefficient is zero."""
+    unknown = invariant.variables() - set(tpl.vars) - set(tpl.params)
     if unknown:
         names = ", ".join(sorted(v.name for v in unknown))
         raise ValueError(f"invariant mentions unknown variable(s): {names}")
-
-    total = ExpPoly()
-    cache: dict[tuple[Var, int], ExpPoly] = {}
-    for mono, coeff in invariant.terms.items():
-        term = ExpPoly.const(Polynomial.const(coeff))
-        for v, e in mono.powers:
-            key = (v, e)
-            if key not in cache:
-                cache[key] = by_var[v].pow(e)
-            term = term * cache[key]
-        total = total + term
-    return total
+    forms, n, roots = closed_forms(tpl)
+    grouped: dict[int, dict[Monomial, dict[Monomial, Rat]]] = {}
+    for m, c in invariant.substitute(dict(zip(tpl.vars, forms))).terms.items():
+        npow, base, rest = 0, {}, []
+        for v, e in m.powers:
+            if v in roots:
+                base[roots[v]] = e
+            elif v == n:
+                npow = e
+            else:
+                rest.append((v, e))
+        # (n-power, base, rest) determines m, so no coefficient is summed
+        grouped.setdefault(npow, {}).setdefault(Monomial.make(base), {})[Monomial(tuple(rest))] = c
+    return {k: {w: Polynomial(u) for w, u in group.items()} for k, group in grouped.items()}
 
 
 def gen_alg(
     tpl: RecurrenceTemplate, invariants: Sequence[Polynomial]
 ) -> tuple[list[Clause], list[CFiniteConstraint]]:
+    """One exponential sum per invariant and n-power, bases in `MONO_KEY`
+    order; its instantiations at n = 0, ..., length-1 are the relation
+    clauses."""
     clauses: list[Clause] = []
     cfcs: list[CFiniteConstraint] = []
     for p in invariants:
-        grouped = substitute_invariant(tpl, p).by_npower()
+        grouped = substitute_invariant(tpl, p)
         for npow in sorted(grouped):
-            group = {w: u for w, u in grouped[npow].items() if not u.is_zero()}
-            if not group:
-                continue
-            ws = sorted(group, key=MONO_KEY)
-            ell = len(ws)
-            for j in range(ell):
-                acc = Polynomial.zero()
-                for w in ws:
-                    acc = acc + Polynomial({w.pow(j): 1}) * group[w]
-                clauses.append(Clause.unit(acc))
-            cfcs.extend(_structured_constraints(tpl, [(w, group[w]) for w in ws]))
+            group = grouped[npow]
+            terms = [(w, group[w]) for w in sorted(group, key=MONO_KEY)]
+            cfc = CFiniteConstraint(tuple(terms))
+            clauses.extend(Clause.unit(cfc.instantiate(j)) for j in range(cfc.length))
+            cfcs.extend(_structured_constraints(tpl, terms))
     return clauses, cfcs
 
 

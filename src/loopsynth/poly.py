@@ -309,14 +309,14 @@ class Polynomial:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative polynomial power")
-        out = Polynomial.const(1)
+        out = None
         base = self
         while k:
             if k & 1:
-                out = out * base
+                out = base if out is None else out * base
             base = base * base if k > 1 else base
             k >>= 1
-        return out
+        return Polynomial.const(1) if out is None else out
 
     def scale(self, c: Rat) -> "Polynomial":
         c = _exact(c)
@@ -325,28 +325,41 @@ class Polynomial:
     # -- structural operations ----------------------------------------
 
     def substitute(self, bindings: Mapping[Var, "Polynomial | Rat"]) -> "Polynomial":
-        """Simultaneous substitution; unbound variables pass through."""
-        if not bindings:
-            return self
-        subs = {v: Polynomial.coerce(p) for v, p in bindings.items()}
-        cache: dict[tuple[Var, int], Polynomial] = {}
+        """Simultaneous substitution; unbound variables pass through.
 
-        def power(v: Var, e: int) -> Polynomial:
-            key = (v, e)
-            if key not in cache:
-                cache[key] = subs[v] ** e
-            return cache[key]
-
-        acc = Polynomial.zero()
+        One pass over the terms: each term's bound factors are multiplied
+        out from powers cached per (variable, exponent), then times its
+        unbound factors, into a single term map.
+        """
+        powers: dict[tuple[Var, int], Polynomial] = {}
+        acc: dict[Monomial, Rat] = {}
+        hit = False
         for m, c in self.terms.items():
-            term = Polynomial.const(c)
+            product: dict[Monomial, Rat] = {_MONOMIAL_ONE: c}
+            free = []
             for v, e in m.powers:
-                if v in subs:
-                    term = term * power(v, e)
-                else:
-                    term = term * _polynomial({_monomial(((v, e),)): 1})
-            acc = acc + term
-        return acc
+                if v not in bindings:
+                    free.append((v, e))
+                    continue
+                q = powers.get((v, e))
+                if q is None:
+                    q = Polynomial.coerce(bindings[v])
+                    q = powers[(v, e)] = q if e == 1 else q ** e
+                step: dict[Monomial, Rat] = {}
+                for m1, c1 in product.items():
+                    for m2, c2 in q.terms.items():
+                        mm = m1.mul(m2)
+                        step[mm] = step.get(mm, 0) + c1 * c2
+                product = step
+            if len(free) == len(m.powers):
+                acc[m] = acc.get(m, 0) + c
+                continue
+            hit = True
+            rest = _monomial(tuple(free))
+            for pm, pc in product.items():
+                mm = rest.mul(pm)
+                acc[mm] = acc.get(mm, 0) + pc
+        return Polynomial(acc) if hit else self
 
     def evaluate(self, assignment: Mapping[Var, Rat]) -> Fraction:
         """Evaluate fully; raises KeyError if a variable is unassigned."""

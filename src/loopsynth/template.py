@@ -2,9 +2,9 @@
 
 A template fixes the system size s, a shape tier for the update matrix B,
 an integer partition of s giving symbolic eigenvalue multiplicities, and
-the general closed form X_n = sum_ij C_ij w_i^n n^(j-1).  Exponentials
-w_i^n are never materialized in the polynomial ring; downstream code keeps
-them as opaque tokens paired with polynomial coefficients.
+the general closed form X_n = sum_ij C_ij w_i^n n^(j-1).  The template
+holds only the coefficient columns C_ij; `pcpgen.closed_forms` writes the
+exponentials w_i^n and the index n as stand-in symbols.
 """
 
 from __future__ import annotations
@@ -60,10 +60,6 @@ class ParamSpec:
 
     bindings: tuple[tuple[Var, int], ...]  # (parameter symbol, variable index)
 
-    @property
-    def params(self) -> tuple[Var, ...]:
-        return tuple(p for p, _ in self.bindings)
-
 
 @dataclass(frozen=True)
 class RecurrenceTemplate:
@@ -118,19 +114,18 @@ def build_template(
     for name in pinned:
         if name not in names:
             raise ValueError(f"pinned initial value for unknown variable {name!r}")
-    if params is not None:
-        for p, idx in params.bindings:
-            if not (0 <= idx < s):
-                raise ValueError(f"parameter index {idx} out of range")
-            if names[idx] in pinned:
-                raise ValueError(f"variable {names[idx]!r} is both pinned and parameterized")
+    bindings = params.bindings if params is not None else ()
+    for p, idx in bindings:
+        if not (0 <= idx < s):
+            raise ValueError(f"parameter index {idx} out of range")
+        if names[idx] in pinned:
+            raise ValueError(f"variable {names[idx]!r} is both pinned and parameterized")
 
     tab = symtab or SymbolTable()
     for v in vars:
         tab.declare(v)
-    if params is not None:
-        for p, _ in params.bindings:
-            tab.declare(p)
+    for p, _ in bindings:
+        tab.declare(p)
 
     # update matrix
     rows = []
@@ -151,39 +146,25 @@ def build_template(
     # symbolic eigenvalues
     rootspec = tuple((tab.fresh(f"w{i + 1}", "root"), m) for i, m in enumerate(partition))
 
-    # initial values: s x 1 (plain) or s x (r+1) (parameterized)
-    if params is None:
-        a_rows: list[list[Polynomial | Rat]] = []
-        for i, v in enumerate(vars):
-            if v.name in pinned:
-                a_rows.append([Fraction(pinned[v.name])])
-            else:
-                a_rows.append([Polynomial.var(tab.fresh(f"a{i + 1}", "initial"))])
-        a_matrix = SymMatrix.make(a_rows)
-        width = 1
-        param_syms: tuple[Var, ...] = ()
-    else:
-        r = len(params.bindings)
-        width = r + 1
-        index_of = {idx: col for col, (_, idx) in enumerate(params.bindings)}
-        a_rows = []
-        for i, v in enumerate(vars):
-            if i in index_of:
-                a_rows.append([1 if k == index_of[i] else 0 for k in range(width)])
-            elif v.name in pinned:
-                a_rows.append([0] * r + [Fraction(pinned[v.name])])
-            else:
-                a_rows.append(
-                    [Polynomial.var(tab.fresh(f"a{i + 1}{k + 1}", "initial")) for k in range(width)]
-                )
-        a_matrix = SymMatrix.make(a_rows)
-        param_syms = params.params
-
-    basis: tuple[Polynomial, ...]
-    if params is None:
-        basis = (Polynomial.const(1),)
-    else:
-        basis = tuple(Polynomial.var(p) for p in param_syms) + (Polynomial.const(1),)
+    # initial values: s x (r+1), one column per parameter and a constant
+    # one; a plain template is the r = 0 case
+    r = len(bindings)
+    width = r + 1
+    index_of = {idx: col for col, (_, idx) in enumerate(bindings)}
+    a_rows: list[list[Polynomial | Rat]] = []
+    for i, v in enumerate(vars):
+        if i in index_of:
+            a_rows.append([1 if k == index_of[i] else 0 for k in range(width)])
+        elif v.name in pinned:
+            a_rows.append([0] * r + [Fraction(pinned[v.name])])
+        else:
+            a_rows.append([
+                Polynomial.var(tab.fresh(f"a{i + 1}" + (f"{k + 1}" if width > 1 else ""), "initial"))
+                for k in range(width)
+            ])
+    a_matrix = SymMatrix.make(a_rows)
+    param_syms = tuple(p for p, _ in bindings)
+    basis = tuple(Polynomial.var(p) for p in param_syms) + (Polynomial.const(1),)
 
     # closed-form coefficient columns C_ij, one per (root, multiplicity slot)
     coeff_columns: dict[tuple[Var, int], tuple[Polynomial, ...]] = {}

@@ -2,12 +2,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopsynth.constraints import Clause, first_violated
 from loopsynth.pcpgen import (
     CFiniteConstraint,
     DegenerateInvariantError,
-    ExpPoly,
     build_pcp,
     closed_forms,
     gen_alg,
@@ -138,23 +138,81 @@ class TestInitialValues:
             assert gen_init(tpl) == init_clauses_by_matrix_powers(tpl)
 
 
+def closed_form_templates():
+    """Templates with a repeated root, two roots, and a parameter."""
+    x0 = Var("x0", "param")
+    return {
+        "full-2": doubling_template(),
+        "up-2-1": build_template(make_vars("x", "y", "z"), ShapeTier.UPPER, (2, 1)),
+        "un-3-param": build_template(
+            make_vars("x", "y", "z"), ShapeTier.UNIT_UPPER, (3,),
+            pinned_inits={"z": Fraction(1)}, params=ParamSpec(((x0, 0),)),
+        ),
+    }
+
+
+TEMPLATES = closed_form_templates()
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def invariants_over(draw, symbols, max_terms=4, max_exp=2):
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        powers = {v: draw(st.integers(0, max_exp)) for v in draw(st.sets(st.sampled_from(symbols)))}
+        terms[Monomial.make(powers)] = draw(small_rationals)
+    return Polynomial(terms)
+
+
 class TestClosedForms:
     def test_shape(self):
+        """Each form is sum_j c_j * W * N^(j-1) over the coefficient symbols:
+        every term holds the w^n stand-in once and the n stand-in j-1 times."""
         tpl = doubling_template()
         (w, _), = tpl.rootspec
-        forms = closed_forms(tpl)
+        forms, n, roots = closed_forms(tpl)
+        (standin, root), = roots.items()
+        assert root == w
+        assert "^" in standin.name and "^" in n.name
         for i, f in enumerate(forms):
-            assert set(f.terms) == {(Monomial.of(w), 0), (Monomial.of(w), 1)}
+            shapes = {}
+            for m, c in f.terms.items():
+                assert c == 1
+                rest = Monomial.make({v: e for v, e in m.powers if v not in (standin, n)})
+                shapes[rest] = (m.degree_of(standin), m.degree_of(n))
+            c1 = tpl.coeff_columns[(w, 1)][i].leading()[0]
+            c2 = tpl.coeff_columns[(w, 2)][i].leading()[0]
+            assert shapes == {c1: (1, 0), c2: (1, 1)}
 
-    def test_exp_poly_multiplication(self):
-        w = Var("w", "root")
-        one = Monomial.one()
-        base = ExpPoly({(Monomial.of(w), 1): Polynomial.const(1),
-                        (one, 0): Polynomial.const(1)})  # w^n * n + 1
-        sq = base * base
-        assert sq.terms[(Monomial.of(w, 2), 2)] == Polynomial.const(1)
-        assert sq.terms[(Monomial.of(w), 1)] == Polynomial.const(2)
-        assert sq.terms[(one, 0)] == Polynomial.const(1)
+    @pytest.mark.parametrize("name", sorted(TEMPLATES))
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=25)
+    def test_regrouped_sum_matches_invariant_at_closed_form_values(self, name, data):
+        """Numeric oracle: with every template symbol a random rational,
+        sum_k sum_w u * w^n * n^k over the regrouped substitution equals the
+        invariant evaluated at the closed-form values X(n), n = 0..4."""
+        tpl = TEMPLATES[name]
+        p = data.draw(invariants_over(list(tpl.vars) + list(tpl.params)))
+        symbols = set(tpl.params)
+        for col in tpl.coeff_columns.values():
+            for entry in col:
+                symbols |= entry.variables()
+        env = {v: data.draw(small_rationals) for v in sorted(symbols, key=lambda v: v.name)}
+        for w, _ in tpl.rootspec:
+            env[w] = data.draw(small_rationals.filter(bool))
+        grouped = substitute_invariant(tpl, p)
+        for n in range(5):
+            x_n = [
+                sum(col[i].evaluate(env) * env[w] ** n * Fraction(n) ** (j - 1)
+                    for (w, j), col in tpl.coeff_columns.items())
+                for i in range(tpl.size)
+            ]
+            expected = p.evaluate({**env, **dict(zip(tpl.vars, x_n))})
+            got = sum(
+                u.evaluate(env) * Polynomial({base: 1}).evaluate(env) ** n * Fraction(n) ** k
+                for k, group in grouped.items() for base, u in group.items()
+            )
+            assert got == expected
 
     def test_substitute_rejects_unknown_symbols(self):
         tpl = doubling_template()

@@ -17,6 +17,7 @@ from loopsynth.poly import (
 X = Var("x", "program", 0)
 Y = Var("y", "program", 1)
 Z = Var("z", "program", 2)
+W = Var("w", "root")
 
 
 def _mono_cmp(a, b):
@@ -52,6 +53,20 @@ def polynomials(draw, vars=(X, Y, Z), max_terms=5, max_exp=3):
         })
         terms[mono] = draw(rationals)
     return Polynomial(terms)
+
+
+def compositional_substitute(p, bindings):
+    """Reference substitution built from polynomial products and sums: each
+    term is its coefficient times every factor, bound factors replaced by
+    the binding's power."""
+    subs = {v: Polynomial.coerce(q) for v, q in bindings.items()}
+    acc = Polynomial.zero()
+    for m, c in p.terms.items():
+        term = Polynomial.const(c)
+        for v, e in m.powers:
+            term = term * (subs[v] ** e if v in subs else Polynomial({Monomial.of(v, e): 1}))
+        acc = acc + term
+    return acc
 
 
 class TestBasics:
@@ -204,6 +219,30 @@ class TestSubstitution:
     def test_substitute_matches_evaluate(self, p, a, b, c):
         env = {X: a, Y: b, Z: c}
         assert p.substitute(env).constant_value() == p.evaluate(env)
+
+    @given(polynomials(), st.dictionaries(
+        st.sampled_from([X, Y, Z]),
+        st.one_of(rationals, polynomials(vars=(X, Y, Z, W), max_terms=3, max_exp=2)),
+    ))
+    @settings(deadline=None, max_examples=80)
+    def test_one_pass_matches_compositional_reference(self, p, bindings):
+        """Constant, polynomial and mixed bindings, including ones that
+        mention the variables being bound."""
+        got = p.substitute(bindings)
+        assert got.terms == compositional_substitute(p, bindings).terms
+        _assert_normalized(got)
+
+    @given(polynomials(), st.permutations([X, Y, Z]), st.lists(rationals, min_size=3, max_size=3))
+    @settings(deadline=None, max_examples=40)
+    def test_simultaneous_permutations_match_reference(self, p, perm, scales):
+        bindings = {v: s * Polynomial.var(u) + 1 for v, u, s in zip([X, Y, Z], perm, scales)}
+        assert p.substitute(bindings) == compositional_substitute(p, bindings)
+
+    @given(polynomials(vars=(X, Y)))
+    @settings(deadline=None, max_examples=20)
+    def test_untouched_polynomial_is_returned_as_is(self, p):
+        assert p.substitute({}) is p
+        assert p.substitute({Z: Polynomial.var(X)}) is p
 
     def test_evaluate_requires_full_assignment(self):
         with pytest.raises(KeyError):

@@ -360,3 +360,215 @@ class TestClauseTextIdentity:
     def test_full_tier_cells_emit_the_recorded_text(self, name):
         req = benchmark_request(name, [ShapeTier.FULL])
         assert _cell_text_digest(req) == self.FULL_TIER_DIGESTS[name]
+
+
+class TestRecordedSearchResults:
+    """The first loop the built-in backend finds for each benchmark spec,
+    recorded before the closed forms became polynomials in stand-in
+    symbols.  Any change to the search order, the clause text or the
+    solver's choices shows here.  sum_of_square is left out: no cell
+    decides within its budget (see ROADMAP item 1)."""
+
+    RESULTS = {
+        "add1": ("un", (4,), ("a", "b", "c", "t1"), """\
+a, b, c, t1 = 1, 0, 1, 0
+while true
+  a = a + c
+  b = b + c
+  c = c
+  t1 = t1
+end
+"""),
+        "add2": ("un", (4,), ("a", "b", "c", "t1"), """\
+a, b, c, t1 = 3/2, 0, 1, 0
+while true
+  a = a + 1/2*c
+  b = b + c
+  c = c
+  t1 = t1
+end
+"""),
+        "cube_conj": ("un", (4,), ("b", "c", "d", "a"), """\
+b, c, d, a = -1/2, 1, 0, 1
+while true
+  b = b + 1/2*a
+  c = c - 2*d - a
+  d = d + a
+  a = a
+end
+"""),
+        "cube_square": ("un", (3,), ("a", "b", "c"), """\
+a, b, c = 1, 0, 1
+while true
+  a = a + 2*b + c
+  b = b + c
+  c = c
+end
+"""),
+        "cubes": ("un", (5,), ("c", "k", "m", "n", "t1"), """\
+c, k, m, n = 0, 1, 6, 0
+while true
+  c = c + k
+  k = k + m
+  m = m + 6
+  n = n + 1
+end
+"""),
+        "dblsquare": ("un", (3,), ("x", "y", "t1"), """\
+x, y = 0, 0
+while true
+  x = x + 4*y + 2
+  y = y + 1
+end
+"""),
+        "double1": ("un", (3,), ("x", "y", "t1"), """\
+x, y = 2, 1
+while true
+  x = x + 2
+  y = y + 1
+end
+"""),
+        "double2": ("un", (3,), ("x", "y", "t1"), """\
+x, y = 0, 0
+while true
+  x = x + 2
+  y = y + 1
+end
+"""),
+        "eucliddiv": ("un", (4,), ("r", "q", "y", "one"), """\
+r, q, y = x0, 0, y0
+while true
+  r = r
+  q = q
+  y = y + 1
+end
+"""),
+        "fmi1": ("un", (3,), ("y", "x", "t1"), """\
+y, x = 0, 0
+while true
+  y = y + 3*x
+  x = x + 1
+end
+"""),
+        "fmi2": ("un", (4,), ("z", "x", "y", "t1"), """\
+z, x, y = 0, 0, 0
+while true
+  z = z + 2
+  x = x + 2*y + 1
+  y = y + 1
+end
+"""),
+        "fmi3": ("un", (4,), ("y", "x", "z", "t1"), """\
+y, x, z = 0, -2, 0
+while true
+  y = y + 6*x + 12
+  x = x + 2
+  z = z + 1
+end
+"""),
+        "fmi4": ("un", (3,), ("x", "y", "t1"), """\
+x, y = 0, 0
+while true
+  x = x + 4*y + 2
+  y = y + 1
+end
+"""),
+        "fmi5": ("un", (3,), ("y", "x", "t1"), """\
+y, x = 0, 0
+while true
+  y = y - 10*x - 5
+  x = x + 1
+end
+"""),
+        "intcbrt": ("un", (4,), ("x", "s", "r", "t1"), """\
+x, s, r = a0, 13/4, 1
+while true
+  x = x - s
+  s = s + 6*r + 3
+  r = r + 1
+end
+"""),
+        "intsqrt1": ("un", (4,), ("a", "y", "r", "t1"), """\
+a, y, r, t1 = a0, 0, a0, a0
+while true
+  a = a + t1
+  y = y
+  r = r
+  t1 = t1
+end
+"""),
+        "intsqrt2": ("un", (4,), ("a", "y", "r", "t1"), """\
+a, y, r, t1 = a0, 1/2*a0, 0, 0
+while true
+  a = a + y
+  y = y
+  r = r
+  t1 = t1
+end
+"""),
+        "petter1": ("un", (3,), ("x", "t1", "y"), """\
+x, t1, y = 0, 0, 1
+while true
+  x = x
+  t1 = t1 + y
+  y = y
+end
+"""),
+        "square": ("un", (3,), ("a", "b", "t1"), """\
+a, b = 0, 0
+while true
+  a = a + 2*b + 1
+  b = b + 1
+end
+"""),
+        "square_conj": ("up", (2, 1), ("a", "b", "c"), """\
+a, b, c = 1, -2/3, 1
+while true
+  a = a - 3*b - 4*c
+  b = -b - 8/3*c
+  c = c
+end
+"""),
+        "squared_varied1": ("un", (3,), ("c", "b", "a"), """\
+c, b, a = 5/2, 0, 1
+while true
+  c = c + b
+  b = b + a
+  a = a
+end
+"""),
+        "squared_varied2": ("un", (3,), ("a", "b", "c"), """\
+a, b, c = 3/2, 0, 3
+while true
+  a = a + 3/2*c
+  b = b + c
+  c = c
+end
+"""),
+        "sum1": ("un", (4,), ("a", "b", "c", "t1"), """\
+a, b, c = -1/2, 1/4, 0
+while true
+  a = a + 1/2
+  b = b + 1/2*c - 1/4
+  c = c + 1
+end
+"""),
+        "sum2": ("un", (4,), ("a", "b", "t1", "t2"), """\
+a, b, t1 = 0, 0, 0
+while true
+  a = a
+  b = b
+  t1 = t1 + 1
+end
+"""),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RESULTS))
+    def test_builtin_search_finds_the_recorded_loop(self, name):
+        request = SynthRequest.from_spec(parse_spec((BENCHMARKS / f"{name}.spec").read_text()))
+        result = synthesize(request, SolverConfig(("builtin",)))
+        assert result.status == "found"
+        loop = result.loops[0]
+        tier, partition, permutation, text = self.RESULTS[name]
+        assert (loop.tier, loop.partition, loop.permutation) == (tier, partition, permutation)
+        assert loop.render() == text
