@@ -22,7 +22,6 @@ from .smt import (
     emit_smtlib,
     solve,
     solve_structured,
-    vandermonde_zero_check,
 )
 from .synth import Loop, RequestError, SynthRequest, SynthResult, synthesize
 from .template import (
@@ -30,7 +29,6 @@ from .template import (
     RecurrenceTemplate,
     ShapeTier,
     build_template,
-    companion_embedding,
     int_partitions,
 )
 from .verify import ConcreteSystem, Verdict, check_equiv_modulo, check_invariant, order_bound
@@ -43,8 +41,7 @@ __all__ = [
     "Pcp", "PcpBundle", "Polynomial", "RecurrenceTemplate", "RequestError", "ShapeTier",
     "SolverConfig", "SolverError", "SolverTimeout", "SymbolTable",
     "SynthRequest", "SynthResult", "Var", "Verdict", "build_pcp",
-    "build_template", "check_equiv_modulo", "check_invariant",
-    "companion_embedding", "emit_smtlib", "int_partitions", "order_bound",
-    "parse_expression", "parse_invariant", "parse_loop", "parse_spec",
-    "solve", "solve_structured", "synthesize", "vandermonde_zero_check",
+    "build_template", "check_equiv_modulo", "check_invariant", "emit_smtlib",
+    "int_partitions", "order_bound", "parse_expression", "parse_invariant",
+    "parse_loop", "parse_spec", "solve", "solve_structured", "synthesize",
 ]

@@ -2,7 +2,8 @@
 
 A constraint problem is a set of clauses, each a disjunction of polynomial
 equations p = 0 and disequations p != 0.  A single variable assignment must
-satisfy all clauses at once.
+satisfy all clauses at once.  A clause renders itself as an SMT-LIB 2 term
+once (`Clause.smtlib`), however many solver scripts assert it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .poly import Polynomial, Var, sign_normalize
+from .poly import Polynomial, Rat, Var, sign_normalize
 
 RELATIONS = ("=", "!=")
 
@@ -74,8 +75,45 @@ class Clause:
     def _variables(self) -> frozenset[Var]:  # computed once: a clause is immutable
         return frozenset().union(*(a.lhs.variables() for a in self.atoms))
 
+    @functools.cached_property
+    def smtlib(self) -> str:  # rendered once: a clause is immutable
+        """The clause as an SMT-LIB 2 term over real constants."""
+        rendered = [_smt_atom(a) for a in self.atoms]
+        return rendered[0] if len(rendered) == 1 else "(or " + " ".join(rendered) + ")"
+
     def __str__(self):
         return " or ".join(str(a) for a in self.atoms)
+
+
+def _smt_rational(c: Rat) -> str:
+    if c < 0:
+        return f"(- {_smt_rational(-c)})"
+    if c.denominator == 1:
+        return str(c.numerator)
+    return f"(/ {c.numerator} {c.denominator})"
+
+
+def _smt_poly(p: Polynomial) -> str:
+    if p.is_zero():
+        return "0"
+    parts = []
+    for mono, coeff in p.sorted_terms():
+        factors = []
+        for v, e in mono:
+            factors.extend([v.name] * e)
+        if not factors:
+            parts.append(_smt_rational(coeff))
+        elif coeff == 1 and len(factors) == 1:
+            parts.append(factors[0])
+        else:
+            items = ([] if coeff == 1 else [_smt_rational(coeff)]) + factors
+            parts.append(items[0] if len(items) == 1 else "(* " + " ".join(items) + ")")
+    return parts[0] if len(parts) == 1 else "(+ " + " ".join(parts) + ")"
+
+
+def _smt_atom(a: Atom) -> str:
+    body = f"(= {_smt_poly(a.lhs)} 0)"
+    return body if a.rel == "=" else f"(not {body})"
 
 
 class Pcp:

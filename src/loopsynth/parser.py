@@ -480,7 +480,7 @@ def _linearize(
             if mono.degree == 0:
                 const = Fraction(coeff)
             elif mono.degree == 1:
-                (uvar, _), = mono.powers
+                (uvar, _), = mono
                 if uvar not in prog_vars:
                     raise ParseError(f"update for {v.name!r} uses unknown symbol {uvar.name!r}")
                 row[prog_vars.index(uvar)] = Fraction(coeff)

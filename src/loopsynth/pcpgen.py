@@ -58,10 +58,13 @@ class CFiniteConstraint:
 
     def instantiate(self, n: int) -> Polynomial:
         """The polynomial equality obtained by fixing the iteration index."""
-        acc = Polynomial.zero()
+        acc: dict[Monomial, Rat] = {}
         for w, u in self.terms:
-            acc = acc + Polynomial({w.pow(n): 1}) * u
-        return acc
+            wn = w.pow(n)
+            for m, c in u.terms.items():
+                m = m.mul(wn)
+                acc[m] = acc.get(m, 0) + c
+        return Polynomial(acc)
 
 
 def closed_forms(tpl: RecurrenceTemplate) -> tuple[list[Polynomial], Var, dict[Var, Var]]:
@@ -149,7 +152,7 @@ def substitute_invariant(
     grouped: dict[int, dict[Monomial, dict[Monomial, Rat]]] = {}
     for m, c in invariant.substitute(dict(zip(tpl.vars, forms))).terms.items():
         npow, base, rest = 0, {}, []
-        for v, e in m.powers:
+        for v, e in m:
             if v in roots:
                 base[roots[v]] = e
             elif v == n:

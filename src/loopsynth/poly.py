@@ -21,11 +21,22 @@ prefix of (b1 before b11), so `order_key` inverts `sort_key` on its own;
 inside `MONO_KEY` the positive exponent after each name does the same.
 Degrees are compared first, so two flat keys of equal degree are decided
 within the first (variable, exponent) pair the monomials do not share.
+
+Identity costs no Python call.  `Var` is interned: one object per (name,
+kind, pos), kept in a class-level table that holds only the names the
+parser and the constraint generator produce, so equality is identity and
+the hash is `object`'s.  A `Monomial` is the tuple of its (Var, exponent)
+pairs, so it hashes and compares as that tuple does.  Symbol hashes
+now vary with the order in which symbols are made, so neither the search
+nor the emitted text may depend on the iteration order of a set of them.
+
+A polynomial sorts its terms on first use (`sorted_terms`) and keeps the
+list; `leading`, `sign_normalize` and SMT-LIB emission all read it, and
+negation carries it over, so each term order is computed once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Mapping
@@ -34,53 +45,70 @@ from typing import Iterable, Mapping
 KINDS = ("program", "initial", "root", "matrix", "coeff", "param")
 
 
-@dataclass(frozen=True)
 class Var:
-    """A named indeterminate with a kind and optional declaration position."""
+    """A named indeterminate with a kind and optional declaration position.
+
+    Interned: there is one object per (name, kind, pos), so equality is
+    identity and the hash is `object`'s.  Instances are immutable.
+    """
+
+    __slots__ = ("name", "kind", "pos", "sort_key", "order_key")
+    _interned: dict[tuple[str, str, int], "Var"] = {}
 
     name: str
-    kind: str = "program"
-    pos: int = -1
+    kind: str
+    pos: int
+    sort_key: tuple[int, int, str]
+    order_key: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown variable kind {self.kind!r}")
+    def __new__(cls, name: str, kind: str = "program", pos: int = -1) -> "Var":
+        v = cls._interned.get((name, kind, pos))
+        if v is not None:
+            return v
+        if kind not in KINDS:
+            raise ValueError(f"unknown variable kind {kind!r}")
         # Program variables first, in declaration order; generated symbols
         # after them, alphabetically.
-        if self.kind == "program" and self.pos >= 0:
-            sort_key = (0, self.pos, self.name)
+        if kind == "program" and pos >= 0:
+            sort_key = (0, pos, name)
         else:
-            sort_key = (1, 0, self.name)
-        rank, pos, name = sort_key
-        derived = {
-            "sort_key": sort_key,
+            sort_key = (1, 0, name)
+        rank, p, _ = sort_key
+        v = object.__new__(cls)
+        for attr, value in (
+            ("name", name), ("kind", kind), ("pos", pos), ("sort_key", sort_key),
             # larger for an earlier variable; see the module docstring
-            "order_key": (-rank, -pos, *(-ord(ch) for ch in name), 1),
-            # the dataclass hash, computed once
-            "_hash": hash((self.name, self.kind, self.pos)),
-        }
-        for attr, value in derived.items():
-            object.__setattr__(self, attr, value)
+            ("order_key", (-rank, -p, *(-ord(ch) for ch in name), 1)),
+        ):
+            object.__setattr__(v, attr, value)
+        return cls._interned.setdefault((name, kind, pos), v)
 
-    def __hash__(self):
-        return self._hash
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to {attr!r}: Var is immutable")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete {attr!r}: Var is immutable")
+
+    def __reduce__(self):
+        return Var, (self.name, self.kind, self.pos)
 
     def __repr__(self):
         return f"Var({self.name!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class Monomial:
-    """A power product of variables; exponents are strictly positive."""
+class Monomial(tuple):
+    """A power product of variables: the tuple of its (Var, exponent) pairs,
+    sorted by `Var.sort_key`, with strictly positive exponents.  Hashing
+    and equality are the tuple's own."""
 
-    powers: tuple[tuple[Var, int], ...]
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.powers))
+    @property
+    def powers(self) -> tuple[tuple[Var, int], ...]:
+        return self
 
-    def __hash__(self):
-        return self._hash
+    def __repr__(self):
+        return f"Monomial({tuple.__repr__(self)})"
 
     @staticmethod
     def make(powers: Mapping[Var, int]) -> "Monomial":
@@ -89,7 +117,7 @@ class Monomial:
             if e < 0:
                 raise ValueError(f"negative exponent for {v.name}")
         items.sort(key=lambda p: p[0].sort_key)
-        return _monomial(tuple(items))
+        return _monomial(items)
 
     @staticmethod
     def one() -> "Monomial":
@@ -101,39 +129,39 @@ class Monomial:
 
     @property
     def degree(self) -> int:
-        return sum(e for _, e in self.powers)
+        return sum(e for _, e in self)
 
     def degree_of(self, v: Var) -> int:
-        for u, e in self.powers:
-            if u is v or u == v:
+        for u, e in self:
+            if u is v:
                 return e
         return 0
 
     def degree_in(self, vars: Iterable[Var]) -> int:
         vs = set(vars)
-        return sum(e for u, e in self.powers if u in vs)
+        return sum(e for u, e in self if u in vs)
 
     def variables(self) -> set[Var]:
-        return {v for v, _ in self.powers}
+        return {v for v, _ in self}
 
     def mul(self, other: "Monomial") -> "Monomial":
         """The product, by merging the two power tuples, which are both
         sorted by `Var.sort_key`."""
-        a, b = self.powers, other.powers
+        a, b = self, other
         if not a or not b:
-            return self if not b else other
+            return a if not b else b
         out, i, j = [], 0, 0
         while i < len(a) and j < len(b):
             (u, e), (v, f) = a[i], b[j]
-            if u.sort_key < v.sort_key:
+            if u is v:
+                out.append((u, e + f))
+                i += 1
+                j += 1
+            elif u.sort_key < v.sort_key:
                 out.append(a[i])
                 i += 1
             elif v.sort_key < u.sort_key:
                 out.append(b[j])
-                j += 1
-            elif u is v or u == v:
-                out.append((u, e + f))
-                i += 1
                 j += 1
             else:  # distinct symbols sharing a sort key: order them as make does
                 acc = dict(a)
@@ -146,35 +174,35 @@ class Monomial:
         if k < 0:
             raise ValueError("negative monomial power")
         if k == 0:
-            return Monomial.one()
-        return _monomial(tuple((v, e * k) for v, e in self.powers))
+            return _MONOMIAL_ONE
+        return _monomial([(v, e * k) for v, e in self])
 
     def without(self, v: Var) -> "Monomial":
-        for i, (u, _) in enumerate(self.powers):
-            if u is v or u == v:
-                return _monomial(self.powers[:i] + self.powers[i + 1:])
+        for i, (u, _) in enumerate(self):
+            if u is v:
+                return _monomial(self[:i] + self[i + 1:])
         return self
 
 
-def _monomial(powers: tuple[tuple[Var, int], ...]) -> Monomial:
+def _monomial(powers: Iterable[tuple[Var, int]]) -> Monomial:
     """A monomial from powers already sorted, with positive exponents."""
-    m = object.__new__(Monomial)
-    object.__setattr__(m, "powers", powers)
-    object.__setattr__(m, "_hash", hash(powers))
-    return m
+    return _new_tuple(Monomial, powers)
+
+
+_new_tuple = tuple.__new__
 
 
 def MONO_KEY(m: Monomial) -> tuple:
     """Sort key of the graded lexicographic order, in which earlier
     variables are more significant (see the module docstring)."""
     degree, key = 0, ()
-    for v, e in m.powers:
+    for v, e in m:
         degree += e
         key += v.order_key + (e,)
     return (degree,) + key
 
 
-_MONOMIAL_ONE = Monomial(())
+_MONOMIAL_ONE = _monomial(())
 
 Rat = Fraction | int
 
@@ -200,7 +228,7 @@ class Polynomial:
     `constant_value` and `evaluate` return a ``Fraction``.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_hash", "_sorted")
 
     def __init__(self, terms: Mapping[Monomial, Rat] | None = None):
         t: dict[Monomial, Rat] = {}
@@ -212,6 +240,7 @@ class Polynomial:
                     t[m] = c
         self.terms = t
         self._hash = None
+        self._sorted = None
 
     # -- constructors -------------------------------------------------
 
@@ -239,7 +268,7 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(m.degree == 0 for m in self.terms)
+        return not any(self.terms)  # the empty monomial is the only false one
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
@@ -254,20 +283,23 @@ class Polynomial:
         return max((m.degree_of(v) for m in self.terms), default=0)
 
     def variables(self) -> set[Var]:
-        out: set[Var] = set()
-        for m in self.terms:
-            out |= m.variables()
-        return out
+        return {v for m in self.terms for v, _ in m}
 
     def sorted_terms(self) -> list[tuple[Monomial, Rat]]:
-        """Terms in descending graded lexicographic order."""
-        return sorted(self.terms.items(), key=lambda t: MONO_KEY(t[0]), reverse=True)
+        """Terms in descending graded lexicographic order.
+
+        Sorted on first use and kept; the list is shared, so callers must
+        not modify it.
+        """
+        s = self._sorted
+        if s is None:
+            s = self._sorted = sorted(self.terms.items(), key=_term_key, reverse=True)
+        return s
 
     def leading(self) -> tuple[Monomial, Rat]:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=MONO_KEY)
-        return m, self.terms[m]
+        return self.sorted_terms()[0]
 
     # -- arithmetic ---------------------------------------------------
 
@@ -287,7 +319,10 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return _polynomial({m: -c for m, c in self.terms.items()})
+        neg = _polynomial({m: -c for m, c in self.terms.items()})
+        if self._sorted is not None:  # negation keeps the order
+            neg._sorted = [(m, -c) for m, c in self._sorted]
+        return neg
 
     def __sub__(self, other):
         return self + (-Polynomial.coerce(other))
@@ -337,7 +372,7 @@ class Polynomial:
         for m, c in self.terms.items():
             product: dict[Monomial, Rat] = {_MONOMIAL_ONE: c}
             free = []
-            for v, e in m.powers:
+            for v, e in m:
                 if v not in bindings:
                     free.append((v, e))
                     continue
@@ -351,7 +386,7 @@ class Polynomial:
                         mm = m1.mul(m2)
                         step[mm] = step.get(mm, 0) + c1 * c2
                 product = step
-            if len(free) == len(m.powers):
+            if len(free) == len(m):
                 acc[m] = acc.get(m, 0) + c
                 continue
             hit = True
@@ -366,7 +401,7 @@ class Polynomial:
         total = Fraction(0)
         for m, c in self.terms.items():
             val = c
-            for v, e in m.powers:
+            for v, e in m:
                 val *= Fraction(assignment[v]) ** e
             total += val
         return total
@@ -400,10 +435,7 @@ class Polynomial:
             return "0"
         parts: list[str] = []
         for i, (m, c) in enumerate(self.sorted_terms()):
-            factors = []
-            for v, e in sorted(m.powers, key=lambda p: p[0].sort_key):
-                factors.append(v.name if e == 1 else f"{v.name}^{e}")
-            mono = "*".join(factors)
+            mono = "*".join(v.name if e == 1 else f"{v.name}^{e}" for v, e in m)
             mag = abs(c)
             if not mono:
                 body = str(mag)
@@ -426,7 +458,12 @@ def _polynomial(terms: dict[Monomial, Rat]) -> Polynomial:
     p = object.__new__(Polynomial)
     p.terms = terms
     p._hash = None
+    p._sorted = None
     return p
+
+
+def _term_key(term: tuple[Monomial, Rat]) -> tuple:
+    return MONO_KEY(term[0])
 
 
 _ZERO = Polynomial()

@@ -162,52 +162,17 @@ class SolveResult:
 # SMT-LIB emission
 
 
-def _smt_rational(c: Fraction) -> str:
-    if c < 0:
-        return f"(- {_smt_rational(-c)})"
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"(/ {c.numerator} {c.denominator})"
-
-
-def _smt_poly(p: Polynomial) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for mono, coeff in p.sorted_terms():
-        factors = []
-        for v, e in mono.powers:
-            factors.extend([v.name] * e)
-        if not factors:
-            parts.append(_smt_rational(coeff))
-        elif coeff == 1 and len(factors) == 1:
-            parts.append(factors[0])
-        else:
-            items = ([] if coeff == 1 else [_smt_rational(coeff)]) + factors
-            parts.append(items[0] if len(items) == 1 else "(* " + " ".join(items) + ")")
-    return parts[0] if len(parts) == 1 else "(+ " + " ".join(parts) + ")"
-
-
-def _smt_atom(lhs: Polynomial, rel: str) -> str:
-    body = f"(= {_smt_poly(lhs)} 0)"
-    return body if rel == "=" else f"(not {body})"
-
-
-def _smt_clause(c: Clause) -> str:
-    rendered = [_smt_atom(a.lhs, a.rel) for a in c.atoms]
-    return rendered[0] if len(rendered) == 1 else "(or " + " ".join(rendered) + ")"
-
-
 def emit_smtlib(clauses: Sequence[Clause], variables: Iterable[Var] | None = None) -> str:
     """Deterministic SMT-LIB 2 script for the clause set: the QF_NRA
     logic, one real constant per variable (by default the clauses'
-    variables), one assert per clause, then check-sat and get-model."""
+    variables), one assert per clause (its `Clause.smtlib` text), then
+    check-sat and get-model."""
     if variables is None:
         variables = variables_of(clauses)
     declared = sorted(set(variables), key=lambda v: v.sort_key)
     lines = ["(set-logic QF_NRA)"]
     lines.extend(f"(declare-const {v.name} Real)" for v in declared)
-    lines.extend(f"(assert {_smt_clause(c)})" for c in clauses)
+    lines.extend(f"(assert {c.smtlib})" for c in clauses)
     lines.extend(["(check-sat)", "(get-model)"])
     return "\n".join(lines) + "\n"
 
@@ -452,8 +417,8 @@ class _Problem:
         for p in self.eqs:
             if len(p.terms) == 1:
                 (m,) = p.terms
-                if len(m.powers) == 1:
-                    return m.powers[0][0], Polynomial.zero()
+                if len(m) == 1:
+                    return m[0][0], Polynomial.zero()
                 continue
             candidates.extend((p, v) for v in _linear_candidates(p))
         if not candidates:
@@ -463,7 +428,7 @@ class _Problem:
         for p in self.eqs + [a.lhs for atoms in self.ors for a in atoms]:
             size += len(p.terms)
             for m in p.terms:
-                for u, e in m.powers:
+                for u, e in m:
                     if u in powers:
                         powers[u].append(e)
 
@@ -502,7 +467,7 @@ class _Problem:
             hit = True
             rest = m.without(v)
             for qm, qc in self.power(powers, e).terms.items():
-                mm = rest.mul(qm) if qm.powers else rest
+                mm = rest.mul(qm) if qm else rest
                 acc[mm] = acc.get(mm, 0) + c * qc
         return Polynomial(acc) if hit else p
 
@@ -552,10 +517,10 @@ def _linear_candidates(p: Polynomial) -> list[Var]:
     """Variables whose only monomial in p is the variable itself."""
     seen: dict[Var, int] = {}
     for m in p.terms:
-        for u, _ in m.powers:
+        for u, _ in m:
             seen[u] = seen.get(u, 0) + 1
-    return [m.powers[0][0] for m in p.terms
-            if len(m.powers) == 1 and m.powers[0][1] == 1 and seen[m.powers[0][0]] == 1]
+    return [m[0][0] for m in p.terms
+            if len(m) == 1 and m[0][1] == 1 and seen[m[0][0]] == 1]
 
 
 # ---------------------------------------------------------------------------
@@ -583,21 +548,6 @@ def set_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
     rec(0, [])
     parts.sort(key=lambda p: (-len(p), p))
     return parts
-
-
-def vandermonde_zero_check(ws: Sequence[Fraction], us: Sequence[Fraction]) -> bool:
-    """For pairwise-distinct bases, decide whether sum_i ws[i]^n us[i]
-    vanishes at n = 0, ..., len-1 — which forces it to vanish for all n,
-    because the Vandermonde system in the us is invertible.  Confirms that
-    implication (all us must then be zero) and returns the premise."""
-    ell = len(ws)
-    if len(set(ws)) != ell or len(us) != ell:
-        raise ValueError("need equally many pairwise-distinct bases and coefficients")
-    for n in range(ell):
-        if sum(w**n * u for w, u in zip(ws, us)) != 0:
-            return False
-    assert all(u == 0 for u in us), "distinct-base exponential sum vanished with nonzero coefficients"
-    return True
 
 
 _MAX_ENUMERATED_BASES = 8

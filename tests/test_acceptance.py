@@ -16,10 +16,12 @@ from loopsynth.constraints import Clause, Pcp, first_violated
 from loopsynth.parser import parse_invariant, parse_loop, parse_spec
 from loopsynth.pcpgen import CFiniteConstraint, build_pcp, gen_alg, gen_coeff, gen_init, gen_roots
 from loopsynth.poly import Monomial, Polynomial, Var
-from loopsynth.smt import SolverConfig, solve, solve_structured, vandermonde_zero_check
+from loopsynth.smt import SolverConfig, solve, solve_structured
 from loopsynth.synth import SynthRequest, synthesize
-from loopsynth.template import ShapeTier, build_template, companion_embedding, int_partitions
+from loopsynth.template import ShapeTier, build_template, int_partitions
 from loopsynth.verify import ConcreteSystem, check_invariant
+from test_smt import vandermonde_zero_check
+from test_template import companion_embedding
 
 BENCH = pathlib.Path(__file__).parent.parent / "benchmarks"
 

@@ -1,10 +1,17 @@
 import itertools
+import json
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 from functools import cmp_to_key
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from loopsynth.constraints import Clause
 from loopsynth.poly import (
     Monomial,
     MONO_KEY,
@@ -13,6 +20,7 @@ from loopsynth.poly import (
     Var,
     sign_normalize,
 )
+from loopsynth.smt import emit_smtlib
 
 X = Var("x", "program", 0)
 Y = Var("y", "program", 1)
@@ -362,3 +370,137 @@ class TestSymbolTable:
         tab.declare(Var("x", "program", 0))
         with pytest.raises(ValueError):
             tab.declare(Var("x", "root"))
+
+
+class TestInterning:
+    def test_one_object_per_triple(self):
+        assert Var("x", "program", 0) is X
+        assert Var(name="x", kind="program", pos=0) is X
+        assert Var("w", "root") is Var("w", "root", -1) is W
+
+    def test_another_kind_or_position_is_another_symbol(self):
+        others = [Var("x", "root"), Var("x", "program", 1), Var("x", "program")]
+        assert len({id(v) for v in [X, *others]}) == 4
+        assert all(v != X for v in others) and X not in set(others)
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            X.name = "y"
+        with pytest.raises(AttributeError):
+            X.extra = 1
+        with pytest.raises(AttributeError):
+            del X.pos
+        assert (X.name, X.kind, X.pos) == ("x", "program", 0)
+
+    def test_pickle_returns_the_interned_object(self):
+        assert pickle.loads(pickle.dumps(X)) is X
+        m = Monomial.make({X: 2, W: 1})
+        back = pickle.loads(pickle.dumps(m))
+        assert back == m and type(back) is Monomial and back[0][0] is X
+
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(ValueError):
+            Var("q", "nonsense")
+
+
+# Symbols given by their fields: names shared across kinds and positions,
+# so that only a field-wise comparison tells them apart.
+TRIPLES = [(n, k, p) for n in ("a", "b1", "b11") for k, p in
+           (("program", 0), ("program", 1), ("program", -1), ("matrix", -1), ("root", -1))]
+
+
+def _fieldwise_equal(a, b):
+    """Oracle: the equality of the dataclass monomial of (Var, exponent)
+    pairs that the tuple monomial replaced, field by field."""
+    return len(a) == len(b) and all(
+        (u.name, u.kind, u.pos, e) == (v.name, v.kind, v.pos, f)
+        for (u, e), (v, f) in zip(a.powers, b.powers)
+    )
+
+
+field_monomials = st.dictionaries(
+    st.sampled_from(TRIPLES), st.integers(1, 3), max_size=3
+).map(lambda d: Monomial.make({Var(*t): e for t, e in d.items()}))
+
+
+class TestTupleMonomial:
+    @given(field_monomials, field_monomials)
+    @settings(deadline=None, max_examples=300)
+    def test_equality_and_hash_agree_with_fieldwise_equality(self, a, b):
+        assert (a == b) == _fieldwise_equal(a, b)
+        if _fieldwise_equal(a, b):
+            assert hash(a) == hash(b)
+        rebuilt = Monomial.make({Var(v.name, v.kind, v.pos): e for v, e in a.powers})
+        assert rebuilt == a and hash(rebuilt) == hash(a)
+
+    def test_powers_are_the_sorted_pairs(self):
+        m = Monomial.make({Y: 1, X: 2})
+        assert m.powers == ((X, 2), (Y, 1)) and m.degree == 3
+        assert Monomial.one() == Monomial(()) and not Monomial.one()
+
+
+class TestSortOnce:
+    @given(st.lists(monomials, max_size=8), st.lists(rationals, min_size=8, max_size=8))
+    @settings(deadline=None, max_examples=100)
+    def test_negation_carries_the_order_of_a_fresh_sort(self, monos, coeffs):
+        p = Polynomial(dict(zip(monos, coeffs)))
+        p.sorted_terms()
+        q = -p
+        fresh = sorted(q.terms.items(), key=lambda t: cmp_to_key(_mono_cmp)(t[0]), reverse=True)
+        assert q.sorted_terms() == fresh
+        assert list(q.terms) == list(p.terms)
+        if p.terms:
+            assert q.leading() == fresh[0]
+            assert sign_normalize(q).sorted_terms() == sign_normalize(p).sorted_terms()
+
+    def test_the_order_is_computed_once(self):
+        p = poly_of((1, {Y: 2}), (-3, {X: 1}), (2, {}))
+        assert p.sorted_terms() is p.sorted_terms()
+
+
+class TestRenderOnce:
+    @given(polynomials(), polynomials(vars=(X, W)))
+    @settings(deadline=None, max_examples=60)
+    def test_cached_text_equals_a_fresh_clause(self, p, q):
+        assume(not p.is_zero() and not q.is_zero())
+        clause = Clause.any([(p, "="), (q, "!=")])
+        first = clause.smtlib
+        assert clause.smtlib is first
+        # an equal clause built from fresh polynomials, terms in another order
+        fresh = Clause.any([
+            (Polynomial(dict(reversed(list((-p).terms.items())))), "="),
+            (Polynomial(dict(reversed(list(q.terms.items())))), "!="),
+        ])
+        assert fresh == clause and fresh.smtlib == first
+        assert emit_smtlib([clause]) == emit_smtlib([fresh])
+
+
+_DIGEST_SCRIPT = """
+import json, sys
+from loopsynth.poly import Var
+for key in reversed(json.loads(sys.stdin.read())):
+    Var(*key)
+from test_synth import TestClauseTextIdentity, _cell_text_digest, benchmark_request
+from loopsynth.template import ShapeTier
+print(json.dumps({name: _cell_text_digest(benchmark_request(name, [ShapeTier.FULL]))
+                  for name in TestClauseTextIdentity.FULL_TIER_DIGESTS}))
+"""
+
+
+def test_clause_text_does_not_depend_on_symbol_ids_or_string_hashes():
+    """Interned symbols hash by identity.  Created in reverse order, under
+    another string-hash seed, they must give the recorded clause text."""
+    import test_synth
+    from loopsynth.template import ShapeTier
+
+    recorded = test_synth.TestClauseTextIdentity.FULL_TIER_DIGESTS
+    for name in recorded:  # intern every symbol the cells use, in search order
+        test_synth._cell_text_digest(test_synth.benchmark_request(name, [ShapeTier.FULL]))
+    keys = list(Var._interned)
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONHASHSEED="4242", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], input=json.dumps(keys),
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == recorded

@@ -20,11 +20,25 @@ from loopsynth.smt import (
     set_partitions,
     solve,
     solve_structured,
-    vandermonde_zero_check,
 )
 
 X = Var("x", "program", 0)
 Y = Var("y", "program", 1)
+
+
+def vandermonde_zero_check(ws, us):
+    """For pairwise-distinct bases, decide whether sum_i ws[i]^n us[i]
+    vanishes at n = 0, ..., len-1 — which forces it to vanish for all n,
+    because the Vandermonde system in the us is invertible.  Confirms that
+    implication (all us must then be zero) and returns the premise."""
+    ell = len(ws)
+    if len(set(ws)) != ell or len(us) != ell:
+        raise ValueError("need equally many pairwise-distinct bases and coefficients")
+    for n in range(ell):
+        if sum(w**n * u for w, u in zip(ws, us)) != 0:
+            return False
+    assert all(u == 0 for u in us), "distinct-base exponential sum vanished with nonzero coefficients"
+    return True
 
 
 def cfg():

@@ -8,9 +8,32 @@ from loopsynth.template import (
     ParamSpec,
     ShapeTier,
     build_template,
-    companion_embedding,
     int_partitions,
 )
+
+
+def companion_embedding(coeffs):
+    """First-order embedding of the scalar recurrence
+
+        x(n+r) + c_{r-1} x(n+r-1) + ... + c_1 x(n+1) + c_0 x(n) = 0
+
+    given `coeffs` = (c_0, ..., c_{r-1}).  The state vector is
+    (x(n), ..., x(n+r-1)); multiplying by the returned matrix advances it
+    by one step.  The trailing coefficient c_0 must be nonzero, otherwise
+    the matrix would be singular.
+    """
+    cs = [Fraction(c) for c in coeffs]
+    r = len(cs)
+    if r < 1:
+        raise ValueError("recurrence order must be at least 1")
+    if cs[0] == 0:
+        raise ValueError("zero trailing coefficient: companion matrix would be singular")
+    rows = []
+    for i in range(r - 1):
+        rows.append([1 if j == i + 1 else 0 for j in range(r)])
+    rows.append([-c for c in cs])
+    return SymMatrix.make(rows)
+
 
 def make_vars(*names):
     return [Var(n, "program", i) for i, n in enumerate(names)]
