@@ -12,14 +12,10 @@ Every satisfiable answer with a rational model is re-checked exactly in
 Python before it is trusted; irrational model values are surfaced as
 :class:`AlgebraicTag` so callers can refuse them explicitly.
 
-`solve_structured` implements a staged search for constraints of the shape
-sum_i w_i^n u_i = 0 for all n:  first a pass forcing every coefficient u_i
-to zero (the common easy case), then a relaxed solve whose model suggests
-how the exponential bases w_i coincide, then—if the suggestion was wrong—an
-enumeration of all coincidence patterns.  Within one pattern the constraint
-is equivalent to per-block sums being zero (the powers of pairwise-distinct
-values form an invertible Vandermonde system), which is expressible without
-the iteration index.
+`solve_structured` solves constraints of the shape sum_i w_i^n u_i = 0
+for all n in two stages: first a pass forcing every coefficient u_i to
+zero (the common easy case), then the problem with each sum instantiated
+at n = 0, ..., l-1 for its l terms, which is exact, not a relaxation.
 """
 
 from __future__ import annotations
@@ -527,32 +523,6 @@ def _linear_candidates(p: Polynomial) -> list[Var]:
 # structured solving for exponential-sum constraints
 
 
-def set_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """All set partitions of {0,...,n-1}, by decreasing block count and
-    lexicographically within one block count.  Blocks are sorted tuples,
-    ordered by their least element."""
-    parts: list[tuple[tuple[int, ...], ...]] = []
-
-    def rec(i: int, blocks: list[list[int]]):
-        if i == n:
-            parts.append(tuple(tuple(b) for b in blocks))
-            return
-        for b in blocks:
-            b.append(i)
-            rec(i + 1, blocks)
-            b.pop()
-        blocks.append([i])
-        rec(i + 1, blocks)
-        blocks.pop()
-
-    rec(0, [])
-    parts.sort(key=lambda p: (-len(p), p))
-    return parts
-
-
-_MAX_ENUMERATED_BASES = 8
-
-
 def solve_structured(
     hard: Pcp,
     cfcs: Sequence[CFiniteConstraint],
@@ -563,9 +533,15 @@ def solve_structured(
     """Solve `hard` together with the for-all-n exponential-sum constraints,
     by `deadline` (a `time.monotonic()` instant).
 
-    `full` is the same problem with the constraints instantiated at
-    n = 0, ..., l-1; it is a necessary relaxation (unsat there is unsat
-    everywhere) and its models suggest which bases coincide.
+    `full` is the same problem with each constraint instantiated at
+    n = 0, ..., l-1, and it is exact: a sum a(n) = sum_{i<l} w_i^n u_i
+    is annihilated by the monic order-l recurrence prod_i (E - w_i),
+    where E is the shift n -> n+1, whether or not some w_i coincide or
+    are 0.  So a(n) = 0 for all n exactly when a(0), ..., a(l-1) vanish.
+    The first stage tries every coefficient zero, the common easy case;
+    the second solves `full`.  The partition groups the bases by their
+    values in the model: singletons after the first stage, and none for
+    a model with irrational values, which the caller refuses.
     """
     variables = sorted(
         set(hard.variables()) | _cfc_variables(cfcs), key=lambda v: v.sort_key
@@ -574,7 +550,6 @@ def solve_structured(
         return solve(list(hard), cfg, deadline, variables)
 
     ws = sorted({w for cfc in cfcs for w, _ in cfc.terms}, key=MONO_KEY)
-    w_polys = [Polynomial({w: Fraction(1)}) for w in ws]
     us = [u for cfc in cfcs for _, u in cfc.terms]
 
     # stage 1: every coefficient zero (satisfies the constraints trivially)
@@ -583,37 +558,17 @@ def solve_structured(
     if res.status == "sat":
         return SolveResult("sat", res.model, _singletons(len(ws)))
 
-    # stage 2: relaxed solve; a valid model ends the search, an invalid one
-    # still reveals a candidate coincidence pattern for the bases
-    hint: tuple[tuple[int, ...], ...] | None = None
+    # stage 2: the instantiated problem, exact by the recurrence above
     res = solve(list(full), cfg, deadline)
-    if res.status != "sat":
-        return SolveResult(res.status)
-    if res.rational:
-        model = res.rational_model()
-        hint = _partition_from_values([p.evaluate(model) for p in w_polys])
-        if _sums_vanish(model, cfcs):
-            return SolveResult("sat", res.model, hint)
-
-    # stage 3: enumerate base-coincidence patterns, suggested one first
-    if len(ws) > _MAX_ENUMERATED_BASES:
-        candidates = [hint] if hint is not None else []
-    else:
-        candidates = set_partitions(len(ws))
-        if hint is not None and hint in candidates:
-            candidates = [hint] + [p for p in candidates if p != hint]
-    undecided = len(ws) > _MAX_ENUMERATED_BASES
-    for blocks in candidates:
-        res = solve(list(hard) + _block_clauses(blocks, w_polys, cfcs, ws),
-                    cfg, deadline, variables)
-        if res.status == "unknown":
-            undecided = True
-            continue
-        if res.status == "sat":
-            if res.rational:
-                _check_structured(res.rational_model(), cfcs)
-            return SolveResult("sat", res.model, blocks)
-    return SolveResult("unknown" if undecided else "unsat")
+    if res.status != "sat" or not res.rational:
+        return res
+    model = res.rational_model()
+    if not _sums_vanish(model, cfcs):
+        raise SolverError(
+            "model of the instantiated problem fails the exact exponential-sum check"
+        )
+    values = [Polynomial({w: Fraction(1)}).evaluate(model) for w in ws]
+    return SolveResult("sat", res.model, _partition_from_values(values))
 
 
 def _sums_vanish(model: Mapping[Var, Fraction], cfcs: Sequence[CFiniteConstraint]) -> bool:
@@ -639,49 +594,6 @@ def _partition_from_values(values: Sequence[Fraction]) -> tuple[tuple[int, ...],
         groups.setdefault(v, []).append(i)
     blocks = sorted((tuple(g) for g in groups.values()), key=lambda b: b[0])
     return tuple(blocks)
-
-
-def _block_clauses(
-    blocks: Sequence[Sequence[int]],
-    w_polys: Sequence[Polynomial],
-    cfcs: Sequence[CFiniteConstraint],
-    ws: Sequence[Monomial],
-) -> list[Clause]:
-    """Constraints pinning one base-coincidence pattern: bases equal within
-    a block, block representatives pairwise distinct, and for each
-    constraint the coefficients of each block summing to zero."""
-    index = {w: i for i, w in enumerate(ws)}
-    out: list[Clause] = []
-    for block in blocks:
-        rep = block[0]
-        for other in block[1:]:
-            out.append(Clause.unit(w_polys[rep] - w_polys[other]))
-    reps = [b[0] for b in blocks]
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            out.append(Clause.unit(w_polys[reps[i]] - w_polys[reps[j]], "!="))
-    for cfc in cfcs:
-        for block in blocks:
-            members = set(block)
-            total = Polynomial.zero()
-            touched = False
-            for w, u in cfc.terms:
-                if index[w] in members:
-                    total = total + u
-                    touched = True
-            if touched:
-                out.append(Clause.unit(total))
-    return out
-
-
-def _check_structured(model: Mapping[Var, Fraction], cfcs: Sequence[CFiniteConstraint]) -> None:
-    """Exact confirmation that each exponential sum vanishes for all n."""
-    if not _sums_vanish(model, cfcs):
-        raise SolverError("solver model fails exact exponential-sum re-check")
-    for cfc in cfcs:
-        for n in range(cfc.length):
-            if cfc.instantiate(n).evaluate(model) != 0:
-                raise SolverError("solver model fails exact instantiation re-check")
 
 
 def _cfc_variables(cfcs: Sequence[CFiniteConstraint]) -> set[Var]:

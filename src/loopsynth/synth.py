@@ -223,14 +223,16 @@ def synthesize(request: SynthRequest, cfg: SolverConfig | None = None) -> SynthR
             if res.status != "sat":
                 break
             loop = _extract_loop(bundle.template, res.model, aux, start)
-            if loop is None:
-                break  # irrational matrix or initial values: refuse the model
+            if loop is None:  # irrational matrix or initial values: refuse the model
+                saw_unknown = True
+                break
             verdict = [check_invariant(loop.system(), p) for p in request.invariants]
             if not all(v.holds for v in verdict):
                 if res.rational:
                     raise AssertionError(
                         "exactly-checked model produced a loop failing verification"
                     )
+                saw_unknown = True  # an irrational model, refused: the cell is undecided
                 break
             found.append(loop)
             if len(found) >= request.count:

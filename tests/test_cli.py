@@ -90,6 +90,38 @@ class TestSynthCommand:
         res = runner.invoke(main, ["synth", spec, "--partition", "zebra"])
         assert res.exit_code != EXIT_OK
 
+    @pytest.mark.parametrize("tier", ["un", "auto"])
+    def test_tier_flag(self, runner, tmp_path, tier):
+        spec = write(tmp_path, "d.spec", "vars x y\ninvariant x == 2y\nsize 3\ntier fu\n")
+        res = runner.invoke(main, ["synth", spec, "--partition", "3", "--tier", tier,
+                                   "--solver", "builtin"])
+        assert res.exit_code == EXIT_OK, res.output
+        assert res.output.startswith("# tier=un ")
+
+    def test_size_flag_pads_with_auxiliary_variables(self, runner, tmp_path):
+        spec = write(tmp_path, "d.spec", "vars x y\ninvariant x == 2y\ntier un\n")
+        res = runner.invoke(main, ["synth", spec, "--size", "3", "--partition", "3",
+                                   "--solver", "builtin"])
+        assert res.exit_code == EXIT_OK, res.output
+        assert " order=" in res.output and ",t1 " in res.output.splitlines()[0]
+
+    def test_text_output_separates_loops_with_a_blank_line(self, runner, tmp_path):
+        spec = write(tmp_path, "d.spec", DOUBLE_SPEC)
+        res = runner.invoke(main, ["synth", spec, "--partition", "3", "--count", "2",
+                                   "--solver", "builtin", "--timeout", "90"])
+        assert res.exit_code == EXIT_OK, res.output
+        first, second = res.output.split("\n\n")
+        assert first.startswith("# tier=un ") and second.startswith("# tier=un ")
+        assert first.rstrip().endswith("end") and second.rstrip().endswith("end")
+
+    def test_json_error_object(self, runner, tmp_path):
+        spec = write(tmp_path, "bad.spec", "vars x\ninvariant x ==\n")
+        res = runner.invoke(main, ["synth", spec, "--json"])
+        assert res.exit_code == EXIT_INPUT
+        payload = json.loads(res.output)
+        assert payload["status"] == "error" and payload["code"] == EXIT_INPUT
+        assert payload["message"]
+
 
 class TestInputErrors:
     TOO_SMALL_SPEC = "vars x y\ninvariant x == 2y\nsize 1\n"
@@ -329,6 +361,20 @@ class TestBenchCommand:
         res = runner.invoke(main, ["bench", str(tmp_path), "--timeout", "60", "--jobs", "2"])
         assert res.exit_code == EXIT_OK, res.output
         assert "found" in res.output
+
+    def test_solver_error_is_one_row_and_the_run_goes_on(self, runner, tmp_path):
+        specs = tmp_path / "specs"
+        specs.mkdir()
+        write(specs, "double.spec", DOUBLE_SPEC)
+        write(specs, "broken.spec", "vars x\n")  # no invariant
+        write(specs, "contradiction.spec", "vars x\ninvariant x == x + 1\n")  # no solver call
+        solver = solver_script(tmp_path, "echo '(error \"boom\")'")
+        res = runner.invoke(main, ["bench", str(specs), "--solver", solver])
+        assert res.exit_code == EXIT_NEGATIVE, res.output
+        rows = {r["instance"]: r for r in csv.DictReader(io.StringIO(res.output))}
+        assert rows["double"]["status"] == "solver-error" and "boom" in rows["double"]["note"]
+        assert rows["broken"]["status"] == "parse-error"
+        assert rows["contradiction"]["status"] == "notfound"
 
     def test_empty_directory(self, runner, tmp_path):
         res = runner.invoke(main, ["bench", str(tmp_path)])

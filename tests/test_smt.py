@@ -1,8 +1,10 @@
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopsynth import smt
 from loopsynth.constraints import Clause, Pcp
@@ -17,7 +19,6 @@ from loopsynth.smt import (
     default_solver_command,
     emit_smtlib,
     parse_solver_output,
-    set_partitions,
     solve,
     solve_structured,
 )
@@ -206,23 +207,6 @@ class TestBuiltinBackend:
         assert SolverConfig(probe()).backend == "z3-wasm"
 
 
-class TestSetPartitions:
-    def test_bell_numbers(self):
-        for n, bell in [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52)]:
-            parts = set_partitions(n)
-            assert len(parts) == bell
-            assert len(set(parts)) == bell
-            for p in parts:
-                assert sorted(i for b in p for i in b) == list(range(n))
-
-    def test_finest_first_coarsest_last(self):
-        parts = set_partitions(3)
-        assert parts[0] == ((0,), (1,), (2,))
-        assert parts[-1] == ((0, 1, 2),)
-        counts = [len(p) for p in parts]
-        assert counts == sorted(counts, reverse=True)
-
-
 class TestVandermonde:
     def test_random_instances(self):
         rng = random.Random(11)
@@ -243,6 +227,70 @@ class TestVandermonde:
     def test_rejects_duplicate_bases(self):
         with pytest.raises(ValueError):
             vandermonde_zero_check([Fraction(1), Fraction(1)], [Fraction(0), Fraction(0)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_first_values_decide_the_sum_for_any_bases(self, data):
+        # bases may coincide or be 0; the coefficients are a random point of
+        # the solution set of sum_i w_i^n u_i = 0 for n < l
+        ws = data.draw(st.lists(st.sampled_from(
+            [Fraction(v) for v in (0, 1, -1, 2, -3, "1/2")]), min_size=1, max_size=6))
+        ell = len(ws)
+        basis = null_space([[w**n for w in ws] for n in range(ell)], ell)
+        assert len(basis) == ell - len(set(ws))
+        ks = data.draw(st.lists(st.integers(-4, 4), min_size=len(basis), max_size=len(basis)))
+        us = [sum((k * b[i] for k, b in zip(ks, basis)), Fraction(0)) for i in range(ell)]
+        for w in set(ws):
+            assert sum(u for v, u in zip(ws, us) if v == w) == 0
+        for n in range(3 * ell + 1):
+            assert sum(w**n * u for w, u in zip(ws, us)) == 0
+
+
+def null_space(rows, ncols):
+    """A basis of the solutions of rows * u = 0, by Gauss-Jordan
+    elimination over Fraction."""
+    rows = [list(r) for r in rows]
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        u = [Fraction(0)] * ncols
+        u[free] = Fraction(1)
+        for i, c in enumerate(pivots):
+            u[c] = -rows[i][free]
+        basis.append(u)
+    return basis
+
+
+COUNTING_SOLVER = """\
+import re, sys
+script = sys.stdin.read()
+path = sys.argv[1]
+try:
+    calls = int(open(path).read())
+except FileNotFoundError:
+    calls = 0
+open(path, "w").write(str(calls + 1))
+if calls == 0:
+    print("unsat")
+elif calls == 1:
+    print("sat")
+    for name in re.findall(r"\\(declare-const (\\S+) Real\\)", script):
+        print(f"(define-fun {name} () Real (root-obj (+ (^ x 2) (- 2)) 2))")
+else:
+    print("unknown")
+"""
 
 
 def make_cfc_problem(hard_clauses, terms):
@@ -291,6 +339,23 @@ class TestStructuredSolving:
         )
         res = solve_structured(hard, cfcs, full, cfg(), within())
         assert res.status == "unsat"
+
+    def test_irrational_instantiated_model_ends_the_search(self, tmp_path):
+        # a stand-in solver: unsat to the first script, then a model with an
+        # irrational value for every constant, then unknown
+        calls = tmp_path / "calls"
+        solver = tmp_path / "solver.py"
+        solver.write_text(COUNTING_SOLVER)
+        w1, w2 = Var("w1", "root"), Var("w2", "root")
+        u1, u2 = Var("u1", "coeff"), Var("u2", "coeff")
+        hard, cfcs, full = make_cfc_problem(
+            [Clause.unit(Polynomial.var(u1) - 1)],
+            [(Monomial.of(w1), Polynomial.var(u1)), (Monomial.of(w2), Polynomial.var(u2))],
+        )
+        fake = SolverConfig((sys.executable, str(solver), str(calls)))
+        res = solve_structured(hard, cfcs, full, fake, within())
+        assert res.status == "sat" and not res.rational and res.partition is None
+        assert calls.read_text() == "2"
 
     def test_no_structured_constraints_plain_solve(self):
         hard = Pcp([Clause.unit(Polynomial.var(X) - 7)])

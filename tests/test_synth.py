@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -111,6 +112,34 @@ class TestEndToEnd:
         res = synthesize(req, SolverConfig(("sh", "-c", "sleep 5")))
         assert res.status == "timeout"
         assert time.monotonic() - begin < 2.0
+
+
+IRRATIONAL_SOLVER = """\
+import re, sys
+script = sys.stdin.read()
+print("sat")
+for name in re.findall(r"\\(declare-const (\\S+) Real\\)", script):
+    value = "1" if name[0] in sys.argv[1] else "(root-obj (+ (^ x 2) (- 2)) 2)"
+    print(f"(define-fun {name} () Real {value})")
+"""
+
+
+class TestRefusedModels:
+    # A stand-in solver answers sat with an irrational value for every
+    # constant whose first letter is not in its argument.  With all of them
+    # irrational no loop can be read off; with the matrix (b*) and initial
+    # values (a*) set to 1 the loop is read off and fails verification.
+    @pytest.mark.parametrize("rational", ["", "ab"])
+    def test_a_refused_model_leaves_the_search_undecided(self, tmp_path, rational):
+        solver = tmp_path / "irrational.py"
+        solver.write_text(IRRATIONAL_SOLVER)
+        req = request_for(
+            "x == 2y", ["x", "y"],
+            size=3, tiers=[ShapeTier.UNIT_UPPER], partitions=[(3,)], timeout=60.0,
+        )
+        res = synthesize(req, SolverConfig((sys.executable, str(solver), rational)))
+        assert res.status == "notfound" and not res.loops
+        assert res.note == "some search cells were undecided by the solver"
 
 
 class TestRequestExpansion:
