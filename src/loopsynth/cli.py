@@ -214,7 +214,7 @@ def _parse_mapping(text: str, lf1: LoopFile, lf2: LoopFile) -> dict[Var, Var]:
 @click.argument("directory", type=click.Path(exists=True, file_okay=False))
 @_solver_option
 @click.option("--timeout", type=click.FloatRange(min=0, min_open=True), default=60.0, show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None,
               help="Write results as CSV (default: stdout).")
 @click.option("--include-reconstructed", is_flag=True,
@@ -264,7 +264,7 @@ def bench(directory, solver, timeout, jobs, csv_path, include_reconstructed):
             row["status"], row["note"] = "solver-error", str(e)
         return row
 
-    with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         rows = list(pool.map(run_one, specs))
 
     buf = io.StringIO()

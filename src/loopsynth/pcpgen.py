@@ -16,7 +16,8 @@ Four clause families are produced:
   is one `Polynomial.substitute`; grouping the result by powers of n and
   by exponential base gives sums that must vanish for all n, and
   instantiating n = 0, ..., l-1 (l = number of distinct exponential bases)
-  turns each into finitely many polynomial equalities.
+  turns each into finitely many polynomial equalities that are equivalent
+  to it (the proof is at `smt.solve_structured`).
 
 For parameterized templates all clauses are decomposed over the parameter
 symbols so the resulting problem is parameter-free.
@@ -164,53 +165,18 @@ def substitute_invariant(
     return {k: {w: Polynomial(u) for w, u in group.items()} for k, group in grouped.items()}
 
 
-def gen_alg(
-    tpl: RecurrenceTemplate, invariants: Sequence[Polynomial]
-) -> tuple[list[Clause], list[CFiniteConstraint]]:
-    """One exponential sum per invariant and n-power, bases in `MONO_KEY`
-    order; its instantiations at n = 0, ..., length-1 are the relation
-    clauses."""
+def gen_alg(tpl: RecurrenceTemplate, invariants: Sequence[Polynomial]) -> list[Clause]:
+    """The relation clauses: one exponential sum per invariant and
+    n-power, bases in `MONO_KEY` order, instantiated at n = 0, ...,
+    length-1."""
     clauses: list[Clause] = []
-    cfcs: list[CFiniteConstraint] = []
     for p in invariants:
         grouped = substitute_invariant(tpl, p)
         for npow in sorted(grouped):
             group = grouped[npow]
-            terms = [(w, group[w]) for w in sorted(group, key=MONO_KEY)]
-            cfc = CFiniteConstraint(tuple(terms))
+            cfc = CFiniteConstraint(tuple((w, group[w]) for w in sorted(group, key=MONO_KEY)))
             clauses.extend(Clause.unit(cfc.instantiate(j)) for j in range(cfc.length))
-            cfcs.extend(_structured_constraints(tpl, terms))
-    return clauses, cfcs
-
-
-def _structured_constraints(
-    tpl: RecurrenceTemplate, terms: list[tuple[Monomial, Polynomial]]
-) -> list[CFiniteConstraint]:
-    """Split one exponential sum into parameter-free structured constraints.
-
-    Without parameters the sum itself is the constraint.  With parameters
-    each u is a polynomial in the parameter symbols; the sum must vanish
-    for every parameter valuation, so each parameter-monomial slice must
-    vanish independently.
-    """
-    if not tpl.params:
-        return [CFiniteConstraint(tuple(terms))]
-    params = list(tpl.params)
-    out: list[CFiniteConstraint] = []
-    slices: dict[Monomial, list[tuple[Monomial, Polynomial]]] = {}
-    for w, u in terms:
-        groups: dict[Monomial, dict[Monomial, Rat]] = {}
-        for mono, coeff in u.terms.items():
-            pm = Monomial.make({v: mono.degree_of(v) for v in params})
-            rest = mono
-            for v in params:
-                rest = rest.without(v)
-            groups.setdefault(pm, {})[rest] = coeff  # (pm, rest) determines mono
-        for pm, restterms in groups.items():
-            slices.setdefault(pm, []).append((w, Polynomial(restterms)))
-    for pm in sorted(slices, key=MONO_KEY):
-        out.append(CFiniteConstraint(tuple(slices[pm])))
-    return out
+    return clauses
 
 
 @dataclass
@@ -218,15 +184,11 @@ class PcpBundle:
     """Everything the solver layer needs for one search cell."""
 
     template: RecurrenceTemplate
-    pcp: Pcp  # full problem, relation instantiations included
-    hard: Pcp  # without the relation instantiations (structured solving)
-    cfcs: list[CFiniteConstraint]
+    pcp: Pcp  # the cell's whole constraint problem
 
     def add_side_clauses(self, clauses: Iterable[Clause]) -> None:
-        """Add clauses (e.g. nontriviality, model blocking) to both views."""
-        clauses = list(clauses)
+        """Add clauses (e.g. nontriviality, model blocking) to the problem."""
         self.pcp.extend(clauses)
-        self.hard.extend(clauses)
 
 
 def base_clauses(tpl: RecurrenceTemplate) -> list[Clause]:
@@ -255,15 +217,9 @@ def build_pcp(
     builds many templates sharing those families compute them once.
     """
     base = base_clauses(tpl) if base is None else list(base)
-    alg, cfcs = gen_alg(tpl, invariants)
-    alg = _parameter_free(tpl, alg)
+    alg = _parameter_free(tpl, gen_alg(tpl, invariants))
     _reject_degenerate(alg)
-    return PcpBundle(
-        template=tpl,
-        pcp=Pcp(base + alg),
-        hard=Pcp(base),
-        cfcs=cfcs,
-    )
+    return PcpBundle(template=tpl, pcp=Pcp(base + alg))
 
 
 def _parameter_free(tpl: RecurrenceTemplate, clauses: list[Clause]) -> list[Clause]:

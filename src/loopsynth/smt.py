@@ -12,10 +12,9 @@ Every satisfiable answer with a rational model is re-checked exactly in
 Python before it is trusted; irrational model values are surfaced as
 :class:`AlgebraicTag` so callers can refuse them explicitly.
 
-`solve_structured` solves constraints of the shape sum_i w_i^n u_i = 0
-for all n in two stages: first a pass forcing every coefficient u_i to
-zero (the common easy case), then the problem with each sum instantiated
-at n = 0, ..., l-1 for its l terms, which is exact, not a relaxation.
+`solve_structured` solves one search cell's constraint problem with one
+solver call: its for-all-n exponential sums are already instantiated at
+finitely many n, which is exact (see there).
 """
 
 from __future__ import annotations
@@ -31,11 +30,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .constraints import Atom, Clause, Pcp, first_violated, variables_of
-from .pcpgen import CFiniteConstraint
-from .poly import MONO_KEY, Monomial, Polynomial, Rat, Var
+from .poly import Monomial, Polynomial, Rat, Var
 
 SOLVER_ENV = "LOOPSYNTH_SOLVER"
 BUILTIN = "builtin"  # command word selecting the in-process backend
@@ -141,7 +139,6 @@ def _node_module_bases() -> Iterator[Path]:
 class SolveResult:
     status: str  # sat | unsat | unknown
     model: dict[Var, ModelValue] = field(default_factory=dict)
-    partition: tuple[tuple[int, ...], ...] | None = None  # from solve_structured: base blocks
 
     @property
     def rational(self) -> bool:
@@ -158,16 +155,12 @@ class SolveResult:
 # SMT-LIB emission
 
 
-def emit_smtlib(clauses: Sequence[Clause], variables: Iterable[Var] | None = None) -> str:
+def emit_smtlib(clauses: Sequence[Clause]) -> str:
     """Deterministic SMT-LIB 2 script for the clause set: the QF_NRA
-    logic, one real constant per variable (by default the clauses'
-    variables), one assert per clause (its `Clause.smtlib` text), then
-    check-sat and get-model."""
-    if variables is None:
-        variables = variables_of(clauses)
-    declared = sorted(set(variables), key=lambda v: v.sort_key)
+    logic, one real constant per variable of the clauses, one assert per
+    clause (its `Clause.smtlib` text), then check-sat and get-model."""
     lines = ["(set-logic QF_NRA)"]
-    lines.extend(f"(declare-const {v.name} Real)" for v in declared)
+    lines.extend(f"(declare-const {v.name} Real)" for v in variables_of(clauses))
     lines.extend(f"(assert {c.smtlib})" for c in clauses)
     lines.extend(["(check-sat)", "(get-model)"])
     return "\n".join(lines) + "\n"
@@ -291,20 +284,15 @@ def run_solver(script: str, cfg: SolverConfig, deadline: float) -> str:
     return proc.stdout
 
 
-def solve(
-    clauses: Sequence[Clause],
-    cfg: SolverConfig,
-    deadline: float,
-    variables: Iterable[Var] | None = None,
-) -> SolveResult:
+def solve(clauses: Sequence[Clause], cfg: SolverConfig, deadline: float) -> SolveResult:
     """Solve the clauses by `deadline` (a `time.monotonic()` instant)."""
     if deadline <= time.monotonic():
         raise SolverTimeout("no time budget left")
-    variables = variables_of(clauses) if variables is None else list(variables)
+    variables = variables_of(clauses)
     if cfg.builtin:
         result = solve_builtin(clauses, variables, deadline)
     else:
-        script = emit_smtlib(clauses, variables)
+        script = emit_smtlib(clauses)
         output = run_solver(script, cfg, deadline)
         result = parse_solver_output(output, variables)
     if result.status == "sat" and result.rational:
@@ -520,86 +508,20 @@ def _linear_candidates(p: Polynomial) -> list[Var]:
 
 
 # ---------------------------------------------------------------------------
-# structured solving for exponential-sum constraints
+# one search cell
 
 
-def solve_structured(
-    hard: Pcp,
-    cfcs: Sequence[CFiniteConstraint],
-    full: Pcp,
-    cfg: SolverConfig,
-    deadline: float,
-) -> SolveResult:
-    """Solve `hard` together with the for-all-n exponential-sum constraints,
-    by `deadline` (a `time.monotonic()` instant).
+def solve_structured(pcp: Pcp, cfg: SolverConfig, deadline: float) -> SolveResult:
+    """Solve one search cell's constraint problem by `deadline` (a
+    `time.monotonic()` instant), with one solver call.
 
-    `full` is the same problem with each constraint instantiated at
-    n = 0, ..., l-1, and it is exact: a sum a(n) = sum_{i<l} w_i^n u_i
-    is annihilated by the monic order-l recurrence prod_i (E - w_i),
-    where E is the shift n -> n+1, whether or not some w_i coincide or
-    are 0.  So a(n) = 0 for all n exactly when a(0), ..., a(l-1) vanish.
-    The first stage tries every coefficient zero, the common easy case;
-    the second solves `full`.  The partition groups the bases by their
-    values in the model: singletons after the first stage, and none for
-    a model with irrational values, which the caller refuses.
+    The problem holds each for-all-n exponential sum of the relation
+    family as its instantiations at n = 0, ..., l-1, and that is exact: a
+    sum a(n) = sum_{i<l} w_i^n u_i is annihilated by the monic order-l
+    recurrence prod_i (E - w_i), where E is the shift n -> n+1, whether
+    or not some w_i coincide or are 0.  So a(n) = 0 for all n exactly when
+    a(0), ..., a(l-1) vanish, and every model of `pcp` is a loop of the
+    cell.  A model with irrational values is returned as it is, for the
+    caller to refuse.
     """
-    variables = sorted(
-        set(hard.variables()) | _cfc_variables(cfcs), key=lambda v: v.sort_key
-    )
-    if not cfcs:
-        return solve(list(hard), cfg, deadline, variables)
-
-    ws = sorted({w for cfc in cfcs for w, _ in cfc.terms}, key=MONO_KEY)
-    us = [u for cfc in cfcs for _, u in cfc.terms]
-
-    # stage 1: every coefficient zero (satisfies the constraints trivially)
-    allzero = [Clause.unit(u) for u in us]
-    res = solve(list(hard) + allzero, cfg, deadline, variables)
-    if res.status == "sat":
-        return SolveResult("sat", res.model, _singletons(len(ws)))
-
-    # stage 2: the instantiated problem, exact by the recurrence above
-    res = solve(list(full), cfg, deadline)
-    if res.status != "sat" or not res.rational:
-        return res
-    model = res.rational_model()
-    if not _sums_vanish(model, cfcs):
-        raise SolverError(
-            "model of the instantiated problem fails the exact exponential-sum check"
-        )
-    values = [Polynomial({w: Fraction(1)}).evaluate(model) for w in ws]
-    return SolveResult("sat", res.model, _partition_from_values(values))
-
-
-def _sums_vanish(model: Mapping[Var, Fraction], cfcs: Sequence[CFiniteConstraint]) -> bool:
-    """Exact test that each exponential sum vanishes for all n under the
-    model: coefficients of coinciding base values must cancel per value."""
-    for cfc in cfcs:
-        sums: dict[Fraction, Fraction] = {}
-        for w, u in cfc.terms:
-            wv = Polynomial({w: Fraction(1)}).evaluate(model)
-            sums[wv] = sums.get(wv, Fraction(0)) + u.evaluate(model)
-        if any(v != 0 for v in sums.values()):
-            return False
-    return True
-
-
-def _singletons(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple((i,) for i in range(n))
-
-
-def _partition_from_values(values: Sequence[Fraction]) -> tuple[tuple[int, ...], ...]:
-    groups: dict[Fraction, list[int]] = {}
-    for i, v in enumerate(values):
-        groups.setdefault(v, []).append(i)
-    blocks = sorted((tuple(g) for g in groups.values()), key=lambda b: b[0])
-    return tuple(blocks)
-
-
-def _cfc_variables(cfcs: Sequence[CFiniteConstraint]) -> set[Var]:
-    out: set[Var] = set()
-    for cfc in cfcs:
-        for w, u in cfc.terms:
-            out |= w.variables()
-            out |= u.variables()
-    return out
+    return solve(list(pcp), cfg, deadline)

@@ -195,6 +195,10 @@ class SynthResult:
 # search
 
 
+_UNKNOWN_NOTE = "some search cells were undecided by the solver"
+_REFUSED_NOTE = "some search cells were undecided: a solver model with irrational values was refused"
+
+
 def synthesize(request: SynthRequest, cfg: SolverConfig | None = None) -> SynthResult:
     cfg = cfg or SolverConfig.default()
     start = time.monotonic()
@@ -202,7 +206,7 @@ def synthesize(request: SynthRequest, cfg: SolverConfig | None = None) -> SynthR
 
     cells, pinned, aux = _search_space(request)
     found: list[Loop] = []
-    saw_unknown = False
+    undecided: set[str] = set()  # why some cells were left undecided
     bases = _SharedBases(
         _base_key(request, perm, tier, part, pinned) for tier, perm, part in cells
     )
@@ -214,17 +218,17 @@ def synthesize(request: SynthRequest, cfg: SolverConfig | None = None) -> SynthR
             continue
         while len(found) < request.count:
             try:
-                res = solve_structured(bundle.hard, bundle.cfcs, bundle.pcp, cfg, deadline)
+                res = solve_structured(bundle.pcp, cfg, deadline)
             except SolverTimeout:
                 return _finish(found, start, cfg, timeout=True)
             if res.status == "unknown":
-                saw_unknown = True
+                undecided.add(_UNKNOWN_NOTE)
                 break
             if res.status != "sat":
                 break
             loop = _extract_loop(bundle.template, res.model, aux, start)
             if loop is None:  # irrational matrix or initial values: refuse the model
-                saw_unknown = True
+                undecided.add(_REFUSED_NOTE)
                 break
             verdict = [check_invariant(loop.system(), p) for p in request.invariants]
             if not all(v.holds for v in verdict):
@@ -232,7 +236,7 @@ def synthesize(request: SynthRequest, cfg: SolverConfig | None = None) -> SynthR
                     raise AssertionError(
                         "exactly-checked model produced a loop failing verification"
                     )
-                saw_unknown = True  # an irrational model, refused: the cell is undecided
+                undecided.add(_REFUSED_NOTE)  # an irrational model, refused
                 break
             found.append(loop)
             if len(found) >= request.count:
@@ -244,8 +248,8 @@ def synthesize(request: SynthRequest, cfg: SolverConfig | None = None) -> SynthR
         if len(found) >= request.count:
             break
     result = _finish(found, start, cfg, timeout=False)
-    if result.status == "notfound" and saw_unknown:
-        result.note = "some search cells were undecided by the solver"
+    if result.status == "notfound":
+        result.note = "; ".join(sorted(undecided))
     return result
 
 
@@ -501,13 +505,11 @@ def _changes_something(
 
 
 def first_cell_script(request: SynthRequest) -> str:
-    """SMT-LIB script of the first search cell's full constraint problem,
-    for inspection.  The search itself does not run this script: it hands
-    each cell to the solver in stages, each a fresh solver process or a
-    fresh in-process solve."""
+    """SMT-LIB script of the first search cell's constraint problem: the
+    script an external solver is given for that cell."""
     cells, pinned, _aux = _search_space(request)
     for tier, perm, part in cells:
         bundle = _cell_problem(request, perm, tier, part, pinned)
         if bundle is not None:
-            return emit_smtlib(list(bundle.pcp), bundle.pcp.variables())
+            return emit_smtlib(list(bundle.pcp))
     raise RequestError("no admissible search cell")

@@ -205,7 +205,7 @@ def test_04_doubling_constraint_system_reproduced_and_solved():
         str(Clause.unit(c1 * wp + d1 * wp - b11 * a1 - b12 * a2)),
         str(Clause.unit(c2 * wp + d2 * wp - b21 * a1 - b22 * a2)),
     }
-    alg, _ = gen_alg(tpl, [inv])
+    alg = gen_alg(tpl, [inv])
     assert names(alg) == {str(Clause.unit(c1 - 2 * c2)), str(Clause.unit(d1 - 2 * d2))}
 
     # the geometric solution (x, y) <- (2x, 2y) from (2, 1) satisfies every clause
@@ -286,21 +286,22 @@ def test_06_structured_solver_stage_behavior():
     w1, w2 = Var("w1", "root"), Var("w2", "root")
     u1, u2 = Var("u1", "coeff"), Var("u2", "coeff")
 
-    # (a) trivially cancellable instance: settled at the first stage with
-    # every base in its own block
+    # (a) trivially cancellable instance: the model makes the sum vanish
+    # for all n, with every coefficient zero or the bases merged
     cfc = CFiniteConstraint(((Monomial.of(w1), Polynomial.var(u1)),
                              (Monomial.of(w2), Polynomial.var(u2))))
     full = Pcp([Clause.unit(cfc.instantiate(n)) for n in range(2)])
-    res = solve_structured(Pcp([]), [cfc], full, cfg, deadline)
-    assert res.status == "sat" and res.partition == ((0,), (1,))
-    assert res.model[u1] == 0 and res.model[u2] == 0
+    res = solve_structured(full, cfg, deadline)
+    assert res.status == "sat"
+    m = res.model
+    assert m[u1] + m[u2] == 0 and (m[u1] == 0 or m[w1] == m[w2])
 
-    # (b) forcing u1 = 1 rules the first stage out; the sum can only vanish
-    # for all n with the two bases merged into one block
-    hard = Pcp([Clause.unit(Polynomial.var(u1) - 1)])
-    full = Pcp(list(hard) + [Clause.unit(cfc.instantiate(n)) for n in range(2)])
-    res = solve_structured(hard, [cfc], full, cfg, deadline)
-    assert res.status == "sat" and res.partition == ((0, 1),)
+    # (b) forcing u1 = 1 rules out zero coefficients; the sum can only
+    # vanish for all n with the two bases merged and u2 = -1
+    full = Pcp([Clause.unit(Polynomial.var(u1) - 1)]
+               + [Clause.unit(cfc.instantiate(n)) for n in range(2)])
+    res = solve_structured(full, cfg, deadline)
+    assert res.status == "sat" and res.model[u1] == 1
 
     # grid-search oracle: over a rational grid, every (w1, w2, u2) with
     # u1 = 1 whose sum vanishes at n = 0..5 has merged bases and u2 = -1

@@ -180,6 +180,14 @@ class TestInputErrors:
         assert "Invalid value for '--count'" in res.output
         assert "Traceback" not in res.output
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_jobs_below_one_is_a_usage_error(self, runner, tmp_path, value):
+        write(tmp_path, "double.spec", DOUBLE_SPEC)
+        res = runner.invoke(main, ["bench", str(tmp_path), "--solver", "builtin", "--jobs", value])
+        assert res.exit_code == EXIT_INPUT, res.output
+        assert "Usage: " in res.output and "Invalid value for '--jobs'" in res.output
+        assert "Traceback" not in res.output
+
     def test_unwritable_emit_smt2_path(self, runner, tmp_path):
         spec = write(tmp_path, "double.spec", DOUBLE_SPEC)
         out = tmp_path / "missing" / "x.smt2"

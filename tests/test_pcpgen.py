@@ -8,6 +8,7 @@ from loopsynth.constraints import Clause, first_violated
 from loopsynth.pcpgen import (
     CFiniteConstraint,
     DegenerateInvariantError,
+    base_clauses,
     build_pcp,
     closed_forms,
     gen_alg,
@@ -80,13 +81,13 @@ class TestClauseFamilies:
         }
         assert atom_set(gen_init(tpl)) == expected_init
 
-        alg, cfcs = gen_alg(tpl, [inv])
+        alg = gen_alg(tpl, [inv])
         expected_alg = {
             str(Clause.unit(c1 - 2 * c2)),
             str(Clause.unit(d1 - 2 * d2)),
         }
         assert atom_set(alg) == expected_alg
-        assert [cfc.length for cfc in cfcs] == [1, 1]
+        assert len(alg) == 2  # one base per n-power group: one instantiation each
 
     def test_geometric_solution_satisfies_problem(self):
         """(x, y) <- (2x, 2y) from (2, 1) maintains x = 2y; the derived
@@ -242,8 +243,12 @@ class TestStructuredConstraints:
         bundle = build_pcp(tpl, [inv])
         # the squared invariant mixes w^n and w^2n: two bases, two
         # index instantiations per vanishing group
-        assert any(cfc.length == 2 for cfc in bundle.cfcs)
-        assert len(bundle.pcp) > len(bundle.hard)
+        grouped = substitute_invariant(tpl, inv)
+        assert any(len(group) == 2 for group in grouped.values())
+        alg = gen_alg(tpl, [inv])
+        assert len(alg) == sum(len(group) for group in grouped.values())
+        assert set(map(str, alg)) <= set(map(str, bundle.pcp))
+        assert len(bundle.pcp) > len(base_clauses(tpl))
 
 
 class TestParameterized:
@@ -263,14 +268,6 @@ class TestParameterized:
         tpl, bundle, (x0, y0) = self.euclid_bundle()
         for clause in bundle.pcp:
             assert not (clause.variables() & {x0, y0})
-        for cfc in bundle.cfcs:
-            for w, u in cfc.terms:
-                assert not (u.variables() & {x0, y0})
-
-    def test_structured_constraints_split_by_parameter_monomial(self):
-        tpl, bundle, _ = self.euclid_bundle()
-        # at least one constraint per parameter slice of the invariant
-        assert len(bundle.cfcs) >= 2
 
 
 class TestDegenerate:

@@ -283,8 +283,6 @@ except FileNotFoundError:
     calls = 0
 open(path, "w").write(str(calls + 1))
 if calls == 0:
-    print("unsat")
-elif calls == 1:
     print("sat")
     for name in re.findall(r"\\(declare-const (\\S+) Real\\)", script):
         print(f"(define-fun {name} () Real (root-obj (+ (^ x 2) (- 2)) 2))")
@@ -293,21 +291,20 @@ else:
 """
 
 
-def make_cfc_problem(hard_clauses, terms):
+def make_cfc_problem(side_clauses, terms):
+    """The side clauses and the exponential sum's instantiations at
+    n = 0, ..., length-1, as one problem."""
     cfc = CFiniteConstraint(tuple(terms))
-    hard = Pcp(list(hard_clauses))
-    full = Pcp(list(hard_clauses) + [Clause.unit(cfc.instantiate(n)) for n in range(cfc.length)])
-    return hard, [cfc], full
+    return Pcp(list(side_clauses) + [Clause.unit(cfc.instantiate(n)) for n in range(cfc.length)])
 
 
 class TestStructuredSolving:
-    def test_all_coefficients_zero_ends_at_first_stage(self):
+    def test_a_lone_base_forces_its_coefficient_to_zero(self):
         w1 = Var("w1", "root")
         u1 = Var("u1", "coeff")
-        hard, cfcs, full = make_cfc_problem([], [(Monomial.of(w1), Polynomial.var(u1))])
-        res = solve_structured(hard, cfcs, full, cfg(), within())
+        pcp = make_cfc_problem([], [(Monomial.of(w1), Polynomial.var(u1))])
+        res = solve_structured(pcp, cfg(), within())
         assert res.status == "sat"
-        assert res.partition == ((0,),)
         assert res.model[u1] == 0
 
     def test_forced_base_coincidence(self):
@@ -315,49 +312,48 @@ class TestStructuredSolving:
         # for every n is w1 = w2 with u2 = -1
         w1, w2 = Var("w1", "root"), Var("w2", "root")
         u1, u2 = Var("u1", "coeff"), Var("u2", "coeff")
-        hard, cfcs, full = make_cfc_problem(
+        pcp = make_cfc_problem(
             [Clause.unit(Polynomial.var(u1) - 1)],
             [(Monomial.of(w1), Polynomial.var(u1)), (Monomial.of(w2), Polynomial.var(u2))],
         )
-        res = solve_structured(hard, cfcs, full, cfg(), within())
+        res = solve_structured(pcp, cfg(), within())
         assert res.status == "sat"
-        assert res.partition == ((0, 1),)
         model = res.model
         assert model[u1] == 1 and model[u2] == -1
         assert model[w1] == model[w2]
 
     def test_conclusive_unsat(self):
-        # both coefficients forced to 1: no coincidence pattern can cancel
+        # both coefficients forced to 1: no coincidence of bases can cancel
         w1, w2 = Var("w1", "root"), Var("w2", "root")
         u1, u2 = Var("u1", "coeff"), Var("u2", "coeff")
-        hard, cfcs, full = make_cfc_problem(
+        pcp = make_cfc_problem(
             [
                 Clause.unit(Polynomial.var(u1) - 1),
                 Clause.unit(Polynomial.var(u2) - 1),
             ],
             [(Monomial.of(w1), Polynomial.var(u1)), (Monomial.of(w2), Polynomial.var(u2))],
         )
-        res = solve_structured(hard, cfcs, full, cfg(), within())
+        res = solve_structured(pcp, cfg(), within())
         assert res.status == "unsat"
 
     def test_irrational_instantiated_model_ends_the_search(self, tmp_path):
-        # a stand-in solver: unsat to the first script, then a model with an
-        # irrational value for every constant, then unknown
+        # a stand-in solver: a model with an irrational value for every
+        # constant to the first script, then unknown
         calls = tmp_path / "calls"
         solver = tmp_path / "solver.py"
         solver.write_text(COUNTING_SOLVER)
         w1, w2 = Var("w1", "root"), Var("w2", "root")
         u1, u2 = Var("u1", "coeff"), Var("u2", "coeff")
-        hard, cfcs, full = make_cfc_problem(
+        pcp = make_cfc_problem(
             [Clause.unit(Polynomial.var(u1) - 1)],
             [(Monomial.of(w1), Polynomial.var(u1)), (Monomial.of(w2), Polynomial.var(u2))],
         )
         fake = SolverConfig((sys.executable, str(solver), str(calls)))
-        res = solve_structured(hard, cfcs, full, fake, within())
-        assert res.status == "sat" and not res.rational and res.partition is None
-        assert calls.read_text() == "2"
+        res = solve_structured(pcp, fake, within())
+        assert res.status == "sat" and not res.rational
+        assert calls.read_text() == "1"
 
     def test_no_structured_constraints_plain_solve(self):
-        hard = Pcp([Clause.unit(Polynomial.var(X) - 7)])
-        res = solve_structured(hard, [], Pcp(list(hard)), cfg(), within())
+        pcp = Pcp([Clause.unit(Polynomial.var(X) - 7)])
+        res = solve_structured(pcp, cfg(), within())
         assert res.status == "sat" and res.model[X] == 7

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from loopsynth import smt as smt_module
 from loopsynth import synth as synth_module
 from loopsynth.parser import parse_invariant, parse_loop, parse_spec
 from loopsynth.pcpgen import base_clauses
@@ -23,6 +24,7 @@ from loopsynth.synth import (
     _cell_problem,
     _cells,
     _effective_vars,
+    _search_space,
     first_cell_script,
     synthesize,
 )
@@ -139,7 +141,9 @@ class TestRefusedModels:
         )
         res = synthesize(req, SolverConfig((sys.executable, str(solver), rational)))
         assert res.status == "notfound" and not res.loops
-        assert res.note == "some search cells were undecided by the solver"
+        assert res.note == (
+            "some search cells were undecided: a solver model with irrational values was refused"
+        )
 
 
 class TestRequestExpansion:
@@ -288,16 +292,35 @@ class TestSearchSpace:
     def test_emitted_script_is_the_first_cell_the_search_solves(self, monkeypatch):
         solved = []
 
-        def record(hard, cfcs, full, cfg, deadline):
-            solved.append(emit_smtlib(list(full), full.variables()))
-            return SimpleNamespace(status="unknown")
+        def record(script, cfg, deadline):
+            solved.append(script)
+            return "unknown\n"
 
-        monkeypatch.setattr(synth_module, "solve_structured", record)
+        monkeypatch.setattr(smt_module, "run_solver", record)
         # every unit-upper cell is pruned, so both paths must skip that tier
         req = request_for("x == 2y", ["x", "y"], size=3, partitions=[(2, 1)])
-        assert synthesize(req, cfg()).status == "notfound"
+        assert synthesize(req, SolverConfig(("recording",))).status == "notfound"
         assert solved and solved[0] == first_cell_script(req)
         assert "b21" not in solved[0]  # an upper-triangular cell, not a full one
+
+    @pytest.mark.parametrize("name, tiers", [
+        ("square", [ShapeTier.UNIT_UPPER, ShapeTier.UPPER]),
+        ("eucliddiv", [ShapeTier.UNIT_UPPER]),  # parameters and the aux-one pin
+    ])
+    def test_one_solver_call_per_built_cell(self, name, tiers, monkeypatch):
+        calls = []
+
+        def count(script, cfg, deadline):
+            calls.append(script)
+            return "unknown\n"
+
+        monkeypatch.setattr(smt_module, "run_solver", count)
+        req = benchmark_request(name, tiers)
+        res = synthesize(req, SolverConfig(("counting",)))
+        assert res.status == "notfound" and "undecided" in res.note
+        cells, pinned, _aux = _search_space(req)
+        built = [_cell_problem(req, perm, tier, part, pinned) for tier, perm, part in cells]
+        assert len(calls) == sum(1 for b in built if b is not None) > 0
 
     @pytest.mark.parametrize("name, tiers", [
         ("square", [ShapeTier.UNIT_UPPER, ShapeTier.UPPER]),
@@ -323,7 +346,6 @@ class TestSearchSpace:
             assert (shared is None) == (fresh is None)
             if fresh is not None:
                 assert [str(c) for c in shared.pcp] == [str(c) for c in fresh.pcp]
-                assert [str(c) for c in shared.hard] == [str(c) for c in fresh.hard]
         # one build per shared key, and nothing held once the search is over
         assert len(built) == sum(1 for n in Counter(keys).values() if n > 1) < len(cells)
         assert bool(built) == (name != "eucliddiv")
@@ -359,8 +381,8 @@ class TestSearchSpace:
 
 
 def _cell_text_digest(req):
-    """SHA-256 over the SMT-LIB script and the structured constraints of
-    every search cell of the request, in search order."""
+    """SHA-256 over the SMT-LIB script of every search cell of the
+    request, in search order."""
     vars, pinned, _aux = _effective_vars(req)
     digest = hashlib.sha256()
     for tier, perm, part in _cells(vars, req.tiers, int_partitions(len(vars))):
@@ -368,21 +390,19 @@ def _cell_text_digest(req):
         if bundle is None:
             digest.update(b"none\n")
             continue
-        digest.update(emit_smtlib(list(bundle.pcp), bundle.pcp.variables()).encode())
-        for cfc in bundle.cfcs:
-            for w, u in cfc.terms:
-                digest.update(f"{Polynomial({w: 1})} : {u}\n".encode())
-            digest.update(b";\n")
+        digest.update(emit_smtlib(list(bundle.pcp)).encode())
     return digest.hexdigest()
 
 
 class TestClauseTextIdentity:
-    # Recorded with the comparison-function (cmp_to_key) monomial order that
-    # the precomputed sort key replaced; any change to term order, clause
+    # The scripts are those of the comparison-function (cmp_to_key)
+    # monomial order that the precomputed sort key replaced; the digests
+    # were taken again over the scripts alone when the structured
+    # constraints left the cell's bundle.  Any change to term order, clause
     # order or coefficients changes them.
     FULL_TIER_DIGESTS = {
-        "fmi2": "3e4acbad2a1d90f3c6eec3650ea0f0394013af08ba8250bd4548796f8b113442",
-        "eucliddiv": "3a72f28f13868c25671a6e33661159c2c5d37b6524c20613b14a4aa215cceacc",
+        "fmi2": "503a9be0d5be6db7f2b29e50a5a2b03281ccff2c9635316bd3b16ebd4fce9f22",
+        "eucliddiv": "7b7fcc626fc2c4dc8e950d1894686b5cb808dd78055bddb5cd00342649009652",
     }
 
     @pytest.mark.parametrize("name", sorted(FULL_TIER_DIGESTS))
