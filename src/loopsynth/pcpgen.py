@@ -9,8 +9,8 @@ Four clause families are produced:
   pairwise distinct;
 - coefficient clauses: the closed-form coefficient columns are consistent
   with one application of the update matrix;
-- initial-value clauses: the closed form agrees with the unrolled system at
-  n = 0, ..., s-1;
+- initial-value clauses: the closed form agrees with X_0 at n = 0, which
+  with the coefficient clauses implies B^n X_0 at every n (see `gen_init`);
 - relation clauses: the closed forms are ordinary polynomials in stand-in
   symbols for each w^n and for n, so substituting them into each invariant
   is one `Polynomial.substitute`; grouping the result by powers of n and
@@ -121,22 +121,20 @@ def gen_coeff(tpl: RecurrenceTemplate) -> list[Clause]:
 
 
 def gen_init(tpl: RecurrenceTemplate) -> list[Clause]:
-    out: list[Clause] = []
-    unrolled = tpl.init_exprs
-    for n in range(tpl.size):
-        if n > 0:
-            unrolled = mat_apply(tpl.b, unrolled)
-        # closed form evaluated at the concrete index n
-        x_n = [Polynomial.zero()] * tpl.size
-        for (w, j), col in tpl.coeff_columns.items():
-            factor = Polynomial({Monomial.of(w, n): 1}) if n > 0 else Polynomial.const(1)
-            weight = n ** (j - 1) if n > 0 or j == 1 else 0
-            if weight == 0:
-                continue
-            x_n = [acc + col[i] * factor * weight for i, acc in enumerate(x_n)]
-        for lhs, rhs in zip(x_n, unrolled):
-            out.append(Clause.unit(lhs - rhs))
-    return out
+    """The initial-value clauses sum_w C_(w,1) - X_0 = 0: the closed form
+    at n = 0.  With the coefficient clauses they imply X(n) = B^n X_0 for
+    every n.  Let E_(w,j) = sum_(k>=j) C(k-1, j-1) w C_(w,k) - B C_(w,j),
+    the coefficient clauses of (w, j), and G(k) = sum_(w,j) w^k k^(j-1)
+    E_(w,j) with 0^0 = 1.  Expanding (k+1)^(j-1) gives X(k+1) - B X(k) =
+    G(k), so by induction on n
+
+        X(n) - B^n X_0 = B^n (X(0) - X_0) + sum_(k<n) B^(n-1-k) G(k).
+    """
+    firsts = [col for (_, j), col in tpl.coeff_columns.items() if j == 1]
+    return [
+        Clause.unit(sum((col[i] for col in firsts), Polynomial.zero()) - x0)
+        for i, x0 in enumerate(tpl.init_exprs)
+    ]
 
 
 def substitute_invariant(
@@ -192,8 +190,9 @@ class PcpBundle:
 
 
 def base_clauses(tpl: RecurrenceTemplate) -> list[Clause]:
-    """The root, coefficient and initial-value families, in that order,
-    decomposed over the parameter symbols of a parameterized template.
+    """The root, coefficient and initial-value (n = 0 only, see `gen_init`)
+    families, in that order, decomposed over the parameter symbols of a
+    parameterized template.
 
     They never read the invariants.  Template symbols are named by
     position, so in the triangular tiers these clauses depend only on the

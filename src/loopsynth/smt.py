@@ -144,12 +144,6 @@ class SolveResult:
     def rational(self) -> bool:
         return all(isinstance(v, Fraction) for v in self.model.values())
 
-    def rational_model(self) -> dict[Var, Fraction]:
-        if not self.rational:
-            bad = [str(v) for v in self.model.values() if isinstance(v, AlgebraicTag)]
-            raise SolverError(f"model contains irrational values: {', '.join(bad)}")
-        return dict(self.model)  # type: ignore[return-value]
-
 
 # ---------------------------------------------------------------------------
 # SMT-LIB emission
@@ -296,7 +290,7 @@ def solve(clauses: Sequence[Clause], cfg: SolverConfig, deadline: float) -> Solv
         output = run_solver(script, cfg, deadline)
         result = parse_solver_output(output, variables)
     if result.status == "sat" and result.rational:
-        violated = first_violated(clauses, result.rational_model())
+        violated = first_violated(clauses, result.model)
         if violated is not None:
             raise SolverError(f"solver model fails exact re-check on: {violated}")
     return result

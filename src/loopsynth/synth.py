@@ -21,11 +21,12 @@ uses it.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .constraints import Clause
 from .parser import SpecFile
@@ -207,9 +208,7 @@ def synthesize(request: SynthRequest, cfg: SolverConfig | None = None) -> SynthR
     cells, pinned, aux = _search_space(request)
     found: list[Loop] = []
     undecided: set[str] = set()  # why some cells were left undecided
-    bases = _SharedBases(
-        _base_key(request, perm, tier, part, pinned) for tier, perm, part in cells
-    )
+    bases = _SharedBases(request, pinned, aux)
     for tier, perm, part in cells:
         if time.monotonic() >= deadline:
             return _finish(found, start, cfg, timeout=True)
@@ -297,9 +296,9 @@ def _effective_vars(request: SynthRequest) -> tuple[list[Var], dict[str, Fractio
 _Cell = tuple[ShapeTier, tuple[Var, ...], tuple[int, ...]]  # tier, order, partition
 
 
-def _search_space(request: SynthRequest) -> tuple[list[_Cell], dict[str, Fraction], tuple[str, ...]]:
-    """The request's search cells in search order, with the pinned initial
-    values and the auxiliary variable names of its padded variable list."""
+def _search_space(request: SynthRequest) -> tuple[Iterator[_Cell], dict[str, Fraction], tuple[str, ...]]:
+    """The request's search cells, lazily in search order, with the pinned
+    initial values and the auxiliary variable names of its padded vars."""
     if request.count < 1:
         raise RequestError(f"count must be at least 1, found {request.count}")
     vars, pinned, aux = _effective_vars(request)
@@ -309,14 +308,14 @@ def _search_space(request: SynthRequest) -> tuple[list[_Cell], dict[str, Fractio
     ]
     if not partitions:
         raise RequestError(f"no admissible multiplicity partition of {len(vars)}")
-    return list(_cells(vars, request.tiers or list(ShapeTier), partitions)), pinned, aux
+    return _cells(vars, request.tiers or list(ShapeTier), partitions), pinned, aux
 
 
 def _cells(
     vars: Sequence[Var],
     tiers: Sequence[ShapeTier],
     partitions: Sequence[tuple[int, ...]],
-):
+) -> Iterator[_Cell]:
     for tier in tiers:
         parts = partitions
         if tier is ShapeTier.FULL:
@@ -353,23 +352,28 @@ def _base_key(
 class _SharedBases:
     """`base_clauses` shared by the cells of one search.
 
-    Built from the base keys of all its cells, it holds a key's clauses
-    from its first cell to its last.  A key that a single cell uses is
-    never built or held here.
+    A key's clauses are held from its first cell to its last; a key that a
+    single cell uses is never built or held here.  The full tier searches
+    one order, so its keys are unshared.  In a triangular tier two orders
+    share a key when they differ by permuting variables within a class:
+    the unpinned variables without a parameter, those pinned to each value,
+    and each parameter-bound variable alone.  So each key has the same
+    number of cells, the product of the class sizes' factorials.
     """
 
-    def __init__(self, keys: Iterable[tuple]):
-        self.uses = Counter(keys)
-        self.held: dict[tuple, list[Clause]] = {}
+    def __init__(self, request: SynthRequest, pinned: Mapping[str, Fraction], aux: tuple[str, ...]):
+        bound = {v for _, v in request.params}
+        names = [v.name for v in request.vars if v not in bound] + list(aux)
+        classes = Counter(pinned.get(name) for name in names).values()
+        self.orders = math.prod(math.factorial(k) for k in classes)
+        self.held: dict[tuple, tuple[list[Clause], int]] = {}  # clauses, cells left
 
     def take(self, key: tuple, tpl: RecurrenceTemplate) -> list[Clause] | None:
         """The cell's base clauses, or None when no other cell shares them."""
-        self.uses[key] -= 1
-        base = self.held.pop(key, None)
-        if self.uses[key] > 0:
-            if base is None:
-                base = base_clauses(tpl)
-            self.held[key] = base
+        base, left = self.held.pop(key, (None, 1 if tpl.tier is ShapeTier.FULL else self.orders))
+        if left > 1:
+            base = base_clauses(tpl) if base is None else base
+            self.held[key] = (base, left - 1)
         return base
 
 

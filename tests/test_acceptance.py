@@ -193,18 +193,31 @@ def test_04_doubling_constraint_system_reproduced_and_solved():
         str(Clause.unit(b12 * b21 - b11 * b22 + wp * wp)),
         str(Clause.unit(wp, "!=")),
     }
-    assert names(gen_coeff(tpl)) == {
+    expected_coeff = {
         str(Clause.unit(c1 * wp + d1 * wp - b11 * c1 - b12 * c2)),
         str(Clause.unit(c2 * wp + d2 * wp - b21 * c1 - b22 * c2)),
         str(Clause.unit(d1 * wp - b11 * d1 - b12 * d2)),
         str(Clause.unit(d2 * wp - b21 * d1 - b22 * d2)),
     }
-    assert names(gen_init(tpl)) == {
+    assert names(gen_coeff(tpl)) == expected_coeff
+    # the paper's initial-value clauses, at n = 0 and n = 1; gen_init states
+    # n = 0, and each n = 1 clause is its coefficient clause plus
+    # b_i1 (c1 - a1) + b_i2 (c2 - a2)
+    expected_init = {
         str(Clause.unit(c1 - a1)),
         str(Clause.unit(c2 - a2)),
         str(Clause.unit(c1 * wp + d1 * wp - b11 * a1 - b12 * a2)),
         str(Clause.unit(c2 * wp + d2 * wp - b21 * a1 - b22 * a2)),
     }
+    assert names(gen_init(tpl)) == {str(Clause.unit(c1 - a1)), str(Clause.unit(c2 - a2))}
+    implied = set()
+    for coeff, bi1, bi2 in [
+        (c1 * wp + d1 * wp - b11 * c1 - b12 * c2, b11, b12),
+        (c2 * wp + d2 * wp - b21 * c1 - b22 * c2, b21, b22),
+    ]:
+        assert str(Clause.unit(coeff)) in expected_coeff
+        implied.add(str(Clause.unit(coeff + bi1 * (c1 - a1) + bi2 * (c2 - a2))))
+    assert names(gen_init(tpl)) | implied == expected_init
     alg = gen_alg(tpl, [inv])
     assert names(alg) == {str(Clause.unit(c1 - 2 * c2)), str(Clause.unit(d1 - 2 * d2))}
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from loopsynth.matrix import SymMatrix, char_poly, mat_apply
 from loopsynth.parser import parse_spec
 from loopsynth.poly import Monomial, Polynomial, SymbolTable, Var
 from loopsynth.synth import SynthRequest, _search_space
-from loopsynth.template import ParamSpec, ShapeTier, build_template
+from loopsynth.template import ParamSpec, ShapeTier, build_template, int_partitions
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -73,13 +74,24 @@ class TestClauseFamilies:
         }
         assert atom_set(gen_coeff(tpl)) == expected_coeff
 
+        # the initial-value clauses at n = 0 and n = 1; `gen_init` states
+        # n = 0, and each n = 1 clause is its coefficient clause plus
+        # b_i1 (c1 - a1) + b_i2 (c2 - a2)
         expected_init = {
             str(Clause.unit(c1 - a1)),
             str(Clause.unit(c2 - a2)),
             str(Clause.unit(c1 * wp + d1 * wp - b11 * a1 - b12 * a2)),
             str(Clause.unit(c2 * wp + d2 * wp - b21 * a1 - b22 * a2)),
         }
-        assert atom_set(gen_init(tpl)) == expected_init
+        assert atom_set(gen_init(tpl)) == {str(Clause.unit(c1 - a1)), str(Clause.unit(c2 - a2))}
+        implied = set()
+        for coeff, bi1, bi2 in [
+            (c1 * wp + d1 * wp - b11 * c1 - b12 * c2, b11, b12),
+            (c2 * wp + d2 * wp - b21 * c1 - b22 * c2, b21, b22),
+        ]:
+            assert str(Clause.unit(coeff)) in expected_coeff
+            implied.add(str(Clause.unit(coeff + bi1 * (c1 - a1) + bi2 * (c2 - a2))))
+        assert atom_set(gen_init(tpl)) | implied == expected_init
 
         alg = gen_alg(tpl, [inv])
         expected_alg = {
@@ -136,7 +148,15 @@ class TestInitialValues:
             if request.params:
                 paramspec = ParamSpec(tuple((p, perm.index(v)) for p, v in request.params))
             tpl = build_template(perm, tier, part, pinned, paramspec, SymbolTable())
-            assert gen_init(tpl) == init_clauses_by_matrix_powers(tpl)
+            assert gen_init(tpl) == init_clauses_by_matrix_powers(tpl)[:tpl.size]
+
+
+def signed(clause, term):
+    """The clause's lhs with the sign that gives the leading monomial of
+    `term` the coefficient 1 (0 if that monomial is absent)."""
+    lhs = clause.atoms[0].lhs
+    mono, _ = term.leading()
+    return lhs * lhs.terms.get(mono, 0)
 
 
 def closed_form_templates():
@@ -153,6 +173,52 @@ def closed_form_templates():
 
 
 TEMPLATES = closed_form_templates()
+CERTIFIED = {
+    **TEMPLATES,
+    **{
+        "full-4-" + "-".join(map(str, part)):
+            build_template(make_vars("x", "y", "z", "u"), ShapeTier.FULL, part)
+        for part in int_partitions(4)
+    },
+}
+
+
+class TestInitialValueCertificate:
+    @pytest.mark.parametrize("name", sorted(CERTIFIED))
+    def test_later_values_follow_from_the_coefficient_clauses(self, name):
+        """The certificate in `gen_init`'s docstring, as an exact identity:
+        X(n) - B^n X_0 = B^n (X(0) - X_0) + sum_(k<n) B^(n-1-k) G(k), where
+        G(k) = sum_(w,j) w^k k^(j-1) E_(w,j) sums the coefficient clauses.
+        Clauses are sign-normalized, so each one's sign is fixed by its
+        w * C_(w,j) term (at n = 0, by its C_(w1,1) term), which has the
+        coefficient 1 in the expression the clause states."""
+        tpl = CERTIFIED[name]
+        s = tpl.size
+        slots = list(tpl.coeff_columns)
+        coeff = gen_coeff(tpl)
+        rows = list(itertools.product(slots, range(s)))  # gen_coeff's clause order
+        columns = {slot: [Polynomial.zero()] * s for slot in slots}  # the E_(w,j)
+        for ((w, j), i), clause in zip(rows, coeff):
+            columns[(w, j)][i] = signed(clause, Polynomial.var(w) * tpl.coeff_columns[(w, j)][i])
+        first = tpl.coeff_columns[(tpl.rootspec[0][0], 1)]
+        init = [signed(c, first[i]) for i, c in enumerate(gen_init(tpl))]
+        assert len(init) == s
+
+        def g(k):
+            return [
+                sum((Polynomial({Monomial.of(w, k): Fraction(k) ** (j - 1)}) * columns[(w, j)][i]
+                     for w, j in slots), Polynomial.zero())
+                for i in range(s)
+            ]
+
+        oracle = init_clauses_by_matrix_powers(tpl)
+        rhs = init  # B^n (X(0) - X_0) + sum_(k<n) B^(n-1-k) G(k), built up in n
+        for n in range(s):
+            assert [Clause.unit(p) for p in rhs] == oracle[n * s:(n + 1) * s]
+            rhs = [a + b for a, b in zip(mat_apply(tpl.b, rhs), g(n))]
+        assert len(coeff) == len(rows)
+
+
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 

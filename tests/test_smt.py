@@ -99,8 +99,6 @@ class TestOutputParsing:
         value = res.model[X]
         assert isinstance(value, AlgebraicTag) and value.index == 2
         assert not res.rational
-        with pytest.raises(SolverError):
-            res.rational_model()
 
     def test_error_raises(self):
         with pytest.raises(SolverError):

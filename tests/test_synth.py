@@ -336,10 +336,10 @@ class TestSearchSpace:
 
         monkeypatch.setattr(synth_module, "base_clauses", counting_base_clauses)
         req = benchmark_request(name, tiers)
-        vars, pinned, _aux = _effective_vars(req)
+        vars, pinned, aux = _effective_vars(req)
         cells = list(_cells(vars, tiers, int_partitions(len(vars))))
         keys = [_base_key(req, perm, tier, part, pinned) for tier, perm, part in cells]
-        bases = _SharedBases(keys)
+        bases = _SharedBases(req, pinned, aux)
         for tier, perm, part in cells:
             shared = _cell_problem(req, perm, tier, part, pinned, bases)
             fresh = _cell_problem(req, perm, tier, part, pinned)
@@ -379,6 +379,18 @@ class TestSearchSpace:
         assert (max(sizes) > 0) == holds
         assert sizes[-1] == 0
 
+    def test_a_large_search_space_keeps_to_the_budget(self, monkeypatch):
+        # size 9 has 9! orders per triangular tier: listing the cells or
+        # counting their base keys up front would outlast the budget
+        monkeypatch.setattr(
+            synth_module, "solve_structured",
+            lambda *args, **kwargs: SimpleNamespace(status="unknown"),
+        )
+        req = request_for("a == b^2", ["a", "b"], size=9, timeout=1.0)
+        begin = time.monotonic()
+        assert synthesize(req, cfg()).status == "timeout"
+        assert time.monotonic() - begin < 2.0
+
 
 def _cell_text_digest(req):
     """SHA-256 over the SMT-LIB script of every search cell of the
@@ -398,11 +410,13 @@ class TestClauseTextIdentity:
     # The scripts are those of the comparison-function (cmp_to_key)
     # monomial order that the precomputed sort key replaced; the digests
     # were taken again over the scripts alone when the structured
-    # constraints left the cell's bundle.  Any change to term order, clause
-    # order or coefficients changes them.
+    # constraints left the cell's bundle, and again when the initial-value
+    # family kept only n = 0: each cell's script was checked to be the
+    # former one without exactly its n > 0 initial-value asserts.  Any
+    # change to term order, clause order or coefficients changes them.
     FULL_TIER_DIGESTS = {
-        "fmi2": "503a9be0d5be6db7f2b29e50a5a2b03281ccff2c9635316bd3b16ebd4fce9f22",
-        "eucliddiv": "7b7fcc626fc2c4dc8e950d1894686b5cb808dd78055bddb5cd00342649009652",
+        "fmi2": "beacf5ae4b588b31acc0db68a5fd7e1d53b79d738a9935179c8eb3041e270713",
+        "eucliddiv": "a153b9624c4f00e84fd15952e9c22216cc22ca0154f25ad6d979595c0f64c629",
     }
 
     @pytest.mark.parametrize("name", sorted(FULL_TIER_DIGESTS))
@@ -416,7 +430,9 @@ class TestRecordedSearchResults:
     recorded before the closed forms became polynomials in stand-in
     symbols.  Any change to the search order, the clause text or the
     solver's choices shows here.  sum_of_square is left out: no cell
-    decides within its budget (see ROADMAP item 1)."""
+    decides within its budget (see ROADMAP item 1).  intsqrt1's loop was
+    recorded again when the initial-value family kept only n = 0: on the
+    smaller problem the solver picks another model of the same cell."""
 
     RESULTS = {
         "add1": ("un", (4,), ("a", "b", "c", "t1"), """\
@@ -538,9 +554,9 @@ while true
 end
 """),
         "intsqrt1": ("un", (4,), ("a", "y", "r", "t1"), """\
-a, y, r, t1 = a0, 0, a0, a0
+a, y, r, t1 = a0, 1, a0 - 1, 0
 while true
-  a = a + t1
+  a = a + y
   y = y
   r = r
   t1 = t1
