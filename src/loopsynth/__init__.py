@@ -12,7 +12,7 @@ complete order bound.
 
 from .constraints import Atom, Clause, Pcp
 from .parser import ParseError, parse_expression, parse_invariant, parse_loop, parse_spec
-from .pcpgen import CFiniteConstraint, DegenerateInvariantError, PcpBundle, build_pcp
+from .pcpgen import DegenerateInvariantError, PcpBundle, build_pcp
 from .poly import Monomial, Polynomial, SymbolTable, Var
 from .smt import (
     AlgebraicTag,
@@ -36,7 +36,7 @@ from .verify import ConcreteSystem, Verdict, check_equiv_modulo, check_invariant
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraicTag", "Atom", "CFiniteConstraint", "Clause", "ConcreteSystem",
+    "AlgebraicTag", "Atom", "Clause", "ConcreteSystem",
     "DegenerateInvariantError", "Loop", "Monomial", "ParamSpec", "ParseError",
     "Pcp", "PcpBundle", "Polynomial", "RecurrenceTemplate", "RequestError", "ShapeTier",
     "SolverConfig", "SolverError", "SolverTimeout", "SymbolTable",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .poly import Polynomial, Var
 from .verify import ConcreteSystem
@@ -57,17 +57,26 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 def _split_ident(name: str, known: Mapping[str, Var]) -> list[Var] | None:
-    """Greedily split an unknown identifier into known names (e.g. `ab`,
-    `3xz` after tokenizing, `2y`).  Longest known prefix first."""
-    if not name:
-        return []
-    for cut in range(len(name), 0, -1):
-        head = name[:cut]
-        if head in known:
-            rest = _split_ident(name[cut:], known)
-            if rest is not None:
-                return [known[head]] + rest
-    return None
+    """Split an unknown identifier into known names (e.g. `ab`, `3xz`
+    after tokenizing, `2y`): the split that takes the longest known prefix
+    whose rest splits, then splits that rest the same way.  A table over
+    suffix positions bounds the work by the identifier's length times the
+    longest known name's, with no recursion."""
+    longest = max(map(len, known), default=0)
+    # cut[i]: where the piece starting at i ends, if name[i:] splits
+    cut: list[int | None] = [None] * len(name) + [len(name)]
+    for i in range(len(name) - 1, -1, -1):
+        for j in range(min(len(name), i + longest), i, -1):
+            if cut[j] is not None and name[i:j] in known:
+                cut[i] = j
+                break
+    if cut[0] is None:
+        return None
+    out, i = [], 0
+    while i < len(name):
+        out.append(known[name[i:cut[i]]])
+        i = cut[i]
+    return out
 
 
 class ExprParser:
@@ -191,7 +200,7 @@ class ExprParser:
 
 def parse_expression(text: str, symbols: Mapping[str, Var]) -> Polynomial:
     p = ExprParser(text, symbols)
-    result = p.expr()
+    result = _descend(p.expr)
     if not p.at_end():
         tok = p.peek()
         raise ParseError(f"trailing input {tok.text!r}", tok.pos)
@@ -201,15 +210,24 @@ def parse_expression(text: str, symbols: Mapping[str, Var]) -> Polynomial:
 def parse_equation(text: str, symbols: Mapping[str, Var]) -> Polynomial:
     """`lhs == rhs` (or `lhs = rhs`) as the polynomial lhs - rhs."""
     p = ExprParser(text, symbols)
-    lhs = p.expr()
+    lhs = _descend(p.expr)
     tok = p.advance()
     if tok.kind != "op" or tok.text not in ("==", "="):
         raise ParseError("expected '==' between the sides of an equation", tok.pos)
-    rhs = p.expr()
+    rhs = _descend(p.expr)
     if not p.at_end():
         tok = p.peek()
         raise ParseError(f"trailing input {tok.text!r}", tok.pos)
     return lhs - rhs
+
+
+def _descend(parse: Callable[[], Polynomial]) -> Polynomial:
+    """Run a recursive-descent `parse`, turning Python's recursion limit
+    into a `ParseError`."""
+    try:
+        return parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
 
 
 def parse_invariant(text: str, symbols: Mapping[str, Var]) -> list[Polynomial]:

@@ -13,11 +13,11 @@ Four clause families are produced:
   with the coefficient clauses implies B^n X_0 at every n (see `gen_init`);
 - relation clauses: the closed forms are ordinary polynomials in stand-in
   symbols for each w^n and for n, so substituting them into each invariant
-  is one `Polynomial.substitute`; grouping the result by powers of n and
-  by exponential base gives sums that must vanish for all n, and
-  instantiating n = 0, ..., l-1 (l = number of distinct exponential bases)
-  turns each into finitely many polynomial equalities that are equivalent
-  to it (the proof is at `smt.solve_structured`).
+  is one `Polynomial.substitute`; the coefficient of each power of n in
+  the result is an exponential sum that must vanish for all n, and its
+  values at n = 0, ..., l-1 (l = its number of distinct bases) are
+  finitely many polynomial equalities equivalent to that (the proof is in
+  `gen_alg`).
 
 For parameterized templates all clauses are decomposed over the parameter
 symbols so the resulting problem is parameter-free.
@@ -31,41 +31,12 @@ from typing import Iterable, Sequence
 
 from .constraints import Clause, Pcp, decompose
 from .matrix import char_poly, mat_apply
-from .poly import Monomial, MONO_KEY, Polynomial, Rat, Var
+from .poly import Monomial, Polynomial, Rat, Var
 from .template import RecurrenceTemplate
 
 
 class DegenerateInvariantError(ValueError):
     """The invariant forces a constant contradiction; no loop can satisfy it."""
-
-
-@dataclass(frozen=True)
-class CFiniteConstraint:
-    """A constraint sum_i w_i^n * u_i = 0 (for all n), with the w_i kept as
-    syntactically distinct monomials in the root symbols."""
-
-    terms: tuple[tuple[Monomial, Polynomial], ...]
-
-    def __post_init__(self):
-        if not self.terms:
-            raise ValueError("empty constraint")
-        ws = [w for w, _ in self.terms]
-        if len(set(ws)) != len(ws):
-            raise ValueError("exponential bases must be syntactically distinct")
-
-    @property
-    def length(self) -> int:
-        return len(self.terms)
-
-    def instantiate(self, n: int) -> Polynomial:
-        """The polynomial equality obtained by fixing the iteration index."""
-        acc: dict[Monomial, Rat] = {}
-        for w, u in self.terms:
-            wn = w.pow(n)
-            for m, c in u.terms.items():
-                m = m.mul(wn)
-                acc[m] = acc.get(m, 0) + c
-        return Polynomial(acc)
 
 
 def closed_forms(tpl: RecurrenceTemplate) -> tuple[list[Polynomial], Var, dict[Var, Var]]:
@@ -88,7 +59,7 @@ def closed_forms(tpl: RecurrenceTemplate) -> tuple[list[Polynomial], Var, dict[V
 
 
 def gen_roots(tpl: RecurrenceTemplate) -> list[Clause]:
-    z = tpl.symtab.fresh("z", "root")
+    z = Var("z^", "root")  # like the stand-ins, a name no other symbol has
     chi = char_poly(tpl.b, z)
     product = Polynomial.const(1)
     for w, m in tpl.rootspec:
@@ -137,43 +108,46 @@ def gen_init(tpl: RecurrenceTemplate) -> list[Clause]:
     ]
 
 
-def substitute_invariant(
-    tpl: RecurrenceTemplate, invariant: Polynomial
-) -> dict[int, dict[Monomial, Polynomial]]:
-    """Substitute the closed forms into p, leaving the parameters symbolic,
-    and regroup the result as { n-power: { exponential base: coefficient } }.
-    No coefficient is zero."""
-    unknown = invariant.variables() - set(tpl.vars) - set(tpl.params)
-    if unknown:
-        names = ", ".join(sorted(v.name for v in unknown))
-        raise ValueError(f"invariant mentions unknown variable(s): {names}")
-    forms, n, roots = closed_forms(tpl)
-    grouped: dict[int, dict[Monomial, dict[Monomial, Rat]]] = {}
-    for m, c in invariant.substitute(dict(zip(tpl.vars, forms))).terms.items():
-        npow, base, rest = 0, {}, []
-        for v, e in m:
-            if v in roots:
-                base[roots[v]] = e
-            elif v == n:
-                npow = e
-            else:
-                rest.append((v, e))
-        # (n-power, base, rest) determines m, so no coefficient is summed
-        grouped.setdefault(npow, {}).setdefault(Monomial.make(base), {})[Monomial(tuple(rest))] = c
-    return {k: {w: Polynomial(u) for w, u in group.items()} for k, group in grouped.items()}
-
-
 def gen_alg(tpl: RecurrenceTemplate, invariants: Sequence[Polynomial]) -> list[Clause]:
-    """The relation clauses: one exponential sum per invariant and
-    n-power, bases in `MONO_KEY` order, instantiated at n = 0, ...,
-    length-1."""
+    """The relation clauses, read off p(X(n)) for each invariant p.
+
+    Substituting the closed forms gives p(X(n)) = sum_k n^k a_k(n), where
+    each a_k(n) = sum_(i<l) w_i^n u_i is an exponential sum over l distinct
+    bases w_i, power products of the roots.  The family asks every a_k to
+    vanish for all n, and that holds exactly when a_k(0), ..., a_k(l-1)
+    vanish: a_k is annihilated by the monic order-l recurrence
+    prod_i (E - w_i), where E is the shift n -> n+1, whether or not some
+    w_i coincide or are 0.  So the clauses are a_k(j) = sum_i w_i^j u_i = 0
+    for j < l, in ascending k, and every model of a cell's problem is a
+    loop that keeps p.
+    """
+    forms, n, roots = closed_forms(tpl)
+    known = set(tpl.vars) | set(tpl.params)
     clauses: list[Clause] = []
     for p in invariants:
-        grouped = substitute_invariant(tpl, p)
-        for npow in sorted(grouped):
-            group = grouped[npow]
-            cfc = CFiniteConstraint(tuple((w, group[w]) for w in sorted(group, key=MONO_KEY)))
-            clauses.extend(Clause.unit(cfc.instantiate(j)) for j in range(cfc.length))
+        unknown = p.variables() - known
+        if unknown:
+            names = ", ".join(sorted(v.name for v in unknown))
+            raise ValueError(f"invariant mentions unknown variable(s): {names}")
+        for _, coeff in p.substitute(dict(zip(tpl.vars, forms))).coeffs_in(n):
+            # {w_i: u_i}, with u_i as its (monomial, coefficient) terms
+            split: dict[Monomial, list[tuple[Monomial, Rat]]] = {}
+            for m, c in coeff.terms.items():
+                base, rest = {}, []
+                for v, e in m:
+                    if v in roots:
+                        base[roots[v]] = e
+                    else:
+                        rest.append((v, e))
+                split.setdefault(Monomial.make(base), []).append((Monomial(tuple(rest)), c))
+            for j in range(len(split)):
+                acc: dict[Monomial, Rat] = {}
+                for w, u in split.items():
+                    wj = w.pow(j)
+                    for m, c in u:
+                        m = m.mul(wj)
+                        acc[m] = acc.get(m, 0) + c
+                clauses.append(Clause.unit(Polynomial(acc)))
     return clauses
 
 
@@ -183,10 +157,6 @@ class PcpBundle:
 
     template: RecurrenceTemplate
     pcp: Pcp  # the cell's whole constraint problem
-
-    def add_side_clauses(self, clauses: Iterable[Clause]) -> None:
-        """Add clauses (e.g. nontriviality, model blocking) to the problem."""
-        self.pcp.extend(clauses)
 
 
 def base_clauses(tpl: RecurrenceTemplate) -> list[Clause]:

@@ -13,8 +13,8 @@ Python before it is trusted; irrational model values are surfaced as
 :class:`AlgebraicTag` so callers can refuse them explicitly.
 
 `solve_structured` solves one search cell's constraint problem with one
-solver call: its for-all-n exponential sums are already instantiated at
-finitely many n, which is exact (see there).
+solver call.  The problem is exact: its relation clauses state each
+for-all-n exponential sum at finitely many n (see `pcpgen.gen_alg`).
 """
 
 from __future__ import annotations
@@ -506,16 +506,5 @@ def _linear_candidates(p: Polynomial) -> list[Var]:
 
 
 def solve_structured(pcp: Pcp, cfg: SolverConfig, deadline: float) -> SolveResult:
-    """Solve one search cell's constraint problem by `deadline` (a
-    `time.monotonic()` instant), with one solver call.
-
-    The problem holds each for-all-n exponential sum of the relation
-    family as its instantiations at n = 0, ..., l-1, and that is exact: a
-    sum a(n) = sum_{i<l} w_i^n u_i is annihilated by the monic order-l
-    recurrence prod_i (E - w_i), where E is the shift n -> n+1, whether
-    or not some w_i coincide or are 0.  So a(n) = 0 for all n exactly when
-    a(0), ..., a(l-1) vanish, and every model of `pcp` is a loop of the
-    cell.  A model with irrational values is returned as it is, for the
-    caller to refuse.
-    """
+    """`solve` on one search cell's exact problem (see `pcpgen.gen_alg`) by `deadline`."""
     return solve(list(pcp), cfg, deadline)

@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .constraints import Clause
 from .parser import SpecFile
 from .pcpgen import DegenerateInvariantError, PcpBundle, base_clauses, build_pcp
-from .poly import Polynomial, SymbolTable, Var
+from .poly import Polynomial, Var
 from .smt import (
     ModelValue,
     SolverConfig,
@@ -243,7 +243,7 @@ def synthesize(request: SynthRequest, cfg: SolverConfig | None = None) -> SynthR
             block = _blocking_clause(bundle.template, res.model)
             if block is None:
                 break
-            bundle.add_side_clauses([block])
+            bundle.pcp.add(block)
         if len(found) >= request.count:
             break
     result = _finish(found, start, cfg, timeout=False)
@@ -394,7 +394,7 @@ def _cell_problem(
         paramspec = ParamSpec(
             tuple((p, perm.index(v)) for p, v in request.params)
         )
-    tpl = build_template(perm, tier, partition, pinned, paramspec, SymbolTable())
+    tpl = build_template(perm, tier, partition, pinned, paramspec)
     base = None
     if bases is not None:
         base = bases.take(_base_key(request, perm, tier, partition, pinned), tpl)
@@ -405,7 +405,7 @@ def _cell_problem(
     nt = _nontriviality_clause(tpl)
     if nt is None:
         return None
-    bundle.add_side_clauses([nt])
+    bundle.pcp.add(nt)
     return bundle
 
 

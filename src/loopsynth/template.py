@@ -82,7 +82,6 @@ class RecurrenceTemplate:
     init_exprs: tuple[Polynomial, ...]
     a_matrix: SymMatrix  # s x 1 plain, or s x (r+1) parameterized
     params: tuple[Var, ...]
-    symtab: SymbolTable
 
     @property
     def size(self) -> int:
@@ -95,7 +94,6 @@ def build_template(
     partition: Sequence[int],
     pinned_inits: Mapping[str, Rat] | None = None,
     params: ParamSpec | None = None,
-    symtab: SymbolTable | None = None,
 ) -> RecurrenceTemplate:
     """Construct the symbolic system for one search cell.
 
@@ -121,7 +119,7 @@ def build_template(
         if names[idx] in pinned:
             raise ValueError(f"variable {names[idx]!r} is both pinned and parameterized")
 
-    tab = symtab or SymbolTable()
+    tab = SymbolTable()
     for v in vars:
         tab.declare(v)
     for p, _ in bindings:
@@ -194,5 +192,4 @@ def build_template(
         init_exprs=init_exprs,
         a_matrix=a_matrix,
         params=param_syms,
-        symtab=tab,
     )

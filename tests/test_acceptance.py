@@ -14,13 +14,13 @@ import pytest
 
 from loopsynth.constraints import Clause, Pcp, first_violated
 from loopsynth.parser import parse_invariant, parse_loop, parse_spec
-from loopsynth.pcpgen import CFiniteConstraint, build_pcp, gen_alg, gen_coeff, gen_init, gen_roots
+from loopsynth.pcpgen import build_pcp, gen_alg, gen_coeff, gen_init, gen_roots
 from loopsynth.poly import Monomial, Polynomial, Var
 from loopsynth.smt import SolverConfig, solve, solve_structured
 from loopsynth.synth import SynthRequest, synthesize
 from loopsynth.template import ShapeTier, build_template, int_partitions
 from loopsynth.verify import ConcreteSystem, check_invariant
-from test_smt import vandermonde_zero_check
+from test_smt import exp_sum_at, vandermonde_zero_check
 from test_template import companion_embedding
 
 BENCH = pathlib.Path(__file__).parent.parent / "benchmarks"
@@ -301,9 +301,8 @@ def test_06_structured_solver_stage_behavior():
 
     # (a) trivially cancellable instance: the model makes the sum vanish
     # for all n, with every coefficient zero or the bases merged
-    cfc = CFiniteConstraint(((Monomial.of(w1), Polynomial.var(u1)),
-                             (Monomial.of(w2), Polynomial.var(u2))))
-    full = Pcp([Clause.unit(cfc.instantiate(n)) for n in range(2)])
+    terms = ((Monomial.of(w1), Polynomial.var(u1)), (Monomial.of(w2), Polynomial.var(u2)))
+    full = Pcp([Clause.unit(exp_sum_at(terms, n)) for n in range(2)])
     res = solve_structured(full, cfg, deadline)
     assert res.status == "sat"
     m = res.model
@@ -312,7 +311,7 @@ def test_06_structured_solver_stage_behavior():
     # (b) forcing u1 = 1 rules out zero coefficients; the sum can only
     # vanish for all n with the two bases merged and u2 = -1
     full = Pcp([Clause.unit(Polynomial.var(u1) - 1)]
-               + [Clause.unit(cfc.instantiate(n)) for n in range(2)])
+               + [Clause.unit(exp_sum_at(terms, n)) for n in range(2)])
     res = solve_structured(full, cfg, deadline)
     assert res.status == "sat" and res.model[u1] == 1
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -255,6 +256,41 @@ class TestInputErrors:
         rows = {r["instance"]: r for r in csv.DictReader(io.StringIO(res.output))}
         assert rows["small"]["status"] == "input-error"
         assert "below the variable count" in rows["small"]["note"]
+        assert rows["double"]["status"] == "found"
+
+    # 400 nested parentheses pass Python's recursion limit in the parser;
+    # splitting the unknown 40-letter identifier used to try every split
+    DEEP_SPECS = {
+        "deep": "vars a b\ninvariant " + "(" * 400 + "a" + ")" * 400 + " == b\n",
+        "split": "vars a aa\ninvariant " + "a" * 40 + "b == aa\n",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DEEP_SPECS))
+    def test_synth_refuses_pathological_expressions_quickly(self, runner, tmp_path, name):
+        spec = write(tmp_path, f"{name}.spec", self.DEEP_SPECS[name])
+        start = time.monotonic()
+        res = runner.invoke(main, ["synth", spec, "--solver", "builtin"])
+        assert time.monotonic() - start < 1.0
+        assert res.exit_code == EXIT_INPUT, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert len(res.output.splitlines()) == 1 and res.output.startswith("error: ")
+
+    def test_verify_refuses_a_deeply_nested_invariant(self, runner, tmp_path):
+        loop = write(tmp_path, "sq.loop", SQUARE_LOOP)
+        res = runner.invoke(main, ["verify", loop, "--invariant", "(" * 400 + "a" + ")" * 400 + " == b"])
+        assert res.exit_code == EXIT_INPUT, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output == "error: expression nested too deeply\n"
+
+    def test_bench_records_pathological_expressions_and_carries_on(self, runner, tmp_path):
+        write(tmp_path, "double.spec", DOUBLE_SPEC)
+        for name, text in self.DEEP_SPECS.items():
+            write(tmp_path, f"{name}.spec", text)
+        res = runner.invoke(main, ["bench", str(tmp_path), "--solver", "builtin"])
+        assert res.exit_code == EXIT_NEGATIVE, res.output
+        rows = {r["instance"]: r for r in csv.DictReader(io.StringIO(res.output))}
+        for name in self.DEEP_SPECS:
+            assert rows[name]["status"] == "parse-error", rows[name]
         assert rows["double"]["status"] == "found"
 
     def test_python_dash_m_entry_point(self):

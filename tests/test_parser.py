@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,35 @@ class TestExpressions:
 
     def test_unknown_identifier_splits_into_known_vars(self):
         assert parse_expression("xyz", SYMS) == PX * PY * PZ
+
+    def test_split_takes_the_longest_known_prefix_whose_rest_splits(self):
+        xy, yw = Var("xy", "program", 3), Var("yw", "program", 4)
+        syms = {**SYMS, "xy": xy, "yw": yw}
+        assert parse_expression("xyxy", syms) == Polynomial.var(xy) ** 2
+        assert parse_expression("xyw", syms) == PX * Polynomial.var(yw)
+        assert parse_expression("xyz", syms) == Polynomial.var(xy) * PZ
+
+    def test_unsplittable_identifier_is_refused_in_linear_time(self):
+        a, aa = Var("a", "program", 0), Var("aa", "program", 1)
+        start = time.monotonic()
+        with pytest.raises(ParseError, match="unknown identifier"):
+            parse_expression("a" * 60 + "b", {"a": a, "aa": aa})
+        assert time.monotonic() - start < 1.0
+
+    def test_long_identifier_splits_without_deep_recursion(self):
+        spec = parse_spec("vars a b\ninvariant " + "a" * 1500 + " == b\n")
+        a, b = (Polynomial.var(v) for v in spec.symbols().values())
+        assert spec.invariants() == [a ** 1500 - b]
+
+    @pytest.mark.parametrize("text", ["(" * 400 + "x" + ")" * 400, "-" * 2000 + "x"],
+                             ids=["parentheses", "minuses"])
+    def test_deep_nesting_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_expression(text, SYMS)
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_equation(text + " == y", SYMS)
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_equation("y == " + text, SYMS)
 
     def test_equation_and_conjunction(self):
         assert parse_equation("x == 2y", SYMS) == PX - 2 * PY

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from loopsynth.constraints import Clause, first_violated
 from loopsynth.pcpgen import (
-    CFiniteConstraint,
     DegenerateInvariantError,
     base_clauses,
     build_pcp,
@@ -16,11 +15,10 @@ from loopsynth.pcpgen import (
     gen_coeff,
     gen_init,
     gen_roots,
-    substitute_invariant,
 )
 from loopsynth.matrix import SymMatrix, char_poly, mat_apply
 from loopsynth.parser import parse_spec
-from loopsynth.poly import Monomial, Polynomial, SymbolTable, Var
+from loopsynth.poly import MONO_KEY, Monomial, Polynomial, Var
 from loopsynth.synth import SynthRequest, _search_space
 from loopsynth.template import ParamSpec, ShapeTier, build_template, int_partitions
 
@@ -147,7 +145,7 @@ class TestInitialValues:
             paramspec = None
             if request.params:
                 paramspec = ParamSpec(tuple((p, perm.index(v)) for p, v in request.params))
-            tpl = build_template(perm, tier, part, pinned, paramspec, SymbolTable())
+            tpl = build_template(perm, tier, part, pinned, paramspec)
             assert gen_init(tpl) == init_clauses_by_matrix_powers(tpl)[:tpl.size]
 
 
@@ -231,6 +229,45 @@ def invariants_over(draw, symbols, max_terms=4, max_exp=2):
     return Polynomial(terms)
 
 
+def regrouped(tpl, invariant):
+    """The relation family's former intermediate form, kept as a reference:
+    the closed forms substituted into p, regrouped as
+    { n-power: { exponential base: coefficient } }."""
+    forms, n, roots = closed_forms(tpl)
+    grouped = {}
+    for m, c in invariant.substitute(dict(zip(tpl.vars, forms))).terms.items():
+        npow, base, rest = 0, {}, []
+        for v, e in m:
+            if v in roots:
+                base[roots[v]] = e
+            elif v == n:
+                npow = e
+            else:
+                rest.append((v, e))
+        grouped.setdefault(npow, {}).setdefault(Monomial.make(base), {})[Monomial(tuple(rest))] = c
+    return {k: {w: Polynomial(u) for w, u in group.items()} for k, group in grouped.items()}
+
+
+def reference_alg(tpl, invariants):
+    """The relation clauses by regrouping and instantiating: each n-power's
+    exponential sum, bases in `MONO_KEY` order, at n = 0, ..., l-1."""
+    clauses = []
+    for p in invariants:
+        grouped = regrouped(tpl, p)
+        for npow in sorted(grouped):
+            group = grouped[npow]
+            bases = sorted(group, key=MONO_KEY)
+            for j in range(len(bases)):
+                acc = {}
+                for w in bases:
+                    wj = w.pow(j)
+                    for m, c in group[w].terms.items():
+                        m = m.mul(wj)
+                        acc[m] = acc.get(m, 0) + c
+                clauses.append(Clause.unit(Polynomial(acc)))
+    return clauses
+
+
 class TestClosedForms:
     def test_shape(self):
         """Each form is sum_j c_j * W * N^(j-1) over the coefficient symbols:
@@ -267,7 +304,7 @@ class TestClosedForms:
         env = {v: data.draw(small_rationals) for v in sorted(symbols, key=lambda v: v.name)}
         for w, _ in tpl.rootspec:
             env[w] = data.draw(small_rationals.filter(bool))
-        grouped = substitute_invariant(tpl, p)
+        grouped = regrouped(tpl, p)
         for n in range(5):
             x_n = [
                 sum(col[i].evaluate(env) * env[w] ** n * Fraction(n) ** (j - 1)
@@ -284,24 +321,24 @@ class TestClosedForms:
     def test_substitute_rejects_unknown_symbols(self):
         tpl = doubling_template()
         with pytest.raises(ValueError):
-            substitute_invariant(tpl, Polynomial.var(Var("zz", "program", 9)))
+            gen_alg(tpl, [Polynomial.var(Var("zz", "program", 9))])
+
+    @pytest.mark.parametrize("name", sorted(TEMPLATES))
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=25)
+    def test_relation_clauses_match_the_regrouped_reference(self, name, data):
+        """Reading each n-power's coefficient of p(X(n)) straight off the
+        substitution gives the clauses of the regroup-and-instantiate
+        reference, in the same order and with the same text."""
+        tpl = TEMPLATES[name]
+        symbols = list(tpl.vars) + list(tpl.params)
+        invariants = data.draw(st.lists(invariants_over(symbols), min_size=1, max_size=2))
+        got = gen_alg(tpl, invariants)
+        assert got == reference_alg(tpl, invariants)
+        assert [c.smtlib for c in got] == [c.smtlib for c in reference_alg(tpl, invariants)]
 
 
 class TestStructuredConstraints:
-    def test_instantiate(self):
-        w1, w2 = Var("w1", "root"), Var("w2", "root")
-        u1, u2 = Polynomial.const(3), Polynomial.const(-3)
-        cfc = CFiniteConstraint(((Monomial.of(w1), u1), (Monomial.of(w2), u2)))
-        inst = cfc.instantiate(1)
-        assert inst == 3 * Polynomial.var(w1) - 3 * Polynomial.var(w2)
-        assert cfc.instantiate(0).is_zero()
-
-    def test_distinct_bases_required(self):
-        w = Var("w", "root")
-        with pytest.raises(ValueError):
-            CFiniteConstraint(((Monomial.of(w), Polynomial.const(1)),
-                               (Monomial.of(w), Polynomial.const(2))))
-
     def test_instantiations_present_in_full_problem(self):
         tpl = doubling_template()
         x, y = tpl.vars
@@ -309,7 +346,7 @@ class TestStructuredConstraints:
         bundle = build_pcp(tpl, [inv])
         # the squared invariant mixes w^n and w^2n: two bases, two
         # index instantiations per vanishing group
-        grouped = substitute_invariant(tpl, inv)
+        grouped = regrouped(tpl, inv)
         assert any(len(group) == 2 for group in grouped.values())
         alg = gen_alg(tpl, [inv])
         assert len(alg) == sum(len(group) for group in grouped.values())

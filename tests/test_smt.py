@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from loopsynth import smt
 from loopsynth.constraints import Clause, Pcp
-from loopsynth.pcpgen import CFiniteConstraint
 from loopsynth.poly import Monomial, Polynomial, Var
 from loopsynth.smt import (
     SOLVER_ENV,
@@ -289,11 +288,16 @@ else:
 """
 
 
+def exp_sum_at(terms, n):
+    """The exponential sum sum_i w_i^n * u_i over (base monomial w_i,
+    polynomial u_i) terms, at the index n."""
+    return sum((Polynomial({w.pow(n): 1}) * u for w, u in terms), Polynomial.zero())
+
+
 def make_cfc_problem(side_clauses, terms):
     """The side clauses and the exponential sum's instantiations at
     n = 0, ..., length-1, as one problem."""
-    cfc = CFiniteConstraint(tuple(terms))
-    return Pcp(list(side_clauses) + [Clause.unit(cfc.instantiate(n)) for n in range(cfc.length)])
+    return Pcp(list(side_clauses) + [Clause.unit(exp_sum_at(terms, n)) for n in range(len(terms))])
 
 
 class TestStructuredSolving:
