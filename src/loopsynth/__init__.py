@@ -4,9 +4,9 @@ equality invariants.
 Given a conjunction of polynomial equations over the program variables,
 the toolkit builds a polynomial constraint problem whose solutions are
 exactly the linear (simultaneous-update) loops maintaining the equations
-at every iteration, solves it over nonlinear real arithmetic (through an
-external SMT-LIB 2 solver, or the exact in-process search when none is
-installed), and re-verifies every returned loop exactly by unrolling to a
+at every iteration, solves it over nonlinear real arithmetic (by the exact
+in-process search, or through an external SMT-LIB 2 solver when one is
+named), and re-verifies every returned loop exactly by unrolling to a
 complete order bound.
 """
 

@@ -38,9 +38,9 @@ def _solver_option(f):
     return click.option(
         "--solver",
         default=None,
-        help="SMT-LIB 2 solver command line, or 'builtin' for the in-process "
-             "exact search (default: $LOOPSYNTH_SOLVER, else the bundled z3 "
-             "wrapper if node and z3-solver are found, else builtin).",
+        help="'builtin' for the in-process exact search, 'z3-wasm' for the "
+             "bundled node wrapper around z3, or an SMT-LIB 2 solver command "
+             "line (default: $LOOPSYNTH_SOLVER, else builtin).",
     )(f)
 
 

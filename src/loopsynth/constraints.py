@@ -134,10 +134,6 @@ class Pcp:
             self._seen.add(clause)
             self.clauses.append(clause)
 
-    def extend(self, clauses: Iterable[Clause]) -> None:
-        for c in clauses:
-            self.add(c)
-
     def variables(self) -> list[Var]:
         return variables_of(self.clauses)
 

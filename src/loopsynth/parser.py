@@ -259,6 +259,7 @@ class SpecFile:
     var_names: list[str] = field(default_factory=list)
     params: list[tuple[str, str]] = field(default_factory=list)  # (param, var)
     invariant_texts: list[str] = field(default_factory=list)
+    invariant_lines: list[int] = field(default_factory=list)  # spec line of each text
     init_pins: dict[str, Fraction] = field(default_factory=dict)
     size: int | None = None
     tier: str = "auto"
@@ -280,8 +281,11 @@ class SpecFile:
     def invariants(self) -> list[Polynomial]:
         syms = self.symbols()
         out = []
-        for text in self.invariant_texts:
-            out.extend(parse_invariant(text, syms))
+        for lineno, text in zip(self.invariant_lines, self.invariant_texts, strict=True):
+            try:
+                out.extend(parse_invariant(text, syms))
+            except ParseError as e:
+                raise ParseError(f"line {lineno}: {e}") from None
         return out
 
 
@@ -295,6 +299,8 @@ def parse_spec(text: str) -> SpecFile:
         rest = rest.strip()
         try:
             _parse_spec_line(spec, key, rest)
+            if key == "invariant":
+                spec.invariant_lines.append(lineno)
         except ParseError as e:
             raise ParseError(f"line {lineno}: {e}") from None
     if not spec.var_names:

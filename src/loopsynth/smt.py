@@ -1,13 +1,13 @@
 """SMT solving over nonlinear real arithmetic, through an external solver
 or an exact in-process search.
 
-A backend is named by a command line.  An external solver is any
-executable speaking SMT-LIB 2 on stdin/stdout, such as the bundled Node.js
-wrapper around the z3 WebAssembly build.  The command word ``builtin``
-selects the in-process backend: exact propagate-and-branch over
-``Fraction`` that needs nothing outside Python.  Without an explicit
-choice the backend is $LOOPSYNTH_SOLVER, else the bundled wrapper when
-``node`` and the ``z3-solver`` package can be found, else ``builtin``.
+A backend is named by a command line: the ``--solver`` flag, else
+$LOOPSYNTH_SOLVER, else ``builtin``.  The word ``builtin`` selects the
+in-process backend: exact propagate-and-branch over ``Fraction`` that
+needs nothing outside Python.  The word ``z3-wasm`` selects the bundled
+Node.js wrapper around the z3 WebAssembly build.  Any other command line
+names an external executable speaking SMT-LIB 2 on stdin/stdout.  No
+process is started unless an external backend is named.
 Every satisfiable answer with a rational model is re-checked exactly in
 Python before it is trusted; irrational model values are surfaced as
 :class:`AlgebraicTag` so callers can refuse them explicitly.
@@ -19,24 +19,22 @@ for-all-n exponential sum at finitely many n (see `pcpgen.gen_alg`).
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import shlex
-import shutil
 import subprocess
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .constraints import Atom, Clause, Pcp, first_violated, variables_of
 from .poly import Monomial, Polynomial, Rat, Var
 
 SOLVER_ENV = "LOOPSYNTH_SOLVER"
 BUILTIN = "builtin"  # command word selecting the in-process backend
+Z3_WASM = "z3-wasm"  # command word selecting the bundled Node.js wrapper
 
 
 class SolverError(RuntimeError):
@@ -69,8 +67,10 @@ class SolverConfig:
 
     @staticmethod
     def default(solver: str | None = None) -> "SolverConfig":
-        """The backend named by `solver` (a command line), else the default one."""
-        return SolverConfig(command=tuple(default_solver_command(solver)))
+        """The backend `solver` names, else the one $LOOPSYNTH_SOLVER names,
+        else ``builtin``; ``z3-wasm`` names the bundled wrapper."""
+        command = tuple(shlex.split(solver or os.environ.get(SOLVER_ENV) or BUILTIN))
+        return SolverConfig(_bundled_wrapper() if command == (Z3_WASM,) else command)
 
     @property
     def builtin(self) -> bool:
@@ -83,56 +83,12 @@ class SolverConfig:
         if self.builtin:
             return BUILTIN
         if self.command == _bundled_wrapper():
-            return "z3-wasm"
+            return Z3_WASM
         return os.path.basename(self.command[0]) if self.command else ""
-
-
-def default_solver_command(solver: str | None = None) -> list[str]:
-    """Solver command: `solver` if given, else $LOOPSYNTH_SOLVER if set,
-    else the bundled wrapper when node and the z3-solver package can be
-    found, else the built-in backend."""
-    chosen = solver or os.environ.get(SOLVER_ENV)
-    if chosen:
-        return shlex.split(chosen)
-    return list(_probed_default())
 
 
 def _bundled_wrapper() -> tuple[str, ...]:
     return ("node", str(resources.files("loopsynth").joinpath("data/z3smt2.mjs")))
-
-
-@functools.cache
-def _probed_default() -> tuple[str, ...]:
-    """Looked up once per process, on first use."""
-    if shutil.which("node") and _z3_solver_found():
-        return _bundled_wrapper()
-    return (BUILTIN,)
-
-
-def _z3_solver_found() -> bool:
-    """Whether the bundled wrapper would find the z3-solver package, from
-    the places it searches: $LOOPSYNTH_NODE_MODULES, the working
-    directory and the npm global root, each by Node's ancestor lookup."""
-    for base in _node_module_bases():
-        for d in (base, *base.parents):
-            if d.name != "node_modules" and (d / "node_modules/z3-solver/package.json").is_file():
-                return True
-    return False
-
-
-def _node_module_bases() -> Iterator[Path]:
-    if os.environ.get("LOOPSYNTH_NODE_MODULES"):
-        yield Path(os.environ["LOOPSYNTH_NODE_MODULES"]).absolute()
-    yield Path.cwd()
-    npm = shutil.which("npm")
-    if npm:  # asked last: `npm root -g` takes a noticeable fraction of a second
-        try:
-            root = subprocess.run([npm, "root", "-g"], capture_output=True,
-                                  text=True, timeout=30).stdout.strip()
-        except (OSError, subprocess.SubprocessError):
-            return
-        if root:
-            yield Path(root)
 
 
 @dataclass

@@ -141,6 +141,8 @@ class TestInputErrors:
                          "error: line 3: timeout must be positive, found '0'\n"),
         "negative_timeout": ("vars x y\ninvariant x == 2y\ntimeout -1\n",
                              "error: line 3: timeout must be positive, found '-1'\n"),
+        "bad_invariant_identifier": ("vars a b\n\ninvariant a == bq\n",
+                                     "error: line 3: unknown identifier 'bq' (at position 5)\n"),
     }
 
     @pytest.mark.parametrize("name", sorted(BAD_SPECS))
@@ -159,8 +161,9 @@ class TestInputErrors:
         res = runner.invoke(main, ["bench", str(tmp_path), "--solver", "builtin"])
         assert res.exit_code == EXIT_NEGATIVE, res.output
         rows = {r["instance"]: r for r in csv.DictReader(io.StringIO(res.output))}
-        for name in self.BAD_SPECS:
+        for name, (_text, message) in self.BAD_SPECS.items():
             assert rows[name]["status"] == "parse-error", rows[name]
+            assert rows[name]["note"] == message.removeprefix("error: ").rstrip("\n")
         assert rows["double"]["status"] == "found"
 
     @pytest.mark.parametrize("command", ["synth", "bench"])
@@ -312,6 +315,18 @@ class TestBackendReporting:
         assert res.output.splitlines()[0].endswith(" backend=builtin")
         res = runner.invoke(main, args + ["--json"])
         assert json.loads(res.output)["backend"] == "builtin"
+
+    def test_default_backend_starts_no_process(self, runner, monkeypatch):
+        def no_process(*args, **kwargs):
+            raise AssertionError(f"process started: {args}")
+
+        monkeypatch.setattr(subprocess, "run", no_process)
+        monkeypatch.setattr(subprocess, "Popen", no_process)
+        monkeypatch.delenv("LOOPSYNTH_SOLVER", raising=False)
+        spec = Path(__file__).resolve().parent.parent / "benchmarks" / "square.spec"
+        res = runner.invoke(main, ["synth", str(spec)])
+        assert res.exit_code == EXIT_OK, res.output
+        assert res.output.splitlines()[0].endswith(" backend=builtin")
 
     def test_bench_rows_carry_backend_and_note(self, runner, tmp_path):
         write(tmp_path, "double.spec", DOUBLE_SPEC)

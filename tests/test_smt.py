@@ -15,7 +15,6 @@ from loopsynth.smt import (
     SolverConfig,
     SolverError,
     SolverTimeout,
-    default_solver_command,
     emit_smtlib,
     parse_solver_output,
     solve,
@@ -175,33 +174,32 @@ class TestBuiltinBackend:
             solve(chain + [Clause.unit(products - 7)], BUILTIN, within(0.3))
         assert time.monotonic() - begin < 2.0
 
-    def test_environment_variable_precedes_probe(self, monkeypatch):
-        def probe():
-            raise AssertionError("probed although $LOOPSYNTH_SOLVER is set")
-
-        monkeypatch.setattr(smt, "_probed_default", probe)
+    def test_flag_then_environment_then_builtin(self, monkeypatch):
+        monkeypatch.delenv(SOLVER_ENV, raising=False)
+        chosen = SolverConfig.default()
+        assert chosen.command == ("builtin",) and chosen.backend == "builtin"
         monkeypatch.setenv(SOLVER_ENV, "z3 -in")
-        assert default_solver_command() == ["z3", "-in"]
+        assert SolverConfig.default().command == ("z3", "-in")
         assert SolverConfig.default().backend == "z3"
         monkeypatch.setenv(SOLVER_ENV, "builtin")
         chosen = SolverConfig.default()
         assert chosen.command == ("builtin",) and chosen.backend == "builtin"
         # an explicit command line wins over the environment
-        assert default_solver_command("cvc5 --lang smt2") == ["cvc5", "--lang", "smt2"]
+        chosen = SolverConfig.default("cvc5 --lang smt2")
+        assert chosen.command == ("cvc5", "--lang", "smt2") and chosen.backend == "cvc5"
 
-    def test_probe_looks_where_the_wrapper_looks(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(smt.shutil, "which", lambda name: "/bin/node" if name == "node" else None)
-        monkeypatch.delenv("LOOPSYNTH_NODE_MODULES", raising=False)
-        monkeypatch.chdir(tmp_path)
-        probe = smt._probed_default.__wrapped__  # uncached
-        assert probe() == ("builtin",)
-        package = tmp_path / "node_modules" / "z3-solver"
-        package.mkdir(parents=True)
-        (package / "package.json").write_text("{}")
-        deeper = tmp_path / "a" / "b"
-        deeper.mkdir(parents=True)
-        monkeypatch.chdir(deeper)  # found in an ancestor, as Node resolves it
-        assert SolverConfig(probe()).backend == "z3-wasm"
+    @pytest.mark.parametrize("where", ["flag", "environment"])
+    def test_z3_wasm_names_the_bundled_wrapper(self, monkeypatch, where):
+        def no_process(*args, **kwargs):
+            raise AssertionError("a process was started to resolve a backend name")
+
+        monkeypatch.setattr(smt.subprocess, "run", no_process)
+        monkeypatch.setattr(smt.subprocess, "Popen", no_process)
+        monkeypatch.setenv(SOLVER_ENV, "z3-wasm" if where == "environment" else "builtin")
+        chosen = SolverConfig.default("z3-wasm" if where == "flag" else None)
+        assert chosen.command == smt._bundled_wrapper()
+        assert chosen.command[0] == "node" and chosen.command[1].endswith("z3smt2.mjs")
+        assert chosen.backend == "z3-wasm" and not chosen.builtin
 
 
 class TestVandermonde:
