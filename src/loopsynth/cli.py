@@ -17,7 +17,7 @@ import click
 
 from .parser import LoopFile, ParseError, parse_invariant, parse_loop, parse_spec
 from .poly import Var
-from .smt import SolverConfig, SolverError, SolverTimeout
+from .smt import SolverConfig, SolverConfigError, SolverError, SolverTimeout
 from .synth import RequestError, SynthRequest, SynthResult, first_cell_script, synthesize
 from .template import ShapeTier
 from .verify import check_equiv_modulo, check_invariant
@@ -97,7 +97,10 @@ def synth(specfile, solver, timeout, tier, partition, size, aux_one, count, emit
         request.timeout = timeout
     request.aux_one |= aux_one
     request.count = count
-    cfg = SolverConfig.default(solver)
+    try:
+        cfg = SolverConfig.default(solver)
+    except SolverConfigError as e:
+        raise SystemExit(_fail(EXIT_INPUT, str(e), as_json))
     try:
         if emit_smt2:
             _write(emit_smt2, first_cell_script(request), as_json)
@@ -230,6 +233,10 @@ def bench(directory, solver, timeout, jobs, csv_path, include_reconstructed):
                 pass
         except OSError as e:
             raise SystemExit(_fail(EXIT_INPUT, str(e), False)) from None
+    try:
+        cfg = SolverConfig.default(solver)
+    except SolverConfigError as e:
+        raise SystemExit(_fail(EXIT_INPUT, str(e), False))
 
     def run_one(path: Path) -> dict:
         row = {"instance": path.stem, "status": "", "tier": "", "partition": "",
@@ -241,7 +248,6 @@ def bench(directory, solver, timeout, jobs, csv_path, include_reconstructed):
                 return row
             request = SynthRequest.from_spec(spec)
             request.timeout = timeout
-            cfg = SolverConfig.default(solver)
             row["backend"] = cfg.backend
             result = synthesize(request, cfg)
             row["status"] = result.status

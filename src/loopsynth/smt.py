@@ -12,6 +12,11 @@ Every satisfiable answer with a rational model is re-checked exactly in
 Python before it is trusted; irrational model values are surfaced as
 :class:`AlgebraicTag` so callers can refuse them explicitly.
 
+A :class:`SolverRun` is one solve: an external solver is started when the
+run is made and read when its result is asked for, so a caller can keep
+several runs in flight and read them in its own order.  `solve` makes one
+run and reads it at once.
+
 `solve_structured` solves one search cell's constraint problem with one
 solver call.  The problem is exact: its relation clauses state each
 for-all-n exponential sum at finitely many n (see `pcpgen.gen_alg`).
@@ -22,7 +27,9 @@ from __future__ import annotations
 import math
 import os
 import shlex
+import signal
 import subprocess
+import tempfile
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,6 +50,10 @@ class SolverError(RuntimeError):
 
 class SolverTimeout(SolverError):
     """The budget ran out before the solver answered."""
+
+
+class SolverConfigError(ValueError):
+    """A solver command line that names no program or cannot be split."""
 
 
 @dataclass(frozen=True)
@@ -69,7 +80,13 @@ class SolverConfig:
     def default(solver: str | None = None) -> "SolverConfig":
         """The backend `solver` names, else the one $LOOPSYNTH_SOLVER names,
         else ``builtin``; ``z3-wasm`` names the bundled wrapper."""
-        command = tuple(shlex.split(solver or os.environ.get(SOLVER_ENV) or BUILTIN))
+        text = solver or os.environ.get(SOLVER_ENV) or BUILTIN
+        try:
+            command = tuple(shlex.split(text))
+        except ValueError as e:
+            raise SolverConfigError(f"bad solver command {text!r}: {e}") from None
+        if not command:
+            raise SolverConfigError(f"bad solver command {text!r}: it names no program")
         return SolverConfig(_bundled_wrapper() if command == (Z3_WASM,) else command)
 
     @property
@@ -212,44 +229,98 @@ def parse_solver_output(text: str, variables: Iterable[Var]) -> SolveResult:
 # running the solver
 
 
-def run_solver(script: str, cfg: SolverConfig, deadline: float) -> str:
-    """The solver's output on `script`, killed at `deadline` (a `time.monotonic()` instant)."""
-    budget = deadline - time.monotonic()
-    try:
-        proc = subprocess.run(
-            list(cfg.command),
-            input=script,
-            capture_output=True,
-            text=True,
-            timeout=budget,
-        )
-    except OSError as e:
-        raise SolverError(f"cannot run solver {cfg.command[0]!r}: {e}") from None
-    except subprocess.TimeoutExpired:
-        raise SolverTimeout(f"solver exceeded {budget:.1f}s") from None
-    if proc.returncode not in (0, 1):  # some solvers exit 1 on unsat
-        raise SolverError(
-            f"solver exited with status {proc.returncode}: {proc.stderr.strip()[:2000]}"
-        )
-    return proc.stdout
+def run_solver(script: str, cfg: SolverConfig) -> subprocess.Popen:
+    """Start the external solver on `script` and return at once.
+
+    The solver reads the script from an unnamed temporary file, so it
+    never waits on this process however long the script is, and it leads
+    a session of its own, so `SolverRun.cancel` can kill whatever it
+    starts along with it."""
+    with tempfile.TemporaryFile() as stdin:
+        stdin.write(script.encode())
+        stdin.seek(0)
+        try:
+            return subprocess.Popen(
+                list(cfg.command),
+                stdin=stdin,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                start_new_session=True,
+            )
+        except OSError as e:
+            raise SolverError(f"cannot run solver {cfg.command[0]!r}: {e}") from None
+
+
+class SolverRun:
+    """One solve of `clauses` with the `cfg` backend.
+
+    An external solver is started when the run is made; `result` waits for
+    it and `cancel` stops it.  `cancel`, and a `result` that runs out of
+    time, kill the solver's whole process group and reap the solver.  The
+    built-in backend starts nothing and searches in `result`.
+    A failure to start is raised by `result`, so runs made ahead of time
+    report their errors in the order their results are read."""
+
+    def __init__(self, clauses: Iterable[Clause], cfg: SolverConfig):
+        self.clauses = list(clauses)
+        self.proc: subprocess.Popen | None = None
+        self.error: SolverError | None = None
+        if not cfg.builtin:
+            try:
+                self.proc = run_solver(emit_smtlib(self.clauses), cfg)
+            except SolverError as e:
+                self.error = e
+
+    def result(self, deadline: float) -> SolveResult:
+        """The answer by `deadline` (a `time.monotonic()` instant), exactly
+        re-checked when it is a rational model."""
+        if self.error is not None:
+            raise self.error
+        budget = deadline - time.monotonic()
+        if budget <= 0:
+            self.cancel()
+            raise SolverTimeout("no time budget left")
+        variables = variables_of(self.clauses)
+        if self.proc is None:
+            result = solve_builtin(self.clauses, variables, deadline)
+        else:
+            result = parse_solver_output(self._output(budget), variables)
+        if result.status == "sat" and result.rational:
+            violated = first_violated(self.clauses, result.model)
+            if violated is not None:
+                raise SolverError(f"solver model fails exact re-check on: {violated}")
+        return result
+
+    def _output(self, budget: float) -> str:
+        try:
+            stdout, stderr = self.proc.communicate(timeout=budget)
+        except subprocess.TimeoutExpired:
+            self.cancel()
+            raise SolverTimeout(f"solver exceeded {budget:.1f}s") from None
+        if self.proc.returncode not in (0, 1):  # some solvers exit 1 on unsat
+            raise SolverError(
+                f"solver exited with status {self.proc.returncode}: "
+                f"{stderr.decode(errors='replace').strip()[:2000]}"
+            )
+        return stdout.decode(errors="replace")
+
+    def cancel(self) -> None:
+        """Kill the solver's process group, unless it has been read, and reap it."""
+        proc = self.proc
+        if proc is None or proc.returncode is not None:
+            return
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)  # its session leader is not reaped yet
+        except ProcessLookupError:
+            pass
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
 
 
 def solve(clauses: Sequence[Clause], cfg: SolverConfig, deadline: float) -> SolveResult:
     """Solve the clauses by `deadline` (a `time.monotonic()` instant)."""
-    if deadline <= time.monotonic():
-        raise SolverTimeout("no time budget left")
-    variables = variables_of(clauses)
-    if cfg.builtin:
-        result = solve_builtin(clauses, variables, deadline)
-    else:
-        script = emit_smtlib(clauses)
-        output = run_solver(script, cfg, deadline)
-        result = parse_solver_output(output, variables)
-    if result.status == "sat" and result.rational:
-        violated = first_violated(clauses, result.model)
-        if violated is not None:
-            raise SolverError(f"solver model fails exact re-check on: {violated}")
-    return result
+    return SolverRun(clauses, cfg).result(deadline)
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,23 @@ search, the triangular tiers build the order-independent clause families
 (roots, coefficients, initial values) once per pinning pattern and reuse
 them across variable orders, holding each only until the last cell that
 uses it.
+
+With an external solver, a window of cells runs ahead: each cell's solver
+is started as soon as the cell is built, up to one run per usable core, so
+Python builds the next cells while the solvers work.  Results are still
+read strictly in search order, so the loops, notes and errors a search
+reports do not depend on which solver finishes first.  The built-in
+backend runs in this process and has nothing to overlap: its window is
+one cell.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -35,6 +44,7 @@ from .poly import Polynomial, Var
 from .smt import (
     ModelValue,
     SolverConfig,
+    SolverRun,
     SolverTimeout,
     emit_smtlib,
     solve_structured,
@@ -209,47 +219,76 @@ def synthesize(request: SynthRequest, cfg: SolverConfig | None = None) -> SynthR
     found: list[Loop] = []
     undecided: set[str] = set()  # why some cells were left undecided
     bases = _SharedBases(request, pinned, aux)
-    for tier, perm, part in cells:
-        if time.monotonic() >= deadline:
-            return _finish(found, start, cfg, timeout=True)
-        bundle = _cell_problem(request, perm, tier, part, pinned, bases)
-        if bundle is None:
-            continue
-        while len(found) < request.count:
-            try:
+    runs: deque[tuple[PcpBundle, SolverRun]] = deque()  # started, not yet read
+
+    def in_search_order() -> Iterator[tuple[PcpBundle, SolverRun]]:
+        """Each built cell with its solver run, in search order, while up
+        to a window of runs is started ahead of the one being read."""
+        window = _window(cfg)
+        for tier, perm, part in cells:
+            if time.monotonic() >= deadline:
+                raise SolverTimeout("no time budget left")
+            bundle = _cell_problem(request, perm, tier, part, pinned, bases)
+            if bundle is not None:
+                runs.append((bundle, SolverRun(bundle.pcp, cfg)))
+            if len(runs) >= window:
+                yield runs[0]
+                runs.popleft()
+        while runs:
+            yield runs[0]
+            runs.popleft()
+
+    try:
+        for bundle, run in in_search_order():
+            res = run.result(deadline)
+            while True:
+                if res.status == "unknown":
+                    undecided.add(_UNKNOWN_NOTE)
+                    break
+                if res.status != "sat":
+                    break
+                loop = _extract_loop(bundle.template, res.model, aux, start)
+                if loop is None:  # irrational matrix or initial values: refuse the model
+                    undecided.add(_REFUSED_NOTE)
+                    break
+                verdict = [check_invariant(loop.system(), p) for p in request.invariants]
+                if not all(v.holds for v in verdict):
+                    if res.rational:
+                        raise AssertionError(
+                            "exactly-checked model produced a loop failing verification"
+                        )
+                    undecided.add(_REFUSED_NOTE)  # an irrational model, refused
+                    break
+                found.append(loop)
+                if len(found) >= request.count:
+                    break
+                block = _blocking_clause(bundle.template, res.model)
+                if block is None:
+                    break
+                bundle.pcp.add(block)
                 res = solve_structured(bundle.pcp, cfg, deadline)
-            except SolverTimeout:
-                return _finish(found, start, cfg, timeout=True)
-            if res.status == "unknown":
-                undecided.add(_UNKNOWN_NOTE)
-                break
-            if res.status != "sat":
-                break
-            loop = _extract_loop(bundle.template, res.model, aux, start)
-            if loop is None:  # irrational matrix or initial values: refuse the model
-                undecided.add(_REFUSED_NOTE)
-                break
-            verdict = [check_invariant(loop.system(), p) for p in request.invariants]
-            if not all(v.holds for v in verdict):
-                if res.rational:
-                    raise AssertionError(
-                        "exactly-checked model produced a loop failing verification"
-                    )
-                undecided.add(_REFUSED_NOTE)  # an irrational model, refused
-                break
-            found.append(loop)
             if len(found) >= request.count:
                 break
-            block = _blocking_clause(bundle.template, res.model)
-            if block is None:
-                break
-            bundle.pcp.add(block)
-        if len(found) >= request.count:
-            break
+    except SolverTimeout:
+        return _finish(found, start, cfg, timeout=True)
+    finally:
+        for _bundle, run in runs:
+            run.cancel()
     result = _finish(found, start, cfg, timeout=False)
     if result.status == "notfound":
         result.note = "; ".join(sorted(undecided))
     return result
+
+
+def _window(cfg: SolverConfig) -> int:
+    """How many cells' solver runs may be in flight at once: one for the
+    built-in backend, which runs in this process, else one per usable core
+    and at least two, so that Python builds a cell while a solver runs."""
+    if cfg.builtin:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return max(2, len(os.sched_getaffinity(0)))
+    return max(2, os.cpu_count() or 1)
 
 
 def _finish(found: list[Loop], start: float, cfg: SolverConfig, timeout: bool) -> SynthResult:

@@ -244,6 +244,24 @@ class TestInputErrors:
         assert res.output.startswith(f"error: cannot run solver '{solver}'")
         assert "Traceback" not in res.output
 
+    @pytest.mark.parametrize("where", ["flag", "environment"])
+    @pytest.mark.parametrize("command, message", [
+        (" ", "error: bad solver command ' ': it names no program\n"),
+        ('z3 "', "error: bad solver command 'z3 \"': No closing quotation\n"),
+    ], ids=["blank", "unclosed-quote"])
+    def test_malformed_solver_command_is_an_input_error(
+        self, runner, tmp_path, command, message, where
+    ):
+        # bench refuses it once, before any row
+        spec = write(tmp_path, "double.spec", DOUBLE_SPEC)
+        flag = ["--solver", command] if where == "flag" else []
+        env = {"LOOPSYNTH_SOLVER": command if where == "environment" else "builtin"}
+        for args in (["synth", spec], ["bench", str(tmp_path)]):
+            res = runner.invoke(main, args + flag, env=env)
+            assert res.exit_code == EXIT_INPUT, res.output
+            assert isinstance(res.exception, SystemExit)
+            assert res.output == message
+
     def test_synth_size_below_variable_count(self, runner, tmp_path):
         spec = write(tmp_path, "small.spec", self.TOO_SMALL_SPEC)
         res = runner.invoke(main, ["synth", spec, "--solver", "builtin"])

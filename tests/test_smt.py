@@ -14,6 +14,7 @@ from loopsynth.smt import (
     AlgebraicTag,
     SolverConfig,
     SolverError,
+    SolverRun,
     SolverTimeout,
     emit_smtlib,
     parse_solver_output,
@@ -126,6 +127,18 @@ class TestSolverRoundTrip:
         slow = SolverConfig(command=("sh", "-c", "sleep 5"))
         with pytest.raises(SolverTimeout):
             solve([Clause.unit(Polynomial.var(X))], slow, within(0.2))
+
+    def test_a_run_starts_without_waiting_for_the_solver(self):
+        # the solver reads its script only after a pause, and the script
+        # is larger than a pipe holds: making the run must not wait for it
+        clauses = [Clause.unit(Polynomial.var(Var(f"x{i}", "program", i)) - i) for i in range(3000)]
+        size = len(emit_smtlib(clauses).encode())
+        assert size > 1 << 16
+        slow = SolverConfig(("sh", "-c", f'sleep 1; test "$(wc -c)" -eq {size} && echo unknown'))
+        begin = time.monotonic()
+        run = SolverRun(clauses, slow)
+        assert time.monotonic() - begin < 0.5
+        assert run.result(within()).status == "unknown"
 
 
 class TestBuiltinBackend:

@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import json
+import os
 import sys
 import time
 from collections import Counter
@@ -9,12 +11,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from loopsynth import smt as smt_module
 from loopsynth import synth as synth_module
 from loopsynth.parser import parse_invariant, parse_loop, parse_spec
 from loopsynth.pcpgen import base_clauses
 from loopsynth.poly import Polynomial, Var
-from loopsynth.smt import SolverConfig, emit_smtlib
+from loopsynth.smt import SolverConfig, SolverError, SolverRun, emit_smtlib, solve
 from loopsynth.synth import (
     Loop,
     RequestError,
@@ -44,6 +45,26 @@ def request_for(text, names, **kw):
 
 def cfg():
     return SolverConfig.default()
+
+
+def unknown_runs(monkeypatch):
+    """Make every solver run of a search answer unknown without starting
+    anything; the returned list gets each run's script, in the order the
+    runs are made."""
+    scripts = []
+
+    class UnknownRun:
+        def __init__(self, clauses, cfg):
+            scripts.append(emit_smtlib(list(clauses)))
+
+        def result(self, deadline):
+            return SimpleNamespace(status="unknown")
+
+        def cancel(self):
+            pass
+
+    monkeypatch.setattr(synth_module, "SolverRun", UnknownRun)
+    return scripts
 
 
 class TestEndToEnd:
@@ -144,6 +165,186 @@ class TestRefusedModels:
         assert res.note == (
             "some search cells were undecided: a solver model with irrational values was refused"
         )
+
+
+STANDIN_SOLVER = """\
+import hashlib, json, subprocess, sys, time
+log, plan = sys.argv[1], json.load(open(sys.argv[2]))
+script = sys.stdin.read()
+key = hashlib.sha256(script.encode()).hexdigest()
+step = plan.get(key, plan["other"])
+
+def note(line):
+    with open(log, "a") as f:
+        f.write(line + "\\n")
+
+note(f"start {key}")
+if step.get("child"):
+    child = subprocess.Popen(["sleep", "30"], stdout=subprocess.DEVNULL)
+    note(f"child {child.pid}")
+time.sleep(step.get("sleep", 0))
+note(f"end {key}")
+print(step.get("out", "unknown"))
+sys.exit(step.get("status", 0))
+"""
+
+
+def script_key(script):
+    return hashlib.sha256(script.encode()).hexdigest()
+
+
+def _smt_value(q):
+    text = str(abs(q.numerator)) if q.denominator == 1 else f"(/ {abs(q.numerator)} {q.denominator})"
+    return f"(- {text})" if q < 0 else text
+
+
+class TestSolverWindow:
+    # A stand-in solver follows a plan keyed by the SHA-256 of the script
+    # it is given: how long to sleep, what to print, its exit status, and
+    # whether to start a `sleep 30` child first.  It logs when it starts
+    # and ends, and the pid of any child.  Every test here runs with the
+    # default window, which is at least 2, unless it says otherwise.
+
+    @staticmethod
+    def request(timeout=60.0):
+        return request_for(
+            "a == b^2", ["a", "b"], size=3, tiers=[ShapeTier.UNIT_UPPER], timeout=timeout,
+        )
+
+    @staticmethod
+    def cell_scripts(req):
+        """Each built cell's bundle and script, in search order."""
+        cells, pinned, _aux = _search_space(req)
+        bundles = [_cell_problem(req, perm, tier, part, pinned) for tier, perm, part in cells]
+        return [(b, emit_smtlib(list(b.pcp))) for b in bundles if b is not None]
+
+    @staticmethod
+    def model_answer(bundle):
+        """The solver output for the model the built-in backend finds for the cell."""
+        res = solve(list(bundle.pcp), SolverConfig(("builtin",)), time.monotonic() + 30)
+        assert res.status == "sat" and res.rational
+        return "sat\n" + "\n".join(
+            f"(define-fun {v.name} () Real {_smt_value(q)})" for v, q in res.model.items()
+        )
+
+    @staticmethod
+    def standin(tmp_path, plan):
+        solver = tmp_path / "standin.py"
+        solver.write_text(STANDIN_SOLVER)
+        (tmp_path / "plan.json").write_text(json.dumps(plan))
+        return SolverConfig((sys.executable, str(solver), str(tmp_path / "log"),
+                             str(tmp_path / "plan.json")))
+
+    @staticmethod
+    def log(tmp_path):
+        path = tmp_path / "log"
+        return [line.split() for line in path.read_text().splitlines()] if path.exists() else []
+
+    @staticmethod
+    def read_order(monkeypatch):
+        """Record the script of each run whose result the search reads, in order."""
+        keys = []
+
+        class ReadRecording(SolverRun):
+            def result(self, deadline):
+                keys.append(script_key(emit_smtlib(self.clauses)))
+                return super().result(deadline)
+
+        monkeypatch.setattr(synth_module, "SolverRun", ReadRecording)
+        return keys
+
+    def test_a_run_starts_before_the_previous_one_ends(self, tmp_path):
+        req = self.request()
+        res = synthesize(req, self.standin(tmp_path, {"other": {"sleep": 0.1}}))
+        assert res.status == "notfound" and "undecided" in res.note
+        running, overlapped = 0, False
+        for event, _key in self.log(tmp_path):
+            overlapped |= event == "start" and running > 0
+            running += 1 if event == "start" else -1
+        assert overlapped and running == 0
+
+    @pytest.mark.parametrize("outcome", ["notfound", "found"])
+    def test_the_window_changes_nothing_the_search_reports(self, tmp_path, monkeypatch, outcome):
+        # the first cell's solver answers last, so reading results in the
+        # order they complete would read a later cell first
+        req = self.request()
+        cells = self.cell_scripts(req)
+        plan = {"other": {}, script_key(cells[0][1]): {"sleep": 0.3}}
+        if outcome == "found":
+            bundle, script = cells[3]
+            plan[script_key(script)] = {"out": self.model_answer(bundle)}
+        cfg = self.standin(tmp_path, plan)
+        assert synth_module._window(cfg) >= 2
+        reports = []
+        for window in ("default", 1):
+            if window == 1:
+                monkeypatch.setattr(synth_module, "_window", lambda cfg: 1)
+            order = self.read_order(monkeypatch)
+            res = synthesize(req, cfg)
+            loops = [{k: v for k, v in lp.to_json().items() if k != "millis"} for lp in res.loops]
+            reports.append((res.status, res.note, loops, order))
+        assert reports[0] == reports[1]
+        status, _note, loops, order = reports[0]
+        read = cells[:4] if outcome == "found" else cells
+        assert status == outcome and order == [script_key(script) for _b, script in read]
+        assert len(loops) == (outcome == "found")
+
+    @pytest.mark.parametrize("failure", [{"status": 3}, {"out": "garbage"}],
+                             ids=["exit-status", "garbage"])
+    @pytest.mark.parametrize("decided", ["found", "timeout"])
+    def test_a_later_cells_solver_error_does_not_surface(self, tmp_path, decided, failure):
+        req = self.request(timeout=60.0 if decided == "found" else 1.0)
+        cells = self.cell_scripts(req)
+        first = {"sleep": 0.3, "out": self.model_answer(cells[0][0])} if decided == "found" \
+            else {"sleep": 30}
+        cfg = self.standin(tmp_path, {"other": failure, script_key(cells[0][1]): first})
+        res = synthesize(req, cfg)
+        assert res.status == decided
+        started = [key for event, key in self.log(tmp_path) if event == "start"]
+        assert script_key(cells[1][1]) in started  # the failing run was made
+
+    @pytest.mark.parametrize("ending", ["found", "timeout", "error"])
+    def test_no_solver_process_outlives_the_search(self, tmp_path, ending):
+        # the first cell's solver decides the search after the second
+        # one's has started a child; a timed-out first run has one too
+        req = self.request(timeout=60.0 if ending != "timeout" else 1.5)
+        cells = self.cell_scripts(req)
+        first = {
+            "found": {"sleep": 0.5, "out": self.model_answer(cells[0][0])},
+            "timeout": {"child": True, "sleep": 30},
+            "error": {"sleep": 0.5, "status": 3},
+        }[ending]
+        cfg = self.standin(tmp_path, {"other": {"child": True, "sleep": 30},
+                                      script_key(cells[0][1]): first})
+        begin = time.monotonic()
+        if ending == "error":
+            with pytest.raises(SolverError, match="status 3"):
+                synthesize(req, cfg)
+        else:
+            assert synthesize(req, cfg).status == ending
+        assert time.monotonic() - begin < 10
+        children = [int(pid) for event, pid in self.log(tmp_path) if event == "child"]
+        assert children
+        gone_by = time.monotonic() + 5
+        while any(map(_alive, children)) and time.monotonic() < gone_by:
+            time.sleep(0.05)
+        assert not any(map(_alive, children))
+
+
+def _alive(pid):
+    """Whether the process runs; a zombie, killed but not yet reaped by
+    its new parent, does not."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    except OSError:  # no /proc: ask the process itself
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 class TestRequestExpansion:
@@ -279,6 +480,7 @@ class TestSearchSpace:
         def no_solver(*args, **kwargs):
             raise AssertionError("no cell should reach the solver")
 
+        monkeypatch.setattr(synth_module, "SolverRun", no_solver)
         monkeypatch.setattr(synth_module, "solve_structured", no_solver)
         req = request_for(
             "x == 2y", ["x", "y"], size=3,
@@ -290,13 +492,7 @@ class TestSearchSpace:
             first_cell_script(req)
 
     def test_emitted_script_is_the_first_cell_the_search_solves(self, monkeypatch):
-        solved = []
-
-        def record(script, cfg, deadline):
-            solved.append(script)
-            return "unknown\n"
-
-        monkeypatch.setattr(smt_module, "run_solver", record)
+        solved = unknown_runs(monkeypatch)
         # every unit-upper cell is pruned, so both paths must skip that tier
         req = request_for("x == 2y", ["x", "y"], size=3, partitions=[(2, 1)])
         assert synthesize(req, SolverConfig(("recording",))).status == "notfound"
@@ -308,13 +504,7 @@ class TestSearchSpace:
         ("eucliddiv", [ShapeTier.UNIT_UPPER]),  # parameters and the aux-one pin
     ])
     def test_one_solver_call_per_built_cell(self, name, tiers, monkeypatch):
-        calls = []
-
-        def count(script, cfg, deadline):
-            calls.append(script)
-            return "unknown\n"
-
-        monkeypatch.setattr(smt_module, "run_solver", count)
+        calls = unknown_runs(monkeypatch)
         req = benchmark_request(name, tiers)
         res = synthesize(req, SolverConfig(("counting",)))
         assert res.status == "notfound" and "undecided" in res.note
@@ -367,10 +557,7 @@ class TestSearchSpace:
                 return base
 
         monkeypatch.setattr(synth_module, "_SharedBases", RecordingBases)
-        monkeypatch.setattr(
-            synth_module, "solve_structured",
-            lambda *args, **kwargs: SimpleNamespace(status="unknown"),
-        )
+        unknown_runs(monkeypatch)
         req = benchmark_request(name, tiers)
         res = synthesize(req, cfg())
         assert res.status == "notfound"
@@ -382,10 +569,7 @@ class TestSearchSpace:
     def test_a_large_search_space_keeps_to_the_budget(self, monkeypatch):
         # size 9 has 9! orders per triangular tier: listing the cells or
         # counting their base keys up front would outlast the budget
-        monkeypatch.setattr(
-            synth_module, "solve_structured",
-            lambda *args, **kwargs: SimpleNamespace(status="unknown"),
-        )
+        unknown_runs(monkeypatch)
         req = request_for("a == b^2", ["a", "b"], size=9, timeout=1.0)
         begin = time.monotonic()
         assert synthesize(req, cfg()).status == "timeout"
