@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import os
+import selectors
 import shlex
 import signal
 import subprocess
@@ -34,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 from .constraints import Atom, Clause, Pcp, first_violated, variables_of
 from .poly import Monomial, Polynomial, Rat, Var
@@ -229,13 +230,14 @@ def parse_solver_output(text: str, variables: Iterable[Var]) -> SolveResult:
 # running the solver
 
 
-def run_solver(script: str, cfg: SolverConfig) -> subprocess.Popen:
+def run_solver(script: str, cfg: SolverConfig, stderr: BinaryIO) -> subprocess.Popen:
     """Start the external solver on `script` and return at once.
 
     The solver reads the script from an unnamed temporary file, so it
-    never waits on this process however long the script is, and it leads
-    a session of its own, so `SolverRun.cancel` can kill whatever it
-    starts along with it."""
+    never waits on this process however long the script is.  Its error
+    output goes to the file `stderr`, so nothing the solver leaves running
+    can hold a pipe open.  It leads a session of its own, so `SolverRun`
+    can kill whatever it starts along with it."""
     with tempfile.TemporaryFile() as stdin:
         stdin.write(script.encode())
         stdin.seek(0)
@@ -244,7 +246,7 @@ def run_solver(script: str, cfg: SolverConfig) -> subprocess.Popen:
                 list(cfg.command),
                 stdin=stdin,
                 stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
+                stderr=stderr,
                 start_new_session=True,
             )
         except OSError as e:
@@ -255,9 +257,10 @@ class SolverRun:
     """One solve of `clauses` with the `cfg` backend.
 
     An external solver is started when the run is made; `result` waits for
-    it and `cancel` stops it.  `cancel`, and a `result` that runs out of
-    time, kill the solver's whole process group and reap the solver.  The
-    built-in backend starts nothing and searches in `result`.
+    it and `cancel` stops it.  However the run ends (read, timed out or
+    cancelled), the solver's whole process group is killed and the solver
+    reaped, so nothing it started outlives the run.  The built-in backend
+    starts nothing and searches in `result`.
     A failure to start is raised by `result`, so runs made ahead of time
     report their errors in the order their results are read."""
 
@@ -266,56 +269,103 @@ class SolverRun:
         self.proc: subprocess.Popen | None = None
         self.error: SolverError | None = None
         if not cfg.builtin:
+            self.stderr = tempfile.TemporaryFile()
             try:
-                self.proc = run_solver(emit_smtlib(self.clauses), cfg)
+                self.proc = run_solver(emit_smtlib(self.clauses), cfg, self.stderr)
             except SolverError as e:
                 self.error = e
+                self.stderr.close()
 
     def result(self, deadline: float) -> SolveResult:
         """The answer by `deadline` (a `time.monotonic()` instant), exactly
         re-checked when it is a rational model."""
         if self.error is not None:
             raise self.error
-        budget = deadline - time.monotonic()
-        if budget <= 0:
+        if deadline <= time.monotonic():
             self.cancel()
             raise SolverTimeout("no time budget left")
         variables = variables_of(self.clauses)
         if self.proc is None:
             result = solve_builtin(self.clauses, variables, deadline)
         else:
-            result = parse_solver_output(self._output(budget), variables)
+            result = parse_solver_output(self._output(deadline), variables)
         if result.status == "sat" and result.rational:
             violated = first_violated(self.clauses, result.model)
             if violated is not None:
                 raise SolverError(f"solver model fails exact re-check on: {violated}")
         return result
 
-    def _output(self, budget: float) -> str:
-        try:
-            stdout, stderr = self.proc.communicate(timeout=budget)
-        except subprocess.TimeoutExpired:
-            self.cancel()
-            raise SolverTimeout(f"solver exceeded {budget:.1f}s") from None
-        if self.proc.returncode not in (0, 1):  # some solvers exit 1 on unsat
-            raise SolverError(
-                f"solver exited with status {self.proc.returncode}: "
-                f"{stderr.decode(errors='replace').strip()[:2000]}"
-            )
-        return stdout.decode(errors="replace")
-
-    def cancel(self) -> None:
-        """Kill the solver's process group, unless it has been read, and reap it."""
+    def _output(self, deadline: float) -> str:
+        """The solver's output, read to its end.  As soon as the solver
+        exits, whatever it left running in its process group is killed, so
+        nothing it started can hold the output open or outlive the run."""
         proc = self.proc
-        if proc is None or proc.returncode is not None:
-            return
+        out = bytearray()
+        exited = _exit_watch(proc)
+        with selectors.DefaultSelector() as ready:
+            ready.register(proc.stdout, selectors.EVENT_READ)
+            if exited is not None:
+                ready.register(exited, selectors.EVENT_READ)
+            try:
+                while ready.get_map():
+                    events = ready.select(max(0.0, deadline - time.monotonic()))
+                    if not events:
+                        self._timeout()
+                    for key, _mask in events:
+                        if key.fileobj is exited:  # the solver is gone, not yet reaped
+                            self._kill_group()
+                            ready.unregister(exited)
+                        elif chunk := os.read(key.fd, 1 << 16):
+                            out += chunk
+                        else:  # end of output
+                            ready.unregister(proc.stdout)
+            finally:
+                if exited is not None:
+                    os.close(exited)
+        if exited is None:
+            try:
+                proc.wait(max(0.0, deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                self._timeout()
+        self.stderr.seek(0)
+        errors = self.stderr.read(2000)
+        self.cancel()
+        if proc.returncode not in (0, 1):  # some solvers exit 1 on unsat
+            raise SolverError(
+                f"solver exited with status {proc.returncode}: "
+                f"{errors.decode(errors='replace').strip()}"
+            )
+        return out.decode(errors="replace")
+
+    def _timeout(self) -> None:
+        self.cancel()
+        raise SolverTimeout("solver ran past the time budget")
+
+    def _kill_group(self) -> None:
         try:
-            os.killpg(proc.pid, signal.SIGKILL)  # its session leader is not reaped yet
+            os.killpg(self.proc.pid, signal.SIGKILL)
         except ProcessLookupError:
             pass
-        proc.wait()
-        proc.stdout.close()
-        proc.stderr.close()
+
+    def cancel(self) -> None:
+        """Kill the solver's process group and reap the solver, once."""
+        if self.proc is None or self.proc.stdout.closed:
+            return
+        self._kill_group()
+        self.proc.wait()
+        self.proc.stdout.close()
+        self.stderr.close()
+
+
+def _exit_watch(proc: subprocess.Popen) -> int | None:
+    """A file descriptor that becomes readable when `proc` exits, leaving
+    it unreaped, so its process group id still names its group; None where
+    the system has no pidfds, and the solver is then reaped before its
+    group is killed."""
+    try:
+        return os.pidfd_open(proc.pid)
+    except (AttributeError, OSError):
+        return None
 
 
 def solve(clauses: Sequence[Clause], cfg: SolverConfig, deadline: float) -> SolveResult:

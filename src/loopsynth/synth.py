@@ -17,20 +17,21 @@ search, the triangular tiers build the order-independent clause families
 them across variable orders, holding each only until the last cell that
 uses it.
 
-With an external solver, a window of cells runs ahead: each cell's solver
-is started as soon as the cell is built, up to one run per usable core, so
-Python builds the next cells while the solvers work.  Results are still
-read strictly in search order, so the loops, notes and errors a search
-reports do not depend on which solver finishes first.  The built-in
-backend runs in this process and has nothing to overlap: its window is
-one cell.
+With an external solver, the next cell's solver is started as soon as
+that cell is built, while the current cell's solver runs, so Python
+builds cells while the solvers work.  Results are still read strictly in
+search order, so the loops, notes and errors a search reports do not
+depend on which solver finishes first.  A search that runs into its
+budget is the exception: the run started ahead shares the machine with
+the one being read, so a CPU-bound solver may time out sooner than it
+would alone.  The built-in backend runs in this process and has nothing
+to overlap: it solves one cell at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -47,7 +48,7 @@ from .smt import (
     SolverRun,
     SolverTimeout,
     emit_smtlib,
-    solve_structured,
+    solve_structured,  # not called here; perfbench/spans.py hooks it in this module
 )
 from .template import (
     ParamSpec,
@@ -266,7 +267,7 @@ def synthesize(request: SynthRequest, cfg: SolverConfig | None = None) -> SynthR
                 if block is None:
                     break
                 bundle.pcp.add(block)
-                res = solve_structured(bundle.pcp, cfg, deadline)
+                res = SolverRun(bundle.pcp, cfg).result(deadline)
             if len(found) >= request.count:
                 break
     except SolverTimeout:
@@ -282,13 +283,9 @@ def synthesize(request: SynthRequest, cfg: SolverConfig | None = None) -> SynthR
 
 def _window(cfg: SolverConfig) -> int:
     """How many cells' solver runs may be in flight at once: one for the
-    built-in backend, which runs in this process, else one per usable core
-    and at least two, so that Python builds a cell while a solver runs."""
-    if cfg.builtin:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return max(2, len(os.sched_getaffinity(0)))
-    return max(2, os.cpu_count() or 1)
+    built-in backend, which runs in this process, else two, so that
+    Python builds the next cell while a solver runs."""
+    return 1 if cfg.builtin else 2
 
 
 def _finish(found: list[Loop], start: float, cfg: SolverConfig, timeout: bool) -> SynthResult:

@@ -1,3 +1,4 @@
+import os
 import random
 import sys
 import time
@@ -139,6 +140,38 @@ class TestSolverRoundTrip:
         run = SolverRun(clauses, slow)
         assert time.monotonic() - begin < 0.5
         assert run.result(within()).status == "unknown"
+
+    @pytest.mark.parametrize("held", ["nothing", "stdout", "stderr"])
+    def test_a_read_run_leaves_nothing_running(self, tmp_path, held):
+        # the solver answers at once but leaves a child behind, which may
+        # hold one of its output streams open
+        redirect = {"nothing": ">/dev/null 2>&1", "stdout": "2>/dev/null", "stderr": ">/dev/null"}
+        pidfile = tmp_path / "child"
+        leaky = SolverConfig(("sh", "-c", f"sleep 30 {redirect[held]} & echo $! > {pidfile}; echo unknown"))
+        begin = time.monotonic()
+        assert SolverRun([Clause.unit(Polynomial.var(X))], leaky).result(within(20)).status == "unknown"
+        assert time.monotonic() - begin < 5
+        assert not _running(int(pidfile.read_text()))
+
+
+def _running(pid, grace=5.0):
+    """Whether the process still runs after up to `grace` seconds; a
+    zombie, killed but not yet reaped by its new parent, does not."""
+    gone_by = time.monotonic() + grace
+    while time.monotonic() < gone_by:
+        try:
+            with open(f"/proc/{pid}/stat") as f:
+                if f.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return False
+        except FileNotFoundError:
+            return False
+        except OSError:  # no /proc: ask the process itself
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                return False
+        time.sleep(0.05)
+    return True
 
 
 class TestBuiltinBackend:

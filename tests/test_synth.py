@@ -203,7 +203,7 @@ class TestSolverWindow:
     # it is given: how long to sleep, what to print, its exit status, and
     # whether to start a `sleep 30` child first.  It logs when it starts
     # and ends, and the pid of any child.  Every test here runs with the
-    # default window, which is at least 2, unless it says otherwise.
+    # default window of 2, unless it says otherwise.
 
     @staticmethod
     def request(timeout=60.0):
@@ -274,7 +274,7 @@ class TestSolverWindow:
             bundle, script = cells[3]
             plan[script_key(script)] = {"out": self.model_answer(bundle)}
         cfg = self.standin(tmp_path, plan)
-        assert synth_module._window(cfg) >= 2
+        assert synth_module._window(cfg) == 2
         reports = []
         for window in ("default", 1):
             if window == 1:
@@ -303,19 +303,22 @@ class TestSolverWindow:
         started = [key for event, key in self.log(tmp_path) if event == "start"]
         assert script_key(cells[1][1]) in started  # the failing run was made
 
-    @pytest.mark.parametrize("ending", ["found", "timeout", "error"])
+    @pytest.mark.parametrize("ending", ["found", "notfound", "timeout", "error"])
     def test_no_solver_process_outlives_the_search(self, tmp_path, ending):
         # the first cell's solver decides the search after the second
-        # one's has started a child; a timed-out first run has one too
+        # one's has started a child; a timed-out first run has one too.
+        # In a notfound search every solver answers at once and leaves a
+        # child behind that holds its error output open.
         req = self.request(timeout=60.0 if ending != "timeout" else 1.5)
         cells = self.cell_scripts(req)
         first = {
             "found": {"sleep": 0.5, "out": self.model_answer(cells[0][0])},
+            "notfound": {"child": True},
             "timeout": {"child": True, "sleep": 30},
             "error": {"sleep": 0.5, "status": 3},
         }[ending]
-        cfg = self.standin(tmp_path, {"other": {"child": True, "sleep": 30},
-                                      script_key(cells[0][1]): first})
+        other = {"child": True} if ending == "notfound" else {"child": True, "sleep": 30}
+        cfg = self.standin(tmp_path, {"other": other, script_key(cells[0][1]): first})
         begin = time.monotonic()
         if ending == "error":
             with pytest.raises(SolverError, match="status 3"):
@@ -481,7 +484,6 @@ class TestSearchSpace:
             raise AssertionError("no cell should reach the solver")
 
         monkeypatch.setattr(synth_module, "SolverRun", no_solver)
-        monkeypatch.setattr(synth_module, "solve_structured", no_solver)
         req = request_for(
             "x == 2y", ["x", "y"], size=3,
             tiers=[ShapeTier.UNIT_UPPER], partitions=[(2, 1)], timeout=60.0,
