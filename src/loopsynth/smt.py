@@ -13,7 +13,8 @@ Python before it is trusted; irrational model values are surfaced as
 :class:`AlgebraicTag` so callers can refuse them explicitly.
 
 A :class:`SolverRun` is one solve: an external solver is started when the
-run is made and read when its result is asked for, so a caller can keep
+run is made, with its output going to a file, and that file is read when
+the result is asked for and the solver has exited.  So a caller can keep
 several runs in flight and read them in its own order.  `solve` makes one
 run and reads it at once.
 
@@ -26,11 +27,12 @@ from __future__ import annotations
 
 import math
 import os
-import selectors
+import select
 import shlex
 import signal
 import subprocess
 import tempfile
+import threading
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -230,25 +232,20 @@ def parse_solver_output(text: str, variables: Iterable[Var]) -> SolveResult:
 # running the solver
 
 
-def run_solver(script: str, cfg: SolverConfig, stderr: BinaryIO) -> subprocess.Popen:
+def run_solver(script: str, cfg: SolverConfig, out: BinaryIO, err: BinaryIO) -> subprocess.Popen:
     """Start the external solver on `script` and return at once.
 
-    The solver reads the script from an unnamed temporary file, so it
-    never waits on this process however long the script is.  Its error
-    output goes to the file `stderr`, so nothing the solver leaves running
-    can hold a pipe open.  It leads a session of its own, so `SolverRun`
-    can kill whatever it starts along with it."""
+    The solver reads the script from an unnamed temporary file and writes
+    its answer to the file `out` and its errors to the file `err`, so it
+    never waits on this process, nothing it leaves running can hold a pipe
+    open, and its answer is whole once it has exited.  It leads a session
+    of its own, so `SolverRun` can kill whatever it starts along with it."""
     with tempfile.TemporaryFile() as stdin:
         stdin.write(script.encode())
         stdin.seek(0)
         try:
-            return subprocess.Popen(
-                list(cfg.command),
-                stdin=stdin,
-                stdout=subprocess.PIPE,
-                stderr=stderr,
-                start_new_session=True,
-            )
+            return subprocess.Popen(list(cfg.command), stdin=stdin, stdout=out, stderr=err,
+                                    start_new_session=True)
         except OSError as e:
             raise SolverError(f"cannot run solver {cfg.command[0]!r}: {e}") from None
 
@@ -269,12 +266,13 @@ class SolverRun:
         self.proc: subprocess.Popen | None = None
         self.error: SolverError | None = None
         if not cfg.builtin:
-            self.stderr = tempfile.TemporaryFile()
+            self.out, self.err = tempfile.TemporaryFile(), tempfile.TemporaryFile()
             try:
-                self.proc = run_solver(emit_smtlib(self.clauses), cfg, self.stderr)
+                self.proc = run_solver(emit_smtlib(self.clauses), cfg, self.out, self.err)
             except SolverError as e:
                 self.error = e
-                self.stderr.close()
+                self.out.close()
+                self.err.close()
 
     def result(self, deadline: float) -> SolveResult:
         """The answer by `deadline` (a `time.monotonic()` instant), exactly
@@ -296,76 +294,62 @@ class SolverRun:
         return result
 
     def _output(self, deadline: float) -> str:
-        """The solver's output, read to its end.  As soon as the solver
-        exits, whatever it left running in its process group is killed, so
-        nothing it started can hold the output open or outlive the run."""
-        proc = self.proc
-        out = bytearray()
-        exited = _exit_watch(proc)
-        with selectors.DefaultSelector() as ready:
-            ready.register(proc.stdout, selectors.EVENT_READ)
-            if exited is not None:
-                ready.register(exited, selectors.EVENT_READ)
+        """The solver's answer, read from its output file once it has
+        exited and whatever it left running has been killed."""
+        with self.out, self.err:
             try:
-                while ready.get_map():
-                    events = ready.select(max(0.0, deadline - time.monotonic()))
-                    if not events:
-                        self._timeout()
-                    for key, _mask in events:
-                        if key.fileobj is exited:  # the solver is gone, not yet reaped
-                            self._kill_group()
-                            ready.unregister(exited)
-                        elif chunk := os.read(key.fd, 1 << 16):
-                            out += chunk
-                        else:  # end of output
-                            ready.unregister(proc.stdout)
-            finally:
-                if exited is not None:
-                    os.close(exited)
-        if exited is None:
-            try:
-                proc.wait(max(0.0, deadline - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                self._timeout()
-        self.stderr.seek(0)
-        errors = self.stderr.read(2000)
-        self.cancel()
-        if proc.returncode not in (0, 1):  # some solvers exit 1 on unsat
-            raise SolverError(
-                f"solver exited with status {proc.returncode}: "
-                f"{errors.decode(errors='replace').strip()}"
-            )
+                exited = _exits_by(self.proc, deadline)
+            finally:  # however the wait ends, the solver's group goes
+                self._stop()
+            self.out.seek(0)
+            self.err.seek(0)
+            out, errors = self.out.read(), self.err.read(2000)
+        if not exited:
+            raise SolverTimeout("solver ran past the time budget")
+        if self.proc.returncode not in (0, 1):  # some solvers exit 1 on unsat
+            raise SolverError(f"solver exited with status {self.proc.returncode}: "
+                              f"{errors.decode(errors='replace').strip()}")
         return out.decode(errors="replace")
 
-    def _timeout(self) -> None:
-        self.cancel()
-        raise SolverTimeout("solver ran past the time budget")
-
-    def _kill_group(self) -> None:
+    def _stop(self) -> None:
+        """Kill the solver's process group, then reap the solver."""
         try:
             os.killpg(self.proc.pid, signal.SIGKILL)
         except ProcessLookupError:
             pass
+        self.proc.wait()
 
     def cancel(self) -> None:
         """Kill the solver's process group and reap the solver, once."""
-        if self.proc is None or self.proc.stdout.closed:
+        if self.proc is None or self.out.closed:
             return
-        self._kill_group()
-        self.proc.wait()
-        self.proc.stdout.close()
-        self.stderr.close()
+        with self.out, self.err:
+            self._stop()
 
 
-def _exit_watch(proc: subprocess.Popen) -> int | None:
-    """A file descriptor that becomes readable when `proc` exits, leaving
-    it unreaped, so its process group id still names its group; None where
-    the system has no pidfds, and the solver is then reaped before its
-    group is killed."""
+def _exits_by(proc: subprocess.Popen, deadline: float) -> bool:
+    """Whether `proc` exits by `deadline`.  It is watched through a pidfd
+    and left unreaped, so its process id still names its group when that
+    is killed; where there is no pidfd, or none that `select` takes, it is
+    reaped.  The wait is capped at the longest that the system supports,
+    so an unbounded budget waits that long."""
+    timeout = min(max(0.0, deadline - time.monotonic()), threading.TIMEOUT_MAX)
     try:
-        return os.pidfd_open(proc.pid)
+        exited = os.pidfd_open(proc.pid)
     except (AttributeError, OSError):
-        return None
+        pass
+    else:
+        try:
+            return bool(select.select([exited], [], [], timeout)[0])
+        except ValueError:  # a descriptor number past select's limit
+            pass
+        finally:
+            os.close(exited)
+    try:
+        proc.wait(timeout)
+    except subprocess.TimeoutExpired:
+        return False
+    return True
 
 
 def solve(clauses: Sequence[Clause], cfg: SolverConfig, deadline: float) -> SolveResult:

@@ -115,6 +115,17 @@ class TestSynthCommand:
         assert first.startswith("# tier=un ") and second.startswith("# tier=un ")
         assert first.rstrip().endswith("end") and second.rstrip().endswith("end")
 
+    @pytest.mark.parametrize("where", ["flag", "spec"])
+    def test_unbounded_timeout_with_an_external_solver(self, runner, tmp_path, where):
+        # an infinite budget is accepted, as on the built-in backend, and
+        # the solver is waited on for as long as the system allows
+        spec = write(tmp_path, "d.spec", DOUBLE_SPEC + ("timeout inf\n" if where == "spec" else ""))
+        flag = ["--timeout", "inf"] if where == "flag" else []
+        res = runner.invoke(main, ["synth", spec, "--solver", "sh -c 'cat >/dev/null; echo unknown'"] + flag)
+        assert res.exit_code == EXIT_NEGATIVE, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith("notfound")
+
     def test_json_error_object(self, runner, tmp_path):
         spec = write(tmp_path, "bad.spec", "vars x\ninvariant x ==\n")
         res = runner.invoke(main, ["synth", spec, "--json"])

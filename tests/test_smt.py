@@ -1,5 +1,6 @@
 import os
 import random
+import resource
 import sys
 import time
 from fractions import Fraction
@@ -141,6 +142,7 @@ class TestSolverRoundTrip:
         assert time.monotonic() - begin < 0.5
         assert run.result(within()).status == "unknown"
 
+    @pytest.mark.usefixtures("pidfds")
     @pytest.mark.parametrize("held", ["nothing", "stdout", "stderr"])
     def test_a_read_run_leaves_nothing_running(self, tmp_path, held):
         # the solver answers at once but leaves a child behind, which may
@@ -152,6 +154,76 @@ class TestSolverRoundTrip:
         assert SolverRun([Clause.unit(Polynomial.var(X))], leaky).result(within(20)).status == "unknown"
         assert time.monotonic() - begin < 5
         assert not _running(int(pidfile.read_text()))
+
+    def test_an_interrupted_read_leaves_nothing_running(self, tmp_path, monkeypatch):
+        pidfile = tmp_path / "child"
+        slow = SolverConfig(("sh", "-c", f"sleep 30 & echo $! > {pidfile}.tmp; mv {pidfile}.tmp {pidfile}; wait"))
+        run = SolverRun([Clause.unit(Polynomial.var(X))], slow)
+        started_by = within(10)
+        while not pidfile.exists() and time.monotonic() < started_by:
+            time.sleep(0.01)
+
+        def interrupted(proc, deadline):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(smt, "_exits_by", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run.result(within())
+        assert not _running(int(pidfile.read_text()))
+
+    def test_error_output_stays_out_of_the_answer(self):
+        # a status line on the error output, written first, must not be read
+        # as the answer; it shows only in the message of a failed run
+        noisy = SolverConfig(("sh", "-c", "cat >/dev/null; echo unknown >&2; "
+                                          "echo sat; echo '((define-fun x () Real 2))'"))
+        res = solve([Clause.unit(Polynomial.var(X) - 2)], noisy, within())
+        assert res.status == "sat" and res.model == {X: 2}
+        failing = SolverConfig(("sh", "-c", "cat >/dev/null; echo oops >&2; exit 3"))
+        with pytest.raises(SolverError, match="status 3: oops"):
+            solve([Clause.unit(Polynomial.var(X))], failing, within())
+
+    def test_no_descriptor_outlives_a_run(self):
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc/self/fd to count descriptors in")
+        unit = [Clause.unit(Polynomial.var(X))]
+        runs = []  # kept, so that collection closes nothing
+
+        def run(*command):
+            runs.append(SolverRun(unit, SolverConfig(command)))
+            return runs[-1]
+
+        before = len(os.listdir("/proc/self/fd"))
+        assert run("sh", "-c", "cat >/dev/null; echo unknown").result(within()).status == "unknown"
+        with pytest.raises(SolverTimeout):
+            run("sh", "-c", "sleep 5").result(within(0.2))
+        with pytest.raises(SolverError, match="status 3"):
+            run("sh", "-c", "exit 3").result(within())
+        with pytest.raises(SolverError, match="cannot run solver"):
+            run("/nonexistent").result(within())
+        run("sh", "-c", "sleep 5").cancel()
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
+@pytest.fixture(params=["pidfd", "no-pidfd", "pidfd-past-select-limit"])
+def pidfds(request, monkeypatch):
+    """Run the test as the system is, as on one without pidfds, and with
+    each pidfd numbered past the descriptors that `select` takes."""
+    if request.param == "no-pidfd":
+        monkeypatch.delattr(os, "pidfd_open", raising=False)
+    elif request.param == "pidfd-past-select-limit":
+        high = 1100  # FD_SETSIZE is 1024
+        if not hasattr(os, "pidfd_open") or resource.getrlimit(resource.RLIMIT_NOFILE)[0] <= high:
+            pytest.skip("no pidfds, or no descriptor numbers that high")
+        pidfd_open = os.pidfd_open
+
+        def past_select_limit(pid):
+            fd = pidfd_open(pid)
+            try:
+                return os.dup2(fd, high)
+            finally:
+                os.close(fd)
+
+        monkeypatch.setattr(os, "pidfd_open", past_select_limit)
 
 
 def _running(pid, grace=5.0):
