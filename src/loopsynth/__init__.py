@@ -13,7 +13,7 @@ complete order bound.
 from .constraints import Atom, Clause, Pcp
 from .parser import ParseError, parse_expression, parse_invariant, parse_loop, parse_spec
 from .pcpgen import DegenerateInvariantError, PcpBundle, build_pcp
-from .poly import Monomial, Polynomial, SymbolTable, Var
+from .poly import Monomial, Polynomial, Var
 from .smt import (
     AlgebraicTag,
     SolverConfig,
@@ -24,24 +24,18 @@ from .smt import (
     solve_structured,
 )
 from .synth import Loop, RequestError, SynthRequest, SynthResult, synthesize
-from .template import (
-    ParamSpec,
-    RecurrenceTemplate,
-    ShapeTier,
-    build_template,
-    int_partitions,
-)
+from .template import RecurrenceTemplate, ShapeTier, build_template, int_partitions
 from .verify import ConcreteSystem, Verdict, check_equiv_modulo, check_invariant, order_bound
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraicTag", "Atom", "Clause", "ConcreteSystem",
-    "DegenerateInvariantError", "Loop", "Monomial", "ParamSpec", "ParseError",
-    "Pcp", "PcpBundle", "Polynomial", "RecurrenceTemplate", "RequestError", "ShapeTier",
-    "SolverConfig", "SolverError", "SolverTimeout", "SymbolTable",
-    "SynthRequest", "SynthResult", "Var", "Verdict", "build_pcp",
-    "build_template", "check_equiv_modulo", "check_invariant", "emit_smtlib",
-    "int_partitions", "order_bound", "parse_expression", "parse_invariant",
-    "parse_loop", "parse_spec", "solve", "solve_structured", "synthesize",
+    "DegenerateInvariantError", "Loop", "Monomial", "ParseError", "Pcp",
+    "PcpBundle", "Polynomial", "RecurrenceTemplate", "RequestError", "ShapeTier",
+    "SolverConfig", "SolverError", "SolverTimeout", "SynthRequest",
+    "SynthResult", "Var", "Verdict", "build_pcp", "build_template",
+    "check_equiv_modulo", "check_invariant", "emit_smtlib", "int_partitions",
+    "order_bound", "parse_expression", "parse_invariant", "parse_loop",
+    "parse_spec", "solve", "solve_structured", "synthesize",
 ]

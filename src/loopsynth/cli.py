@@ -17,7 +17,7 @@ import click
 
 from .parser import LoopFile, ParseError, parse_invariant, parse_loop, parse_spec
 from .poly import Var
-from .smt import SolverConfig, SolverConfigError, SolverError, SolverTimeout
+from .smt import SolverConfig, SolverConfigError, SolverError
 from .synth import RequestError, SynthRequest, SynthResult, first_cell_script, synthesize
 from .template import ShapeTier
 from .verify import check_equiv_modulo, check_invariant
@@ -107,8 +107,6 @@ def synth(specfile, solver, timeout, tier, partition, size, aux_one, count, emit
         result = synthesize(request, cfg)
     except RequestError as e:
         raise SystemExit(_fail(EXIT_INPUT, str(e), as_json))
-    except SolverTimeout:
-        raise SystemExit(_fail(EXIT_TIMEOUT, "solver budget exhausted", as_json))
     except SolverError as e:
         raise SystemExit(_fail(EXIT_SOLVER, str(e), as_json))
     _emit_synth_result(result, as_json)
@@ -264,8 +262,6 @@ def bench(directory, solver, timeout, jobs, csv_path, include_reconstructed):
             row["status"], row["note"] = "parse-error", str(e)
         except RequestError as e:
             row["status"], row["note"] = "input-error", str(e)
-        except SolverTimeout as e:
-            row["status"], row["note"] = "timeout", str(e)
         except SolverError as e:
             row["status"], row["note"] = "solver-error", str(e)
         return row

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .poly import Polynomial, Var
+from .poly import Polynomial, Var, fresh_name
 from .verify import ConcreteSystem
 
 _TOKEN_RE = re.compile(
@@ -454,7 +454,7 @@ def parse_loop(text: str) -> LoopFile:
     return LoopFile(
         var_names=list(targets),
         param_names=param_names,
-        system=_linearize(prog_vars, state, init_polys),
+        system=_linearize(prog_vars, state, init_polys, set(symbols)),
     )
 
 
@@ -490,9 +490,11 @@ def _linearize(
     prog_vars: list[Var],
     update: Mapping[Var, Polynomial],
     init: Sequence[Polynomial],
+    taken: set[str],
 ) -> ConcreteSystem:
     """Turn affine updates into a linear system, adding a constant-one
-    variable when any update carries an additive constant."""
+    variable, named clear of the `taken` names, when any update carries an
+    additive constant."""
     s = len(prog_vars)
     rows: list[list[Fraction]] = []
     consts: list[Fraction] = []
@@ -517,7 +519,7 @@ def _linearize(
         p.constant_value() if p.is_constant() else p for p in init
     ]
     if any(c != 0 for c in consts):
-        one = Var("_one", "program", s)
+        one = Var(fresh_name("_one", taken), "program", s)
         for row, c in zip(rows, consts):
             row.append(c)
         rows.append([Fraction(0)] * s + [Fraction(1)])

@@ -8,7 +8,9 @@ each an ``int`` when integral and a ``Fraction`` otherwise; a float is a
 
 Terms are kept canonical under a graded lexicographic order.  The global
 variable order puts user-declared program variables first (in declaration
-order) and generated symbols after them, alphabetically.
+order) and generated symbols after them, alphabetically.  A generated
+name comes from `fresh_name`, which prefixes `_` until the name is free
+of the user's names and of every name generated before it.
 
 The order is realized by a plain sort key, `MONO_KEY(m)`: a flat tuple of
 the degree followed, for each variable of `m` in the global order, by that
@@ -481,27 +483,11 @@ def sign_normalize(p: Polynomial) -> Polynomial:
     return -p if c < 0 else p
 
 
-class SymbolTable:
-    """Tracks declared symbols of a synthesis session.
-
-    Guarantees that generated names never collide with user-declared names
-    or with each other.
-    """
-
-    def __init__(self):
-        self._vars: dict[str, Var] = {}
-
-    def declare(self, var: Var) -> Var:
-        existing = self._vars.get(var.name)
-        if existing is not None:
-            if existing != var:
-                raise ValueError(f"symbol {var.name!r} already declared with a different role")
-            return existing
-        self._vars[var.name] = var
-        return var
-
-    def fresh(self, base: str, kind: str) -> Var:
-        name = base
-        while name in self._vars:
-            name = "_" + name
-        return self.declare(Var(name, kind))
+def fresh_name(base: str, taken: set[str]) -> str:
+    """`base`, prefixed with `_` until it is not in `taken`; the name is
+    added to `taken`.  How a generated name keeps clear of the user's names
+    and of the names generated before it."""
+    while base in taken:
+        base = "_" + base
+    taken.add(base)
+    return base

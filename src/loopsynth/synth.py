@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .constraints import Clause
 from .parser import SpecFile
 from .pcpgen import DegenerateInvariantError, PcpBundle, base_clauses, build_pcp
-from .poly import Polynomial, Var
+from .poly import Polynomial, Var, fresh_name
 from .smt import (
     ModelValue,
     SolverConfig,
@@ -50,13 +50,7 @@ from .smt import (
     emit_smtlib,
     solve_structured,  # not called here; perfbench/spans.py hooks it in this module
 )
-from .template import (
-    ParamSpec,
-    RecurrenceTemplate,
-    ShapeTier,
-    build_template,
-    int_partitions,
-)
+from .template import RecurrenceTemplate, ShapeTier, build_template, int_partitions
 from .verify import ConcreteSystem, check_invariant
 
 
@@ -306,16 +300,8 @@ def _effective_vars(request: SynthRequest) -> tuple[list[Var], dict[str, Fractio
     pinned = dict(request.pinned)
     taken = {v.name for v in vars} | {p.name for p, _ in request.params}
     aux: list[str] = []
-
-    def fresh(base: str) -> str:
-        name = base
-        while name in taken:
-            name = "_" + name
-        taken.add(name)
-        return name
-
     if request.aux_one:
-        name = fresh("one")
+        name = fresh_name("one", taken)
         vars.append(Var(name, "program", len(vars)))
         pinned[name] = Fraction(1)
         aux.append(name)
@@ -323,7 +309,7 @@ def _effective_vars(request: SynthRequest) -> tuple[list[Var], dict[str, Fractio
     if target < len(vars):
         raise RequestError(f"size {target} is below the variable count {len(vars)}")
     for k in range(target - len(vars)):
-        name = fresh(f"t{k + 1}")
+        name = fresh_name(f"t{k + 1}", taken)
         vars.append(Var(name, "program", len(vars)))
         aux.append(name)
     return vars, pinned, tuple(aux)
@@ -368,23 +354,6 @@ def _cells(
                 yield tier, perm, part
 
 
-def _base_key(
-    request: SynthRequest,
-    perm: tuple[Var, ...],
-    tier: ShapeTier,
-    partition: tuple[int, ...],
-    pinned: Mapping[str, Fraction],
-) -> tuple:
-    """What the cell's `base_clauses` depend on (see there).  The full tier
-    searches a single order, so no two of its cells share a key."""
-    return (
-        tier,
-        partition,
-        tuple(pinned.get(v.name) for v in perm),
-        tuple(perm.index(v) for _, v in request.params),
-    )
-
-
 class _SharedBases:
     """`base_clauses` shared by the cells of one search.
 
@@ -404,8 +373,14 @@ class _SharedBases:
         self.orders = math.prod(math.factorial(k) for k in classes)
         self.held: dict[tuple, tuple[list[Clause], int]] = {}  # clauses, cells left
 
-    def take(self, key: tuple, tpl: RecurrenceTemplate) -> list[Clause] | None:
-        """The cell's base clauses, or None when no other cell shares them."""
+    def take(self, tpl: RecurrenceTemplate) -> list[Clause] | None:
+        """The cell's base clauses, or None when no other cell shares them.
+
+        They depend on the tier, the partition and which positions are
+        pinned (to which value) or bound to a parameter (to which one),
+        and `tpl.a_matrix` records the last two (see `base_clauses`).
+        """
+        key = (tpl.tier, tpl.partition, tpl.a_matrix)
         base, left = self.held.pop(key, (None, 1 if tpl.tier is ShapeTier.FULL else self.orders))
         if left > 1:
             base = base_clauses(tpl) if base is None else base
@@ -423,17 +398,11 @@ def _cell_problem(
 ) -> PcpBundle | None:
     """The cell's constraint problem, or None if no loop can come from it.
 
-    With `bases`, cells of the same base key share `base_clauses`.
+    With `bases`, cells that share `base_clauses` build them once.
     """
-    paramspec = None
-    if request.params:
-        paramspec = ParamSpec(
-            tuple((p, perm.index(v)) for p, v in request.params)
-        )
-    tpl = build_template(perm, tier, partition, pinned, paramspec)
-    base = None
-    if bases is not None:
-        base = bases.take(_base_key(request, perm, tier, partition, pinned), tpl)
+    params = [(p, perm.index(v)) for p, v in request.params]
+    tpl = build_template(perm, tier, partition, pinned, params)
+    base = bases.take(tpl) if bases is not None else None
     try:
         bundle = build_pcp(tpl, request.invariants, base)
     except DegenerateInvariantError:
@@ -521,7 +490,7 @@ def _extract_loop(
         update=update,
         init=init,
         params=tpl.params,
-        aux=tuple(a for a in aux if any(v.name == a for v in tpl.vars)),
+        aux=aux,
         tier=tpl.tier.value,
         partition=tpl.partition,
         millis=int((time.monotonic() - start) * 1000),

@@ -5,6 +5,15 @@ an integer partition of s giving symbolic eigenvalue multiplicities, and
 the general closed form X_n = sum_ij C_ij w_i^n n^(j-1).  The template
 holds only the coefficient columns C_ij; `pcpgen.closed_forms` writes the
 exponentials w_i^n and the index n as stand-in symbols.
+
+`build_template` takes plain data -- the variables in order, pins by
+name, (parameter, position) pairs -- and names every symbol it makes
+itself: by position (b12, w1, a2, c1_1_2) and through `poly.fresh_name`,
+so no generated name takes a variable's or a parameter's.  The
+initial-value matrix `a_matrix` records each position's pin or parameter,
+so within one search (tier, partition, a_matrix) is all that the
+order-independent clause families of a cell depend on
+(`synth._SharedBases`).
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .matrix import SymMatrix
-from .poly import Polynomial, Rat, SymbolTable, Var
+from .poly import Polynomial, Rat, Var, fresh_name
 
 
 def int_partitions(s: int) -> list[tuple[int, ...]]:
@@ -51,17 +60,6 @@ class ShapeTier(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ParamSpec:
-    """Symbolic-initial-value declaration.
-
-    Each entry binds a parameter symbol to the program variable whose
-    initial value it names.
-    """
-
-    bindings: tuple[tuple[Var, int], ...]  # (parameter symbol, variable index)
-
-
-@dataclass(frozen=True)
 class RecurrenceTemplate:
     """The full symbolic search template for one (tier, partition) cell.
 
@@ -93,13 +91,15 @@ def build_template(
     tier: ShapeTier,
     partition: Sequence[int],
     pinned_inits: Mapping[str, Rat] | None = None,
-    params: ParamSpec | None = None,
+    params: Sequence[tuple[Var, int]] = (),
 ) -> RecurrenceTemplate:
     """Construct the symbolic system for one search cell.
 
     `vars` fixes the variable order (and thus which entries a triangular
     tier zeroes out).  `pinned_inits` fixes initial values to rationals by
-    variable name; everything else stays symbolic.
+    variable name, and each (parameter, index) of `params` makes the
+    initial value of ``vars[index]`` that parameter; everything else stays
+    symbolic.
     """
     s = len(vars)
     if s < 1:
@@ -112,18 +112,17 @@ def build_template(
     for name in pinned:
         if name not in names:
             raise ValueError(f"pinned initial value for unknown variable {name!r}")
-    bindings = params.bindings if params is not None else ()
-    for p, idx in bindings:
+    for p, idx in params:
         if not (0 <= idx < s):
             raise ValueError(f"parameter index {idx} out of range")
         if names[idx] in pinned:
             raise ValueError(f"variable {names[idx]!r} is both pinned and parameterized")
+    taken = set(names) | {p.name for p, _ in params}
+    if len(taken) < s + len(params):
+        raise ValueError("variable and parameter names must be distinct")
 
-    tab = SymbolTable()
-    for v in vars:
-        tab.declare(v)
-    for p, _ in bindings:
-        tab.declare(p)
+    def sym(base: str, kind: str) -> Polynomial:
+        return Polynomial.var(Var(fresh_name(base, taken), kind))
 
     # update matrix
     rows = []
@@ -131,24 +130,24 @@ def build_template(
         row: list[Polynomial | Rat] = []
         for j in range(s):
             if tier is ShapeTier.FULL:
-                row.append(Polynomial.var(tab.fresh(f"b{i + 1}{j + 1}", "matrix")))
+                row.append(sym(f"b{i + 1}{j + 1}", "matrix"))
             elif j < i:
                 row.append(0)
             elif j == i and tier is ShapeTier.UNIT_UPPER:
                 row.append(1)
             else:
-                row.append(Polynomial.var(tab.fresh(f"b{i + 1}{j + 1}", "matrix")))
+                row.append(sym(f"b{i + 1}{j + 1}", "matrix"))
         rows.append(row)
     b = SymMatrix.make(rows)
 
     # symbolic eigenvalues
-    rootspec = tuple((tab.fresh(f"w{i + 1}", "root"), m) for i, m in enumerate(partition))
+    rootspec = tuple((Var(fresh_name(f"w{i + 1}", taken), "root"), m) for i, m in enumerate(partition))
 
     # initial values: s x (r+1), one column per parameter and a constant
     # one; a plain template is the r = 0 case
-    r = len(bindings)
+    r = len(params)
     width = r + 1
-    index_of = {idx: col for col, (_, idx) in enumerate(bindings)}
+    index_of = {idx: col for col, (_, idx) in enumerate(params)}
     a_rows: list[list[Polynomial | Rat]] = []
     for i, v in enumerate(vars):
         if i in index_of:
@@ -157,11 +156,11 @@ def build_template(
             a_rows.append([0] * r + [Fraction(pinned[v.name])])
         else:
             a_rows.append([
-                Polynomial.var(tab.fresh(f"a{i + 1}" + (f"{k + 1}" if width > 1 else ""), "initial"))
+                sym(f"a{i + 1}" + (f"{k + 1}" if width > 1 else ""), "initial")
                 for k in range(width)
             ])
     a_matrix = SymMatrix.make(a_rows)
-    param_syms = tuple(p for p, _ in bindings)
+    param_syms = tuple(p for p, _ in params)
     basis = tuple(Polynomial.var(p) for p in param_syms) + (Polynomial.const(1),)
 
     # closed-form coefficient columns C_ij, one per (root, multiplicity slot)
@@ -171,7 +170,7 @@ def build_template(
             col = []
             for i in range(s):
                 entries = [
-                    Polynomial.var(tab.fresh(f"c{ridx + 1}_{j}_{i + 1}" + (f"_{k + 1}" if width > 1 else ""), "coeff"))
+                    sym(f"c{ridx + 1}_{j}_{i + 1}" + (f"_{k + 1}" if width > 1 else ""), "coeff")
                     for k in range(width)
                 ]
                 col.append(sum((e * bk for e, bk in zip(entries, basis)), Polynomial.zero()))

@@ -391,6 +391,14 @@ class TestVerifyCommand:
         res = runner.invoke(main, ["verify", loop, "--invariant", "a == zz"])
         assert res.exit_code == EXIT_INPUT
 
+    def test_a_variable_named_like_the_hidden_constant_one(self, runner, tmp_path):
+        # the constant-one variable that absorbs `+ 1` and `+ 2` takes a
+        # name no loop variable has, so the invariant reads the user's `_one`
+        loop = write(tmp_path, "one.loop", "_one, x = 0, 0\nwhile true\n  _one = _one + 1\n  x = x + 2\nend\n")
+        res = runner.invoke(main, ["verify", loop, "--invariant", "x == 2 _one"])
+        assert res.exit_code == EXIT_OK, res.output
+        assert "holds" in res.output
+
 
 class TestEquivCommand:
     def test_equivalent_modulo_renaming(self, runner, tmp_path):

@@ -209,6 +209,20 @@ class TestLoopFiles:
         p = parse_equation("x0 == y0 q + r", syms)
         assert check_invariant(loop.system, p).holds
 
+    def test_constant_one_is_named_clear_of_variables_and_parameters(self):
+        loop = parse_loop(
+            "_one, __one, x = 0, p, _p\n"
+            "while true\n"
+            "  _one = _one + 1\n"
+            "  x = x + 1\n"
+            "end\n"
+        )
+        assert loop.param_names == ["p", "_p"]
+        assert [v.name for v in loop.system.vars] == ["_one", "__one", "x", "___one"]
+        syms = loop.symbols()
+        assert syms["_one"].pos == 0 and syms["___one"].pos == 3
+        assert check_invariant(loop.system, parse_equation("x == _one + _p", syms)).holds
+
     def test_no_constant_one_without_affine_constants(self):
         loop = parse_loop("x, y = 1, 1\nwhile true\n  x = 2x\n  y = 2y\nend\n")
         assert [v.name for v in loop.system.vars] == ["x", "y"]

@@ -20,7 +20,7 @@ from loopsynth.matrix import SymMatrix, char_poly, mat_apply
 from loopsynth.parser import parse_spec
 from loopsynth.poly import MONO_KEY, Monomial, Polynomial, Var
 from loopsynth.synth import SynthRequest, _search_space
-from loopsynth.template import ParamSpec, ShapeTier, build_template, int_partitions
+from loopsynth.template import ShapeTier, build_template, int_partitions
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -142,10 +142,8 @@ class TestInitialValues:
         request.tiers = [ShapeTier.FULL]
         cells, pinned, _ = _search_space(request)
         for tier, perm, part in cells:
-            paramspec = None
-            if request.params:
-                paramspec = ParamSpec(tuple((p, perm.index(v)) for p, v in request.params))
-            tpl = build_template(perm, tier, part, pinned, paramspec)
+            params = [(p, perm.index(v)) for p, v in request.params]
+            tpl = build_template(perm, tier, part, pinned, params)
             assert gen_init(tpl) == init_clauses_by_matrix_powers(tpl)[:tpl.size]
 
 
@@ -165,7 +163,7 @@ def closed_form_templates():
         "up-2-1": build_template(make_vars("x", "y", "z"), ShapeTier.UPPER, (2, 1)),
         "un-3-param": build_template(
             make_vars("x", "y", "z"), ShapeTier.UNIT_UPPER, (3,),
-            pinned_inits={"z": Fraction(1)}, params=ParamSpec(((x0, 0),)),
+            pinned_inits={"z": Fraction(1)}, params=[(x0, 0)],
         ),
     }
 
@@ -358,7 +356,7 @@ class TestParameterized:
     def euclid_bundle(self):
         vars = make_vars("r", "q", "y", "t")
         x0, y0 = Var("x0", "param"), Var("y0", "param")
-        spec = ParamSpec(((x0, 0), (y0, 2)))
+        spec = [(x0, 0), (y0, 2)]
         tpl = build_template(
             vars, ShapeTier.UNIT_UPPER, (4,),
             pinned_inits={"t": Fraction(1)}, params=spec,

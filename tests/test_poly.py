@@ -16,7 +16,6 @@ from loopsynth.poly import (
     Monomial,
     MONO_KEY,
     Polynomial,
-    SymbolTable,
     Var,
     sign_normalize,
 )
@@ -356,20 +355,6 @@ class TestMonomialOrder:
         assert [m for m, _ in p.sorted_terms()] == expected
         if expected:
             assert p.leading() == (expected[0], p.terms[expected[0]])
-
-
-class TestSymbolTable:
-    def test_fresh_avoids_collisions(self):
-        tab = SymbolTable()
-        tab.declare(Var("w1", "program", 0))
-        w = tab.fresh("w1", "root")
-        assert w.name == "_w1" and w.kind == "root"
-
-    def test_redeclare_conflict(self):
-        tab = SymbolTable()
-        tab.declare(Var("x", "program", 0))
-        with pytest.raises(ValueError):
-            tab.declare(Var("x", "root"))
 
 
 class TestInterning:

@@ -17,3 +17,14 @@ def test_library_example_runs_and_prints_a_loop():
                          text=True, env=env, timeout=120)
     assert res.returncode == 0, res.stderr
     assert "while true" in res.stdout and "end" in res.stdout, res.stdout
+
+
+def test_every_exported_name_resolves():
+    import loopsynth
+
+    assert len(set(loopsynth.__all__)) == len(loopsynth.__all__)
+    missing = [name for name in loopsynth.__all__ if not hasattr(loopsynth, name)]
+    assert not missing
+    namespace: dict = {}
+    exec("from loopsynth import *", namespace)
+    assert set(loopsynth.__all__) <= namespace.keys()

@@ -21,7 +21,6 @@ from loopsynth.synth import (
     RequestError,
     SynthRequest,
     _SharedBases,
-    _base_key,
     _cell_problem,
     _cells,
     _effective_vars,
@@ -530,7 +529,13 @@ class TestSearchSpace:
         req = benchmark_request(name, tiers)
         vars, pinned, aux = _effective_vars(req)
         cells = list(_cells(vars, tiers, int_partitions(len(vars))))
-        keys = [_base_key(req, perm, tier, part, pinned) for tier, perm, part in cells]
+        # the reference key, from the request rather than the template:
+        # tier, partition, pins by position, parameter positions
+        keys = [
+            (tier, part, tuple(pinned.get(v.name) for v in perm),
+             tuple(perm.index(v) for _, v in req.params))
+            for tier, perm, part in cells
+        ]
         bases = _SharedBases(req, pinned, aux)
         for tier, perm, part in cells:
             shared = _cell_problem(req, perm, tier, part, pinned, bases)
@@ -553,8 +558,8 @@ class TestSearchSpace:
         sizes = []
 
         class RecordingBases(_SharedBases):
-            def take(self, key, tpl):
-                base = super().take(key, tpl)
+            def take(self, tpl):
+                base = super().take(tpl)
                 sizes.append(len(self.held))
                 return base
 

@@ -3,13 +3,8 @@ from fractions import Fraction
 import pytest
 
 from loopsynth.matrix import SymMatrix, mat_apply
-from loopsynth.poly import Polynomial, SymbolTable, Var
-from loopsynth.template import (
-    ParamSpec,
-    ShapeTier,
-    build_template,
-    int_partitions,
-)
+from loopsynth.poly import Polynomial, Var
+from loopsynth.template import ShapeTier, build_template, int_partitions
 
 
 def companion_embedding(coeffs):
@@ -100,8 +95,7 @@ class TestTemplate:
         # elsewhere, one extra constant column
         vars = make_vars("r", "q", "y", "t")
         p1, p2 = Var("x0", "param"), Var("y0", "param")
-        spec = ParamSpec(((p1, 0), (p2, 2)))
-        tpl = build_template(vars, ShapeTier.FULL, (4,), params=spec)
+        tpl = build_template(vars, ShapeTier.FULL, (4,), params=[(p1, 0), (p2, 2)])
         a = tpl.a_matrix
         assert (a.rows, a.cols) == (4, 3)
         assert [a.at(0, k) for k in range(3)] == [Polynomial.const(1), Polynomial.zero(), Polynomial.zero()]
@@ -117,9 +111,18 @@ class TestTemplate:
 
     def test_pin_param_conflict(self):
         vars = make_vars("x", "y")
-        spec = ParamSpec(((Var("x0", "param"), 0),))
+        spec = [(Var("x0", "param"), 0)]
         with pytest.raises(ValueError):
             build_template(vars, ShapeTier.FULL, (2,), pinned_inits={"x": Fraction(1)}, params=spec)
+
+    def test_generated_names_avoid_variable_names(self):
+        tpl = build_template(make_vars("w1", "x"), ShapeTier.UPPER, (2,))
+        w, _ = tpl.rootspec[0]
+        assert w.name == "_w1" and w.kind == "root"
+
+    def test_parameter_named_like_a_variable(self):
+        with pytest.raises(ValueError):
+            build_template(make_vars("x", "y"), ShapeTier.FULL, (2,), params=[(Var("y", "param"), 0)])
 
 
 class TestCompanionEmbedding:
