@@ -198,8 +198,8 @@ def equiv(loop1, loop2, invariant, mapping):
 
 
 def _parse_mapping(text: str, lf1: LoopFile, lf2: LoopFile) -> dict[Var, Var]:
-    sym1 = {v.name: v for v in lf1.system.vars}
-    sym2 = {v.name: v for v in lf2.system.vars}
+    sym1 = dict(zip(lf1.var_names, lf1.system.vars))  # declared names: not the hidden one
+    sym2 = dict(zip(lf2.var_names, lf2.system.vars))
     out: dict[Var, Var] = {}
     for item in filter(None, (s.strip() for s in text.split(","))):
         a, sep, b = item.partition("=")

@@ -384,7 +384,9 @@ class LoopFile:
     system: ConcreteSystem
 
     def symbols(self) -> dict[str, Var]:
-        out = {v.name: v for v in self.system.vars}
+        """The declared variables and the parameters, by name; the hidden
+        constant-one variable is not among them."""
+        out = dict(zip(self.var_names, self.system.vars))
         for p in self.param_names:
             out[p] = Var(p, "param")
         return out

@@ -45,6 +45,7 @@ from .poly import Polynomial, Var, fresh_name
 from .smt import (
     ModelValue,
     SolverConfig,
+    SolveResult,
     SolverRun,
     SolverTimeout,
     emit_smtlib,
@@ -236,32 +237,18 @@ def synthesize(request: SynthRequest, cfg: SolverConfig | None = None) -> SynthR
     try:
         for bundle, run in in_search_order():
             res = run.result(deadline)
-            while True:
-                if res.status == "unknown":
-                    undecided.add(_UNKNOWN_NOTE)
-                    break
-                if res.status != "sat":
-                    break
-                loop = _extract_loop(bundle.template, res.model, aux, start)
-                if loop is None:  # irrational matrix or initial values: refuse the model
+            while res.status == "sat":
+                loop = _extract_loop(bundle.template, res, request.invariants, aux, start)
+                if loop is None:
                     undecided.add(_REFUSED_NOTE)
-                    break
-                verdict = [check_invariant(loop.system(), p) for p in request.invariants]
-                if not all(v.holds for v in verdict):
-                    if res.rational:
-                        raise AssertionError(
-                            "exactly-checked model produced a loop failing verification"
-                        )
-                    undecided.add(_REFUSED_NOTE)  # an irrational model, refused
                     break
                 found.append(loop)
                 if len(found) >= request.count:
                     break
-                block = _blocking_clause(bundle.template, res.model)
-                if block is None:
-                    break
-                bundle.pcp.add(block)
+                bundle.pcp.add(_blocking_clause(bundle.template, res.model))
                 res = SolverRun(bundle.pcp, cfg).result(deadline)
+            if res.status == "unknown":
+                undecided.add(_UNKNOWN_NOTE)
             if len(found) >= request.count:
                 break
     except SolverTimeout:
@@ -429,88 +416,54 @@ def _nontriviality_clause(tpl: RecurrenceTemplate) -> Clause | None:
     return Clause.any(parts)
 
 
-def _blocking_clause(tpl: RecurrenceTemplate, model: Mapping[Var, ModelValue]) -> Clause | None:
-    syms = sorted(
-        tpl.b.variables() | tpl.a_matrix.variables(), key=lambda v: v.sort_key
-    )
-    parts = []
-    for v in syms:
-        value = model.get(v, Fraction(0))
-        if not isinstance(value, Fraction):
-            return None
-        parts.append((Polynomial.var(v) - Polynomial.const(value), "!="))
-    if not parts:
-        return None
-    return Clause.any(parts)
+def _blocking_clause(tpl: RecurrenceTemplate, model: Mapping[Var, ModelValue]) -> Clause:
+    """Some matrix or initial-value symbol must differ from the model's value.
+
+    Every such value is rational: `_extract_loop` refuses the model
+    otherwise.  The clause is never empty: B has a symbol in every tier once
+    s >= 2, and at s = 1 the `un` tier's B = I has no nontriviality clause,
+    so its cell is never built.
+    """
+    syms = sorted(tpl.b.variables() | tpl.a_matrix.variables(), key=lambda v: v.sort_key)
+    return Clause.any([(Polynomial.var(v) - Polynomial.const(model[v]), "!=") for v in syms])
 
 
 def _extract_loop(
     tpl: RecurrenceTemplate,
-    model: Mapping[Var, ModelValue],
+    res: SolveResult,
+    invariants: Sequence[Polynomial],
     aux: tuple[str, ...],
     start: float,
 ) -> Loop | None:
-    rational = {v: c for v, c in model.items() if isinstance(c, Fraction)}
+    """The loop that a `sat` answer's model gives, verified against every
+    invariant, or None when the model is refused.
 
-    def rat(p: Polynomial) -> Fraction | None:
-        try:
-            return p.evaluate(rational)
-        except KeyError:
-            return None
-
-    s = tpl.size
-    update_rows = []
-    for i in range(s):
-        row = []
-        for j in range(s):
-            c = rat(tpl.b.at(i, j))
-            if c is None:
-                return None
-            row.append(c)
-        update_rows.append(tuple(row))
-
-    init_vals: list[Fraction | Polynomial] = []
-    for expr in tpl.init_exprs:
-        # keep parameters symbolic, substitute solved initial-value symbols
-        bindings = {
-            v: rational[v] for v in expr.variables() if v not in tpl.params
-            if v in rational
-        }
-        if set(expr.variables()) - set(tpl.params) - set(bindings):
-            return None
-        value = expr.substitute(bindings)
-        init_vals.append(value.constant_value() if value.is_constant() else value)
-
-    update = tuple(update_rows)
-    init = tuple(init_vals)
-    if not _changes_something(update, init, s):
+    A model is refused when an update or initial value is not rational,
+    when its loop changes no variable (the exact re-check of the
+    nontriviality clause, which an irrational model skips in `SolverRun`),
+    or when it is irrational and its loop fails verification.  A rational
+    model has passed the exact re-check of every clause, so a loop of one
+    that fails verification is a fault, not a refusal.
+    """
+    rational = {v: c for v, c in res.model.items() if isinstance(c, Fraction)}
+    try:
+        update = tuple(tuple(e.evaluate(rational) for e in row) for row in tpl.b.entries)
+    except KeyError:
         return None
-    return Loop(
-        vars=tpl.vars,
-        update=update,
-        init=init,
-        params=tpl.params,
-        aux=aux,
-        tier=tpl.tier.value,
-        partition=tpl.partition,
-        millis=int((time.monotonic() - start) * 1000),
-    )
-
-
-def _changes_something(
-    update: tuple[tuple[Fraction, ...], ...],
-    init: tuple[Fraction | Polynomial, ...],
-    s: int,
-) -> bool:
-    """Exact nontriviality re-check: U V != V (as functions of parameters)."""
-    for i in range(s):
-        acc: Fraction | Polynomial = Fraction(0)
-        for j in range(s):
-            acc = acc + update[i][j] * init[j]
-        delta = Polynomial.coerce(acc) - Polynomial.coerce(init[i])
-        if not delta.is_zero():
-            return True
-    return False
+    values = [e.substitute(rational) for e in tpl.init_exprs]
+    if any(e.variables() - set(tpl.params) for e in values):
+        return None
+    init = tuple(e.constant_value() if e.is_constant() else e for e in values)
+    loop = Loop(tpl.vars, update, init, tpl.params, aux, tpl.tier.value, tpl.partition,
+                int((time.monotonic() - start) * 1000))
+    system = loop.system()
+    if system.step(system.init) == system.init:
+        return None
+    if all([check_invariant(system, p).holds for p in invariants]):  # a list: perfbench counts every call
+        return loop
+    if res.rational:
+        raise AssertionError("exactly-checked model produced a loop failing verification")
+    return None
 
 
 def first_cell_script(request: SynthRequest) -> str:

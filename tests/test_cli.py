@@ -26,6 +26,7 @@ SQUARE_LOOP = (
 SUM_LINEAR_LOOP = "x, y, z = 0, 0, 0\nwhile true\n  x = x + 1\n  y = y + 2\n  z = z + 3\nend\n"
 SUM_SCALED_LOOP = "a, b, c = 0, 0, 0\nwhile true\n  a = a + 2\n  b = b + 4\n  c = c + 6\nend\n"
 SUM_BROKEN_LOOP = "a, b, c = 0, 0, 0\nwhile true\n  a = a + 1\n  b = b + 2\n  c = c + 4\nend\n"
+TWO_STEP_LOOP = "a, x = 0, 0\nwhile true\n  a = a + 1\n  x = x + 2\nend\n"  # has a hidden constant one
 
 
 @pytest.fixture
@@ -399,6 +400,12 @@ class TestVerifyCommand:
         assert res.exit_code == EXIT_OK, res.output
         assert "holds" in res.output
 
+    def test_the_hidden_constant_one_is_not_an_invariant_name(self, runner, tmp_path):
+        loop = write(tmp_path, "two.loop", TWO_STEP_LOOP)
+        res = runner.invoke(main, ["verify", loop, "--invariant", "x == 2 a + _one - 1"])
+        assert res.exit_code == EXIT_INPUT, res.output
+        assert "unknown identifier '_one'" in res.output
+
 
 class TestEquivCommand:
     def test_equivalent_modulo_renaming(self, runner, tmp_path):
@@ -434,6 +441,13 @@ class TestEquivCommand:
             main, ["equiv", l1, l2, "--invariant", "z == x + y", "--map", "x=zz"]
         )
         assert res.exit_code == EXIT_INPUT
+
+    def test_the_hidden_constant_one_cannot_be_mapped(self, runner, tmp_path):
+        l1 = write(tmp_path, "a.loop", TWO_STEP_LOOP)
+        l2 = write(tmp_path, "b.loop", TWO_STEP_LOOP)
+        res = runner.invoke(main, ["equiv", l1, l2, "--invariant", "x == 2 a", "--map", "_one=_one"])
+        assert res.exit_code == EXIT_INPUT
+        assert "bad mapping entry '_one=_one'" in res.output
 
 
 class TestBenchCommand:

@@ -166,6 +166,50 @@ class TestRefusedModels:
         )
 
 
+PINNED_SOLVER = """\
+import re, sys
+pins = dict(arg.split("=") for arg in sys.argv[1:])
+script = sys.stdin.read()
+print("sat")
+for name in re.findall(r"\\(declare-const (\\S+) Real\\)", script):
+    value = pins.get(name, "(root-obj (+ (^ x 2) (- 2)) 2)")
+    print(f"(define-fun {name} () Real {value})")
+"""
+
+
+class TestModelsWithIrrationalRoots:
+    # A stand-in solver answers sat with the `name=value` pairs it is given
+    # and an irrational value for every other constant, so `SolverRun`
+    # skips its exact re-check of the clauses.  The size-2 `un` cell has
+    # B = [[1, b12], [0, 1]] and initial values a1, a2.
+
+    @staticmethod
+    def search(tmp_path, invariant, *pins):
+        solver = tmp_path / "pinned.py"
+        solver.write_text(PINNED_SOLVER)
+        req = request_for(
+            invariant, ["x", "y"], tiers=[ShapeTier.UNIT_UPPER], partitions=[(2,)], timeout=60.0,
+        )
+        return synthesize(req, SolverConfig((sys.executable, str(solver), *pins)))
+
+    def test_a_model_whose_loop_changes_no_variable_is_refused(self, tmp_path):
+        # x, y = 2, 1 with b12 = 0 keeps x == 2y but never moves: only the
+        # exact nontriviality re-check can refuse it
+        res = self.search(tmp_path, "x == 2y", "b12=0", "a1=2", "a2=1")
+        assert res.status == "notfound" and not res.loops
+        assert res.note == (
+            "some search cells were undecided: a solver model with irrational values was refused"
+        )
+
+    def test_rational_update_and_initial_values_give_a_verified_loop(self, tmp_path):
+        # the path of a Fibonacci-like loop from an external solver: the
+        # roots and closed-form coefficients are irrational, the loop is not
+        res = self.search(tmp_path, "y == 1", "b12=1", "a1=1", "a2=1")
+        assert res.status == "found"
+        (loop,) = res.loops
+        assert loop.render() == "x, y = 1, 1\nwhile true\n  x = x + y\n  y = y\nend\n"
+
+
 STANDIN_SOLVER = """\
 import hashlib, json, subprocess, sys, time
 log, plan = sys.argv[1], json.load(open(sys.argv[2]))
