@@ -58,6 +58,12 @@ def _write(path: str, text: str, as_json: bool) -> None:
         raise SystemExit(_fail(EXIT_INPUT, str(e), as_json)) from None
 
 
+def _seconds(ctx, param, value):
+    if value is not None and not value > 0:  # NaN too: a deadline of start + nan never comes
+        raise click.BadParameter(f"{value} is not a positive number of seconds")
+    return value
+
+
 def _parse_partition(text: str) -> tuple[int, ...]:
     try:
         parts = tuple(int(x) for x in text.replace(",", " ").split())
@@ -71,8 +77,8 @@ def _parse_partition(text: str) -> tuple[int, ...]:
 @main.command()
 @click.argument("specfile", type=click.Path(exists=True, dir_okay=False))
 @_solver_option
-@click.option("--timeout", type=click.FloatRange(min=0, min_open=True), default=None,
-              help="Total budget in seconds (default 60).")
+@click.option("--timeout", type=float, default=None, callback=_seconds,
+              help="Total budget in seconds, positive (default 60).")
 @click.option("--tier", type=click.Choice(["un", "up", "fu", "auto"]), default=None)
 @click.option("--partition", default=None, help="Fix the multiplicity partition, e.g. '2,1'.")
 @click.option("--size", type=int, default=None, help="System size (pad with auxiliary variables).")
@@ -190,9 +196,9 @@ def equiv(loop1, loop2, invariant, mapping):
         lf2 = parse_loop(_read(loop2))
         polys = parse_invariant(invariant, lf1.symbols())
         bijection = _parse_mapping(mapping, lf1, lf2)
-    except (ParseError, ValueError) as e:
+        ok = all(check_equiv_modulo(lf1.system, lf2.system, p, bijection) for p in polys)
+    except (ParseError, ValueError) as e:  # a map check_equiv_modulo refuses, too
         raise SystemExit(_fail(EXIT_INPUT, str(e), False))
-    ok = all(check_equiv_modulo(lf1.system, lf2.system, p, bijection) for p in polys)
     click.echo("equivalent" if ok else "not equivalent")
     raise SystemExit(EXIT_OK if ok else EXIT_NEGATIVE)
 
@@ -214,7 +220,7 @@ def _parse_mapping(text: str, lf1: LoopFile, lf2: LoopFile) -> dict[Var, Var]:
 @main.command()
 @click.argument("directory", type=click.Path(exists=True, file_okay=False))
 @_solver_option
-@click.option("--timeout", type=click.FloatRange(min=0, min_open=True), default=60.0, show_default=True)
+@click.option("--timeout", type=float, default=60.0, show_default=True, callback=_seconds)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None,
               help="Write results as CSV (default: stdout).")
@@ -270,9 +276,7 @@ def bench(directory, solver, timeout, jobs, csv_path, include_reconstructed):
         rows = list(pool.map(run_one, specs))
 
     buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf, fieldnames=["instance", "status", "tier", "partition",
-                         "permutation", "millis", "verified", "backend", "note"])
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))  # run_one's keys, in column order
     writer.writeheader()
     writer.writerows(rows)
     if csv_path:

@@ -117,7 +117,7 @@ def _smt_atom(a: Atom) -> str:
 
 
 class Pcp:
-    """An ordered, deduplicated clause set with its symbol table.
+    """An ordered, deduplicated clause set.
 
     Clause order is insertion order, which makes downstream solver scripts
     deterministic.

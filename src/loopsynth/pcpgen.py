@@ -156,7 +156,7 @@ class PcpBundle:
     """Everything the solver layer needs for one search cell."""
 
     template: RecurrenceTemplate
-    pcp: Pcp  # the cell's whole constraint problem
+    pcp: Pcp  # the cell's clauses; synth adds the nontriviality and blocking ones
 
 
 def base_clauses(tpl: RecurrenceTemplate) -> list[Clause]:

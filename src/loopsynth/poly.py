@@ -433,23 +433,10 @@ class Polynomial:
     # -- rendering ----------------------------------------------------
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts: list[str] = []
-        for i, (m, c) in enumerate(self.sorted_terms()):
-            mono = "*".join(v.name if e == 1 else f"{v.name}^{e}" for v, e in m)
-            mag = abs(c)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            if i == 0:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return signed_sum(
+            (c, "*".join(v.name if e == 1 else f"{v.name}^{e}" for v, e in m))
+            for m, c in self.sorted_terms()
+        )
 
     def __repr__(self):
         return f"Polynomial({self})"
@@ -481,6 +468,22 @@ def sign_normalize(p: Polynomial) -> Polynomial:
         return p
     _, c = p.leading()
     return -p if c < 0 else p
+
+
+def signed_sum(terms: Iterable[tuple[Rat, str]]) -> str:
+    """A sum of (coefficient, factor text) terms as `x - 2*y + 1/2`, in order:
+    zero terms are skipped, an empty factor is a constant, and no term is `0`."""
+    parts: list[str] = []
+    for c, factor in terms:
+        if c == 0:
+            continue
+        mag = abs(c)
+        body = str(mag) if not factor else factor if mag == 1 else f"{mag}*{factor}"
+        if parts:
+            parts.append(f"- {body}" if c < 0 else f"+ {body}")
+        else:
+            parts.append(f"-{body}" if c < 0 else body)
+    return " ".join(parts) or "0"
 
 
 def fresh_name(base: str, taken: set[str]) -> str:

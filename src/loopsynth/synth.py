@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .constraints import Clause
 from .parser import SpecFile
 from .pcpgen import DegenerateInvariantError, PcpBundle, base_clauses, build_pcp
-from .poly import Polynomial, Var, fresh_name
+from .poly import Polynomial, Var, fresh_name, signed_sum
 from .smt import (
     ModelValue,
     SolverConfig,
@@ -118,32 +118,28 @@ class Loop:
         return ConcreteSystem(vars=self.vars, update=self.update, init=self.init)
 
     def render(self) -> str:
-        """Loop text in the corpus notation, folding an auxiliary
-        constant-one variable into additive constants when possible."""
-        vars, update, init = list(self.vars), [list(r) for r in self.update], list(self.init)
-        consts = [Fraction(0)] * len(vars)
-        for name in self.aux:
-            idx = next(i for i, v in enumerate(vars) if v.name == name)
-            unit_row = all(
-                c == (1 if j == idx else 0) for j, c in enumerate(update[idx])
-            )
-            if unit_row and init[idx] == Fraction(1):
-                for i, row in enumerate(update):
-                    consts[i] += row[idx]
-                    del row[idx]
-                del update[idx], vars[idx], init[idx], consts[idx]
-
-        names = [v.name for v in vars]
-        inits = ", ".join(str(v) for v in init)
-        lines = [f"{', '.join(names)} = {inits}", "while true"]
-        if _is_upper(update):
-            for i, row in enumerate(update):
-                lines.append("  " + f"{names[i]} = " + _render_affine(names, row, consts[i]))
+        """Loop text in the corpus notation.  An auxiliary variable with the
+        unit update row and initial value 1 stays 1, so its column folds into
+        each kept row's constant.  The update is one line per variable when
+        the kept matrix is upper triangular, else one simultaneous line."""
+        folded = [
+            i for i, v in enumerate(self.vars)
+            if v.name in self.aux and self.init[i] == 1
+            and all(c == (1 if j == i else 0) for j, c in enumerate(self.update[i]))
+        ]
+        keep = [i for i in range(len(self.vars)) if i not in folded]
+        names = [self.vars[i].name for i in keep]
+        rows = [
+            signed_sum([(self.update[i][j], name) for j, name in zip(keep, names)]
+                       + [(sum(self.update[i][j] for j in folded), "")])
+            for i in keep
+        ]
+        lines = [f"{', '.join(names)} = {', '.join(str(self.init[i]) for i in keep)}", "while true"]
+        if all(self.update[i][j] == 0 for k, i in enumerate(keep) for j in keep[:k]):
+            lines += [f"  {name} = {row}" for name, row in zip(names, rows)]
         else:
-            rhs = ", ".join(_render_affine(names, row, c) for row, c in zip(update, consts))
-            lines.append("  " + f"{', '.join(names)} = {rhs}")
-        lines.append("end")
-        return "\n".join(lines) + "\n"
+            lines.append(f"  {', '.join(names)} = {', '.join(rows)}")
+        return "\n".join(lines + ["end"]) + "\n"
 
     def to_json(self) -> dict:
         return {
@@ -159,34 +155,6 @@ class Loop:
             "verified": True,
             "loop": self.render(),
         }
-
-
-def _is_upper(update: Sequence[Sequence[Fraction]]) -> bool:
-    return all(c == 0 for i, row in enumerate(update) for c in row[:i])
-
-
-def _render_affine(names: Sequence[str], row: Sequence[Fraction], const: Fraction) -> str:
-    parts: list[tuple[Fraction, str | None]] = [
-        (c, names[j]) for j, c in enumerate(row) if c != 0
-    ]
-    if const != 0:
-        parts.append((const, None))
-    if not parts:
-        return "0"
-    out = ""
-    for k, (c, name) in enumerate(parts):
-        mag = abs(c)
-        if name is None:
-            body = str(mag)
-        elif mag == 1:
-            body = name
-        else:
-            body = f"{mag}*{name}"
-        if k == 0:
-            out = body if c > 0 else f"-{body}"
-        else:
-            out += f" + {body}" if c > 0 else f" - {body}"
-    return out
 
 
 @dataclass

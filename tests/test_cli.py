@@ -179,7 +179,7 @@ class TestInputErrors:
         assert rows["double"]["status"] == "found"
 
     @pytest.mark.parametrize("command", ["synth", "bench"])
-    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
     def test_nonpositive_timeout_flag_is_a_usage_error(self, runner, tmp_path, command, value):
         spec = write(tmp_path, "double.spec", DOUBLE_SPEC)
         target = spec if command == "synth" else str(tmp_path)
@@ -448,6 +448,18 @@ class TestEquivCommand:
         res = runner.invoke(main, ["equiv", l1, l2, "--invariant", "x == 2 a", "--map", "_one=_one"])
         assert res.exit_code == EXIT_INPUT
         assert "bad mapping entry '_one=_one'" in res.output
+
+    @pytest.mark.parametrize("args, message", [
+        ([], "variable map does not cover: a, b"),
+        (["--map", "a=x,b=x"], "variable map is not injective"),
+    ], ids=["no-map", "not-injective"])
+    def test_a_map_the_check_refuses_is_an_input_error(self, runner, tmp_path, args, message):
+        l1 = write(tmp_path, "scaled.loop", SUM_SCALED_LOOP)
+        l2 = write(tmp_path, "lin.loop", SUM_LINEAR_LOOP)
+        res = runner.invoke(main, ["equiv", l1, l2, "--invariant", "b == 2a", *args])
+        assert res.exit_code == EXIT_INPUT, res.output
+        assert f"error: {message}" in res.output
+        assert isinstance(res.exception, SystemExit)  # no traceback
 
 
 class TestBenchCommand:

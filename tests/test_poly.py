@@ -18,6 +18,7 @@ from loopsynth.poly import (
     Polynomial,
     Var,
     sign_normalize,
+    signed_sum,
 )
 from loopsynth.smt import emit_smtlib
 
@@ -100,6 +101,11 @@ class TestBasics:
     def test_str_is_canonical(self):
         p = poly_of((1, {X: 2}), (-2, {Y: 1}), (Fraction(1, 2), {}))
         assert str(p) == "x^2 - 2*y + 1/2"
+
+    def test_signed_sum_writes_terms_in_the_given_order(self):
+        assert signed_sum([(-1, "x"), (2, "y"), (Fraction(-1, 2), ""), (1, "z")]) == "-x + 2*y - 1/2 + z"
+        assert signed_sum([(0, "x"), (Fraction(-3), "y"), (Fraction(3), "")]) == "-3*y + 3"
+        assert signed_sum([(0, "x"), (Fraction(0), "")]) == signed_sum([]) == "0"
 
 
 class TestArithmetic:

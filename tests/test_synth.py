@@ -10,6 +10,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopsynth import synth as synth_module
 from loopsynth.parser import parse_invariant, parse_loop, parse_spec
@@ -208,6 +209,23 @@ class TestModelsWithIrrationalRoots:
         assert res.status == "found"
         (loop,) = res.loops
         assert loop.render() == "x, y = 1, 1\nwhile true\n  x = x + y\n  y = y\nend\n"
+
+    def test_a_counter_stepping_by_the_constant_one_is_not_folded(self, tmp_path):
+        # t1 starts at 1 and steps by the constant-one variable: folding it
+        # as well would print x = x + 1, which breaks the invariant at n = 2
+        solver = tmp_path / "pinned.py"
+        solver.write_text(PINNED_SOLVER)
+        req = request_for(
+            "2x == y^2 + y", ["x", "y"], aux_one=True, size=4,
+            tiers=[ShapeTier.UNIT_UPPER], partitions=[(4,)], timeout=60.0,
+        )
+        pins = "b12=0 b13=1 b14=0 b23=0 b24=1 b34=1 a1=0 a2=0 a3=1".split()
+        res = synthesize(req, SolverConfig((sys.executable, str(solver), *pins)))
+        (loop,) = res.loops
+        assert loop.permutation == ("x", "y", "t1", "one")
+        assert loop.render() == (
+            "x, y, t1 = 0, 0, 1\nwhile true\n  x = x + t1\n  y = y + 1\n  t1 = t1 + 1\nend\n"
+        )
 
 
 STANDIN_SOLVER = """\
@@ -476,6 +494,68 @@ class TestRendering:
             assert state_a[:2] == state_b[:2]
             state_a, state_b = orig.step(state_a), reparsed.step(state_b)
 
+    def test_an_auxiliary_variable_that_steps_is_not_folded(self):
+        # v0 stays 1, v1 = v1 - v0 does not: only v0 folds
+        loop = Loop(
+            vars=tuple(make_vars("v0", "v1")),
+            update=((Fraction(1), Fraction(0)), (Fraction(-1), Fraction(1))),
+            init=(Fraction(1), Fraction(1)),
+            aux=("v0", "v1"),
+        )
+        assert loop.render() == "v1 = 1\nwhile true\n  v1 = v1 - 1\nend\n"
+
+    def test_a_matrix_not_upper_triangular_is_one_simultaneous_line(self):
+        loop = Loop(
+            vars=tuple(make_vars("x", "y", "z")),
+            update=tuple(tuple(map(Fraction, row)) for row in ((0, 1, 0), (-1, 0, 0), (0, 0, 0))),
+            init=(Fraction(1), Fraction(-2), Fraction(1, 2)),
+        )
+        assert loop.render() == "x, y, z = 1, -2, 1/2\nwhile true\n  x, y, z = y, -x, 0\nend\n"
+
+    ENTRIES = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-1, 2)]
+
+    @staticmethod
+    @st.composite
+    def loops(draw):
+        """A loop of size 1 to 4 with at least one variable outside `aux`;
+        an auxiliary variable is constant one, a counter from 1 stepping by
+        another auxiliary variable, or free."""
+        s = draw(st.integers(1, 4))
+        entries = st.sampled_from(TestRendering.ENTRIES)
+        update = [[draw(entries) for _ in range(s)] for _ in range(s)]
+        init = [draw(entries) for _ in range(s)]
+        kept = draw(st.integers(0, s - 1))
+        aux = [i for i in range(s) if i != kept and draw(st.booleans())]
+        for i in aux:
+            kind = draw(st.sampled_from(["one", "counter", "free"]))
+            if kind != "free":
+                update[i] = [Fraction(int(j == i)) for j in range(s)]
+                init[i] = Fraction(1)
+            if kind == "counter" and len(aux) > 1:
+                by = draw(st.sampled_from([j for j in aux if j != i]))
+                update[i][by] = draw(st.sampled_from(TestRendering.ENTRIES[1:]))
+        names = [f"v{i}" for i in range(s)]
+        return Loop(
+            vars=tuple(make_vars(*names)),
+            update=tuple(map(tuple, update)),
+            init=tuple(init),
+            aux=tuple(names[i] for i in aux),
+        )
+
+    @settings(deadline=None, max_examples=300)
+    @given(loops())
+    def test_rendered_text_keeps_each_trajectory(self, loop):
+        text = loop.render()
+        reparsed = parse_loop(text)
+        kept = reparsed.var_names
+        assert {v.name for v in loop.vars} - set(loop.aux) <= set(kept), text
+        at = [loop.permutation.index(name) for name in kept]
+        orig, new = loop.system(), reparsed.system
+        state_a, state_b = orig.init, new.init
+        for _ in range(10):
+            assert [state_a[i] for i in at] == list(state_b[:len(kept)]), text
+            state_a, state_b = orig.step(state_a), new.step(state_b)
+
     def test_json_payload(self):
         payload = self.sample_loop().to_json()
         assert payload["vars"] == ["a", "b", "one"]
@@ -535,6 +615,14 @@ class TestSearchSpace:
         assert res.status == "notfound" and res.note == ""
         with pytest.raises(RequestError):
             first_cell_script(req)
+
+    def test_a_size_one_unit_upper_cell_is_never_built(self, monkeypatch):
+        # B = I changes nothing, so the cell has no nontriviality clause and
+        # never reaches a solver, nor `_blocking_clause` with no symbol
+        runs = unknown_runs(monkeypatch)
+        spec = parse_spec("vars x\ninvariant x == 1\ntier un\n")
+        res = synthesize(SynthRequest.from_spec(spec), SolverConfig(("recording",)))
+        assert res.status == "notfound" and res.note == "" and runs == []
 
     def test_emitted_script_is_the_first_cell_the_search_solves(self, monkeypatch):
         solved = unknown_runs(monkeypatch)
