@@ -134,6 +134,13 @@ class Pcp:
             self._seen.add(clause)
             self.clauses.append(clause)
 
+    def copy(self) -> "Pcp":
+        """The same clauses as a set of its own, with none hashed again."""
+        out = Pcp()
+        out.clauses = list(self.clauses)
+        out._seen = self._seen.copy()
+        return out
+
     def variables(self) -> list[Var]:
         return variables_of(self.clauses)
 

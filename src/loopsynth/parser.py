@@ -39,7 +39,8 @@ class _Token:
     pos: int
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str, offset: int = 0) -> list[_Token]:
+    """The tokens of `text`, each at its position plus `offset`."""
     out = []
     idx = 0
     while idx < len(text):
@@ -47,12 +48,12 @@ def _tokenize(text: str) -> list[_Token]:
         if not m:
             break
         if m.group("bad"):
-            raise ParseError(f"unexpected character {m.group('bad')!r}", m.start("bad"))
+            raise ParseError(f"unexpected character {m.group('bad')!r}", offset + m.start("bad"))
         for kind in ("num", "ident", "op"):
             if m.group(kind):
-                out.append(_Token(kind, m.group(kind), m.start(kind)))
+                out.append(_Token(kind, m.group(kind), offset + m.start(kind)))
         idx = m.end()
-    out.append(_Token("end", "", len(text)))
+    out.append(_Token("end", "", offset + len(text)))
     return out
 
 
@@ -82,10 +83,10 @@ def _split_ident(name: str, known: Mapping[str, Var]) -> list[Var] | None:
 class ExprParser:
     """Recursive-descent parser producing exact polynomials."""
 
-    def __init__(self, text: str, symbols: Mapping[str, Var]):
+    def __init__(self, text: str, symbols: Mapping[str, Var], offset: int = 0):
         self.text = text
         self.symbols = dict(symbols)
-        self.tokens = _tokenize(text)
+        self.tokens = _tokenize(text, offset)
         self.i = 0
 
     def peek(self) -> _Token:
@@ -207,9 +208,10 @@ def parse_expression(text: str, symbols: Mapping[str, Var]) -> Polynomial:
     return result
 
 
-def parse_equation(text: str, symbols: Mapping[str, Var]) -> Polynomial:
-    """`lhs == rhs` (or `lhs = rhs`) as the polynomial lhs - rhs."""
-    p = ExprParser(text, symbols)
+def parse_equation(text: str, symbols: Mapping[str, Var], offset: int = 0) -> Polynomial:
+    """`lhs == rhs` (or `lhs = rhs`) as the polynomial lhs - rhs.  Error
+    positions count from `offset`, where `text` starts in a longer text."""
+    p = ExprParser(text, symbols, offset)
     lhs = _descend(p.expr)
     tok = p.advance()
     if tok.kind != "op" or tok.text not in ("==", "="):
@@ -231,8 +233,13 @@ def _descend(parse: Callable[[], Polynomial]) -> Polynomial:
 
 
 def parse_invariant(text: str, symbols: Mapping[str, Var]) -> list[Polynomial]:
-    """A conjunction of equations separated by '&&'."""
-    return [parse_equation(part, symbols) for part in text.split("&&")]
+    """A conjunction of equations separated by '&&'.  Error positions
+    count from the start of `text`, in every conjunct."""
+    out, start = [], 0
+    for part in text.split("&&"):
+        out.append(parse_equation(part, symbols, start))
+        start += len(part) + len("&&")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,24 @@ def closed_forms(tpl: RecurrenceTemplate) -> tuple[list[Polynomial], Var, dict[V
     return [Polynomial(f) for f in forms], n, {s: w for w, s in standin.items()}
 
 
+class ClosedForms:
+    """A template's `closed_forms`, with each power of a form computed once.
+
+    Forms and powers are by position, so templates that differ only in
+    `vars` can share them."""
+
+    def __init__(self, tpl: RecurrenceTemplate):
+        self.forms, self.n, self.roots = closed_forms(tpl)
+        self._powers: dict[tuple[int, int], Polynomial] = {}
+
+    def power(self, i: int, e: int) -> Polynomial:
+        """The closed form of position i, to the power e."""
+        q = self._powers.get((i, e))
+        if q is None:
+            q = self._powers[(i, e)] = self.forms[i] ** e
+        return q
+
+
 def gen_roots(tpl: RecurrenceTemplate) -> list[Clause]:
     z = Var("z^", "root")  # like the stand-ins, a name no other symbol has
     chi = char_poly(tpl.b, z)
@@ -108,7 +126,11 @@ def gen_init(tpl: RecurrenceTemplate) -> list[Clause]:
     ]
 
 
-def gen_alg(tpl: RecurrenceTemplate, invariants: Sequence[Polynomial]) -> list[Clause]:
+def gen_alg(
+    tpl: RecurrenceTemplate,
+    invariants: Sequence[Polynomial],
+    forms: ClosedForms | None = None,
+) -> list[Clause]:
     """The relation clauses, read off p(X(n)) for each invariant p.
 
     Substituting the closed forms gives p(X(n)) = sum_k n^k a_k(n), where
@@ -120,8 +142,14 @@ def gen_alg(tpl: RecurrenceTemplate, invariants: Sequence[Polynomial]) -> list[C
     w_i coincide or are 0.  So the clauses are a_k(j) = sum_i w_i^j u_i = 0
     for j < l, in ascending k, and every model of a cell's problem is a
     loop that keeps p.
+
+    `forms`, when given, must be the template's `ClosedForms`; templates
+    that differ only in `vars` can share them.
     """
-    forms, n, roots = closed_forms(tpl)
+    forms = ClosedForms(tpl) if forms is None else forms
+    n, roots = forms.n, forms.roots
+    bindings = dict(zip(tpl.vars, forms.forms))
+    slot = {v: i for i, v in enumerate(tpl.vars)}
     known = set(tpl.vars) | set(tpl.params)
     clauses: list[Clause] = []
     for p in invariants:
@@ -129,7 +157,8 @@ def gen_alg(tpl: RecurrenceTemplate, invariants: Sequence[Polynomial]) -> list[C
         if unknown:
             names = ", ".join(sorted(v.name for v in unknown))
             raise ValueError(f"invariant mentions unknown variable(s): {names}")
-        for _, coeff in p.substitute(dict(zip(tpl.vars, forms))).coeffs_in(n):
+        powers = {(v, e): forms.power(slot[v], e) for m in p.terms for v, e in m if v in slot}
+        for _, coeff in p.substitute(bindings, powers).coeffs_in(n):
             # {w_i: u_i}, with u_i as its (monomial, coefficient) terms
             split: dict[Monomial, list[tuple[Monomial, Rat]]] = {}
             for m, c in coeff.terms.items():
@@ -176,19 +205,23 @@ def base_clauses(tpl: RecurrenceTemplate) -> list[Clause]:
 def build_pcp(
     tpl: RecurrenceTemplate,
     invariants: Sequence[Polynomial],
-    base: Sequence[Clause] | None = None,
+    base: Pcp | None = None,
+    forms: ClosedForms | None = None,
 ) -> PcpBundle:
     """Union of the four clause families, in a fixed deterministic order.
 
     For parameterized templates every clause is decomposed over the
     parameter symbols; the result is guaranteed parameter-free.  `base`,
-    when given, must equal `base_clauses(tpl)`; it lets a caller that
-    builds many templates sharing those families compute them once.
+    when given, must be the clause set of `base_clauses(tpl)`, and `forms`
+    the template's `ClosedForms`; a caller that builds many templates
+    sharing them computes them once, and `base` is copied, not changed.
     """
-    base = base_clauses(tpl) if base is None else list(base)
-    alg = _parameter_free(tpl, gen_alg(tpl, invariants))
+    pcp = Pcp(base_clauses(tpl)) if base is None else base.copy()
+    alg = _parameter_free(tpl, gen_alg(tpl, invariants, forms))
     _reject_degenerate(alg)
-    return PcpBundle(template=tpl, pcp=Pcp(base + alg))
+    for c in alg:
+        pcp.add(c)
+    return PcpBundle(template=tpl, pcp=pcp)
 
 
 def _parameter_free(tpl: RecurrenceTemplate, clauses: list[Clause]) -> list[Clause]:

@@ -361,14 +361,19 @@ class Polynomial:
 
     # -- structural operations ----------------------------------------
 
-    def substitute(self, bindings: Mapping[Var, "Polynomial | Rat"]) -> "Polynomial":
+    def substitute(
+        self,
+        bindings: Mapping[Var, "Polynomial | Rat"],
+        powers: dict[tuple[Var, int], "Polynomial"] | None = None,
+    ) -> "Polynomial":
         """Simultaneous substitution; unbound variables pass through.
 
         One pass over the terms: each term's bound factors are multiplied
         out from powers cached per (variable, exponent), then times its
-        unbound factors, into a single term map.
+        unbound factors, into a single term map.  `powers`, when given, is
+        that cache, and may hold powers of the bound values already.
         """
-        powers: dict[tuple[Var, int], Polynomial] = {}
+        powers = {} if powers is None else powers
         acc: dict[Monomial, Rat] = {}
         hit = False
         for m, c in self.terms.items():

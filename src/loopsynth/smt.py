@@ -125,12 +125,14 @@ class SolveResult:
 # SMT-LIB emission
 
 
-def emit_smtlib(clauses: Sequence[Clause]) -> str:
+def emit_smtlib(clauses: Sequence[Clause], variables: Sequence[Var] | None = None) -> str:
     """Deterministic SMT-LIB 2 script for the clause set: the QF_NRA
     logic, one real constant per variable of the clauses, one assert per
-    clause (its `Clause.smtlib` text), then check-sat and get-model."""
+    clause (its `Clause.smtlib` text), then check-sat and get-model.
+    `variables`, when given, must be `variables_of(clauses)`."""
+    variables = variables_of(clauses) if variables is None else variables
     lines = ["(set-logic QF_NRA)"]
-    lines.extend(f"(declare-const {v.name} Real)" for v in variables_of(clauses))
+    lines.extend(f"(declare-const {v.name} Real)" for v in variables)
     lines.extend(f"(assert {c.smtlib})" for c in clauses)
     lines.extend(["(check-sat)", "(get-model)"])
     return "\n".join(lines) + "\n"
@@ -263,12 +265,14 @@ class SolverRun:
 
     def __init__(self, clauses: Iterable[Clause], cfg: SolverConfig):
         self.clauses = list(clauses)
+        self.variables = variables_of(self.clauses)
         self.proc: subprocess.Popen | None = None
         self.error: SolverError | None = None
         if not cfg.builtin:
             self.out, self.err = tempfile.TemporaryFile(), tempfile.TemporaryFile()
             try:
-                self.proc = run_solver(emit_smtlib(self.clauses), cfg, self.out, self.err)
+                script = emit_smtlib(self.clauses, self.variables)
+                self.proc = run_solver(script, cfg, self.out, self.err)
             except SolverError as e:
                 self.error = e
                 self.out.close()
@@ -282,11 +286,10 @@ class SolverRun:
         if deadline <= time.monotonic():
             self.cancel()
             raise SolverTimeout("no time budget left")
-        variables = variables_of(self.clauses)
         if self.proc is None:
-            result = solve_builtin(self.clauses, variables, deadline)
+            result = solve_builtin(self.clauses, self.variables, deadline)
         else:
-            result = parse_solver_output(self._output(deadline), variables)
+            result = parse_solver_output(self._output(deadline), self.variables)
         if result.status == "sat" and result.rational:
             violated = first_violated(self.clauses, result.model)
             if violated is not None:

@@ -12,10 +12,13 @@ module, so a wrong solver answer can never surface as output.
 The unit-upper-triangular tier searches only the partition (s): its
 characteristic polynomial is always (z-1)^s, so a partition with two or
 more parts would ask for distinct roots that cannot exist.  Within one
-search, the triangular tiers build the order-independent clause families
-(roots, coefficients, initial values) once per pinning pattern and reuse
-them across variable orders, holding each only until the last cell that
-uses it.
+search, the variable orders of a triangular tier that agree on the tier,
+the partition, the pin of each position and the position of each
+parameter's variable share one template, whose `vars` each order
+replaces, and with it the order-independent clause families (roots,
+coefficients, initial values), the closed forms and the nontriviality
+clause.  These are built at the first such order and held only until
+the last; each order builds only its relation clauses.
 
 With an external solver, the next cell's solver is started as soon as
 that cell is built, while the current cell's solver runs, so Python
@@ -34,13 +37,13 @@ import itertools
 import math
 import time
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .constraints import Clause
+from .constraints import Clause, Pcp
 from .parser import SpecFile
-from .pcpgen import DegenerateInvariantError, PcpBundle, base_clauses, build_pcp
+from .pcpgen import ClosedForms, DegenerateInvariantError, PcpBundle, base_clauses, build_pcp
 from .poly import Polynomial, Var, fresh_name, signed_sum
 from .smt import (
     ModelValue,
@@ -309,38 +312,54 @@ def _cells(
                 yield tier, perm, part
 
 
-class _SharedBases:
-    """`base_clauses` shared by the cells of one search.
+@dataclass(frozen=True)
+class _KeyParts:
+    """What the cells of one key share: its template, whose `vars` each
+    order replaces, the base clauses as one clause set, the closed forms
+    and the nontriviality clause."""
 
-    A key's clauses are held from its first cell to its last; a key that a
-    single cell uses is never built or held here.  The full tier searches
-    one order, so its keys are unshared.  In a triangular tier two orders
-    share a key when they differ by permuting variables within a class:
-    the unpinned variables without a parameter, those pinned to each value,
-    and each parameter-bound variable alone.  So each key has the same
-    number of cells, the product of the class sizes' factorials.
+    template: RecurrenceTemplate
+    base: Pcp
+    forms: ClosedForms
+    nontrivial: Clause | None
+
+
+class _SharedBases:
+    """The cell parts that the cells of one key share, for one search.
+
+    A cell's key is its tier, its partition, the pin of each position and
+    the position of each parameter's variable: template symbols are named
+    by position, so cells of one key differ only in `vars`.  A key's parts
+    are held from its first cell to its last; a key that a single cell
+    uses is never built or held here.  The full tier searches one order,
+    so its keys are unshared.  In a triangular tier two orders share a key
+    when they differ by permuting variables within a class: the unpinned
+    variables without a parameter, those pinned to each value, and each
+    parameter-bound variable alone.  So each key has the same number of
+    cells, the product of the class sizes' factorials.
     """
 
     def __init__(self, request: SynthRequest, pinned: Mapping[str, Fraction], aux: tuple[str, ...]):
+        self.pinned = pinned
         bound = {v for _, v in request.params}
         names = [v.name for v in request.vars if v not in bound] + list(aux)
         classes = Counter(pinned.get(name) for name in names).values()
         self.orders = math.prod(math.factorial(k) for k in classes)
-        self.held: dict[tuple, tuple[list[Clause], int]] = {}  # clauses, cells left
+        self.held: dict[tuple, tuple[_KeyParts, int]] = {}  # parts, cells left
 
-    def take(self, tpl: RecurrenceTemplate) -> list[Clause] | None:
-        """The cell's base clauses, or None when no other cell shares them.
-
-        They depend on the tier, the partition and which positions are
-        pinned (to which value) or bound to a parameter (to which one),
-        and `tpl.a_matrix` records the last two (see `base_clauses`).
-        """
-        key = (tpl.tier, tpl.partition, tpl.a_matrix)
-        base, left = self.held.pop(key, (None, 1 if tpl.tier is ShapeTier.FULL else self.orders))
+    def take(self, perm: tuple[Var, ...], tier: ShapeTier, partition: tuple[int, ...],
+             params: Sequence[tuple[Var, int]]) -> _KeyParts | None:
+        """The parts of the cell's key, or None when no other cell shares them."""
+        pins = tuple(self.pinned.get(v.name) for v in perm)
+        key = (tier, partition, pins, tuple(i for _, i in params))
+        parts, left = self.held.pop(key, (None, 1 if tier is ShapeTier.FULL else self.orders))
         if left > 1:
-            base = base_clauses(tpl) if base is None else base
-            self.held[key] = (base, left - 1)
-        return base
+            if parts is None:
+                tpl = build_template(perm, tier, partition, self.pinned, params)
+                parts = _KeyParts(tpl, Pcp(base_clauses(tpl)), ClosedForms(tpl),
+                                  _nontriviality_clause(tpl))
+            self.held[key] = (parts, left - 1)
+        return parts
 
 
 def _cell_problem(
@@ -353,16 +372,22 @@ def _cell_problem(
 ) -> PcpBundle | None:
     """The cell's constraint problem, or None if no loop can come from it.
 
-    With `bases`, cells that share `base_clauses` build them once.
+    With `bases`, the cells of one key share their template, base clauses,
+    closed forms and nontriviality clause, and each builds only its
+    relation clauses.
     """
     params = [(p, perm.index(v)) for p, v in request.params]
-    tpl = build_template(perm, tier, partition, pinned, params)
-    base = bases.take(tpl) if bases is not None else None
+    parts = bases.take(perm, tier, partition, params) if bases is not None else None
+    if parts is None:
+        tpl = build_template(perm, tier, partition, pinned, params)
+        base = forms = None
+    else:
+        tpl, base, forms = replace(parts.template, vars=perm), parts.base, parts.forms
     try:
-        bundle = build_pcp(tpl, request.invariants, base)
+        bundle = build_pcp(tpl, request.invariants, base, forms)
     except DegenerateInvariantError:
         return None
-    nt = _nontriviality_clause(tpl)
+    nt = _nontriviality_clause(tpl) if parts is None else parts.nontrivial
     if nt is None:
         return None
     bundle.pcp.add(nt)

@@ -11,9 +11,9 @@ name, (parameter, position) pairs -- and names every symbol it makes
 itself: by position (b12, w1, a2, c1_1_2) and through `poly.fresh_name`,
 so no generated name takes a variable's or a parameter's.  The
 initial-value matrix `a_matrix` records each position's pin or parameter,
-so within one search (tier, partition, a_matrix) is all that the
-order-independent clause families of a cell depend on
-(`synth._SharedBases`).
+so within one search two orders with the same tier, partition, pin of
+each position and position of each parameter's variable have templates
+that differ only in `vars` (`synth._SharedBases`).
 """
 
 from __future__ import annotations

@@ -99,6 +99,15 @@ class TestExpressions:
         with pytest.raises(ParseError):
             parse_equation("x + y", SYMS)
 
+    @pytest.mark.parametrize("text, message", [
+        ("x == 2y && x == 1/0", "division by zero"),
+        ("x == 2y && x == 2q", "unknown identifier 'q'"),
+    ])
+    def test_a_later_conjunct_s_error_is_placed_in_the_whole_text(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_invariant(text, SYMS)
+        assert str(err.value) == f"{message} (at position 17)"
+
 
 class TestSpecFiles:
     SPEC = """\
@@ -152,6 +161,12 @@ timeout 30
     def test_nonpositive_timeout_rejected(self, value):
         with pytest.raises(ParseError, match="line 3: timeout must be positive"):
             parse_spec(f"vars x\ninvariant x == 1\ntimeout {value}\n")
+
+    def test_an_invariant_error_names_its_spec_line_and_place_in_the_line(self):
+        spec = parse_spec("vars x y\n\ninvariant x == 2y && x == 1/0\n")
+        with pytest.raises(ParseError) as err:
+            spec.invariants()
+        assert str(err.value) == "line 3: division by zero (at position 17)"
 
     def test_corpus_parses(self):
         import pathlib

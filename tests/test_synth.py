@@ -29,7 +29,7 @@ from loopsynth.synth import (
     first_cell_script,
     synthesize,
 )
-from loopsynth.template import ShapeTier, int_partitions
+from loopsynth.template import ShapeTier, build_template, int_partitions
 from loopsynth.verify import check_invariant
 
 
@@ -645,64 +645,80 @@ class TestSearchSpace:
         built = [_cell_problem(req, perm, tier, part, pinned) for tier, perm, part in cells]
         assert len(calls) == sum(1 for b in built if b is not None) > 0
 
-    @pytest.mark.parametrize("name, tiers", [
-        ("square", [ShapeTier.UNIT_UPPER, ShapeTier.UPPER]),
-        ("fmi2", [ShapeTier.UNIT_UPPER, ShapeTier.UPPER]),
-        ("eucliddiv", [ShapeTier.UNIT_UPPER]),  # parameters and the aux-one pin
+    @pytest.mark.parametrize("name", [
+        "square", "fmi2",
+        "eucliddiv",  # parameters and the aux-one pin: every key has one cell
+        "intcbrt",  # a parameter, and keys of six cells
     ])
-    def test_shared_clause_families_match_a_fresh_build(self, name, tiers, monkeypatch):
-        built = []
+    def test_shared_clause_families_match_a_fresh_build(self, name, monkeypatch):
+        templates, built = [], []
+
+        def recording_build_template(perm, tier, part, pinned, params):
+            templates.append((tier, part, tuple(pinned.get(v.name) for v in perm),
+                              tuple(i for _, i in params)))
+            return build_template(perm, tier, part, pinned, params)
 
         def counting_base_clauses(tpl):
             built.append(tpl)
             return base_clauses(tpl)
 
+        monkeypatch.setattr(synth_module, "build_template", recording_build_template)
         monkeypatch.setattr(synth_module, "base_clauses", counting_base_clauses)
+        tiers = [ShapeTier.UNIT_UPPER, ShapeTier.UPPER]
         req = benchmark_request(name, tiers)
         vars, pinned, aux = _effective_vars(req)
         cells = list(_cells(vars, tiers, int_partitions(len(vars))))
         # the reference key, from the request rather than the template:
         # tier, partition, pins by position, parameter positions
-        keys = [
+        keys = Counter(
             (tier, part, tuple(pinned.get(v.name) for v in perm),
              tuple(perm.index(v) for _, v in req.params))
             for tier, perm, part in cells
-        ]
+        )
         bases = _SharedBases(req, pinned, aux)
-        for tier, perm, part in cells:
-            shared = _cell_problem(req, perm, tier, part, pinned, bases)
-            fresh = _cell_problem(req, perm, tier, part, pinned)
-            assert (shared is None) == (fresh is None)
-            if fresh is not None:
-                assert [str(c) for c in shared.pcp] == [str(c) for c in fresh.pcp]
-        # one build per shared key, and nothing held once the search is over
-        assert len(built) == sum(1 for n in Counter(keys).values() if n > 1) < len(cells)
+        shared = [_cell_problem(req, perm, tier, part, pinned, bases) for tier, perm, part in cells]
+        # one template per key and one base per shared key, whatever the
+        # number of its orders, and nothing held once the search is over
+        assert Counter(templates) == Counter(set(keys))
+        assert len(built) == sum(1 for n in keys.values() if n > 1) < len(cells)
         assert bool(built) == (name != "eucliddiv")
         assert not bases.held
+        for (tier, perm, part), cell in zip(cells, shared):
+            fresh = _cell_problem(req, perm, tier, part, pinned)
+            assert (cell is None) == (fresh is None)
+            if fresh is not None:
+                assert cell.template == fresh.template
+                assert emit_smtlib(list(cell.pcp)) == emit_smtlib(list(fresh.pcp))
 
     @pytest.mark.parametrize("name, tiers, holds", [
         ("eucliddiv", [ShapeTier.UNIT_UPPER], False),  # each order pins differently
         ("square", [ShapeTier.UNIT_UPPER, ShapeTier.UPPER], True),
+        ("square", [ShapeTier.FULL], False),  # one order
     ])
     def test_a_search_holds_clause_families_only_while_a_later_cell_uses_them(
         self, name, tiers, holds, monkeypatch
     ):
-        sizes = []
+        sizes, built = [], []
+
+        def counting_base_clauses(tpl):
+            built.append(tpl)
+            return base_clauses(tpl)
 
         class RecordingBases(_SharedBases):
-            def take(self, tpl):
-                base = super().take(tpl)
+            def take(self, *cell):
+                base = super().take(*cell)
                 sizes.append(len(self.held))
                 return base
 
         monkeypatch.setattr(synth_module, "_SharedBases", RecordingBases)
+        monkeypatch.setattr(synth_module, "base_clauses", counting_base_clauses)
         unknown_runs(monkeypatch)
         req = benchmark_request(name, tiers)
         res = synthesize(req, cfg())
         assert res.status == "notfound"
         vars, _pinned, _aux = _effective_vars(req)
         assert len(sizes) == len(list(_cells(vars, tiers, int_partitions(len(vars)))))
-        assert (max(sizes) > 0) == holds
+        assert (max(sizes) > 0) == holds == bool(built)
         assert sizes[-1] == 0
 
     def test_a_large_search_space_keeps_to_the_budget(self, monkeypatch):
