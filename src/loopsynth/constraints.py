@@ -93,21 +93,26 @@ def _smt_rational(c: Rat) -> str:
     return f"(/ {c.numerator} {c.denominator})"
 
 
+#: The text `v v ... v` of each (symbol, exponent) factor, made once.
+_FACTORS: dict[tuple[Var, int], str] = {}
+
+
 def _smt_poly(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
     parts = []
     for mono, coeff in p.sorted_terms():
-        factors = []
-        for v, e in mono:
-            factors.extend([v.name] * e)
-        if not factors:
+        if not mono:
             parts.append(_smt_rational(coeff))
-        elif coeff == 1 and len(factors) == 1:
-            parts.append(factors[0])
+            continue
+        text = " ".join([_FACTORS.get(f) or _FACTORS.setdefault(f, " ".join([f[0].name] * f[1]))
+                         for f in mono])
+        if coeff != 1:
+            parts.append(f"(* {_smt_rational(coeff)} {text})")
+        elif len(mono) == 1 and mono[0][1] == 1:
+            parts.append(text)
         else:
-            items = ([] if coeff == 1 else [_smt_rational(coeff)]) + factors
-            parts.append(items[0] if len(items) == 1 else "(* " + " ".join(items) + ")")
+            parts.append(f"(* {text})")
     return parts[0] if len(parts) == 1 else "(+ " + " ".join(parts) + ")"
 
 
@@ -188,11 +193,12 @@ def decompose(clauses: Iterable[Clause], vars: Sequence[Var]) -> list[Clause]:
     """Eliminate `vars` from every unit equality by coefficient collection.
 
     Unit equalities p = 0 are replaced by one equality per coefficient of
-    the monomials in `vars`; any other clause passes through unchanged.
+    the monomials in `vars`; any other clause, and a unit equality free of
+    `vars` (its own only coefficient), passes through unchanged.
     """
     out: list[Clause] = []
     for c in clauses:
-        if vars and c.is_unit_equality:
+        if c.is_unit_equality and not c.variables().isdisjoint(vars):
             for q in decompose_poly(c.atoms[0].lhs, vars):
                 out.append(Clause.unit(q))
         else:

@@ -19,8 +19,11 @@ Four clause families are produced:
   finitely many polynomial equalities equivalent to that (the proof is in
   `gen_alg`).
 
-For parameterized templates all clauses are decomposed over the parameter
-symbols so the resulting problem is parameter-free.
+For parameterized templates a clause must hold for every value of the
+parameters, so it is split into its coefficients over the parameter
+monomials, and the problem is parameter-free: `gen_alg` splits each
+relation term as it reads it, and `base_clauses` decomposes the other
+families, passing a clause without parameters (every root clause) as it is.
 """
 
 from __future__ import annotations
@@ -131,7 +134,8 @@ def gen_alg(
     invariants: Sequence[Polynomial],
     forms: ClosedForms | None = None,
 ) -> list[Clause]:
-    """The relation clauses, read off p(X(n)) for each invariant p.
+    """The relation clauses, read off p(X(n)) for each invariant p, free of
+    the template's parameter symbols.
 
     Substituting the closed forms gives p(X(n)) = sum_k n^k a_k(n), where
     each a_k(n) = sum_(i<l) w_i^n u_i is an exponential sum over l distinct
@@ -143,6 +147,12 @@ def gen_alg(
     for j < l, in ascending k, and every model of a cell's problem is a
     loop that keeps p.
 
+    Each a_k(j) must vanish for every value of the parameters, so it is
+    split by parameter monomial as its terms are read, into the pieces
+    `decompose_poly` gives and in its order: ascending on the reversed
+    exponent vector, with pieces that cancel dropped, and a single 0
+    when every piece cancels.
+
     `forms`, when given, must be the template's `ClosedForms`; templates
     that differ only in `vars` can share them.
     """
@@ -150,7 +160,13 @@ def gen_alg(
     n, roots = forms.n, forms.roots
     bindings = dict(zip(tpl.vars, forms.forms))
     slot = {v: i for i, v in enumerate(tpl.vars)}
-    known = set(tpl.vars) | set(tpl.params)
+    param_set = set(tpl.params)
+    known = set(tpl.vars) | param_set
+    last_first = list(reversed(tpl.params))  # decompose_poly's order of significance
+
+    def by_parameter(q: Monomial) -> list[int]:
+        return [q.degree_of(v) for v in last_first]
+
     clauses: list[Clause] = []
     for p in invariants:
         unknown = p.variables() - known
@@ -159,24 +175,32 @@ def gen_alg(
             raise ValueError(f"invariant mentions unknown variable(s): {names}")
         powers = {(v, e): forms.power(slot[v], e) for m in p.terms for v, e in m if v in slot}
         for _, coeff in p.substitute(bindings, powers).coeffs_in(n):
-            # {w_i: u_i}, with u_i as its (monomial, coefficient) terms
-            split: dict[Monomial, list[tuple[Monomial, Rat]]] = {}
+            # {w_i: u_i}, with u_i as {parameter monomial: its (monomial, coefficient) terms}
+            split: dict[Monomial, dict[Monomial, list[tuple[Monomial, Rat]]]] = {}
             for m, c in coeff.terms.items():
-                base, rest = {}, []
+                base, par, rest = {}, [], []
                 for v, e in m:
                     if v in roots:
                         base[roots[v]] = e
+                    elif v in param_set:
+                        par.append((v, e))
                     else:
                         rest.append((v, e))
-                split.setdefault(Monomial.make(base), []).append((Monomial(tuple(rest)), c))
+                u = split.setdefault(Monomial.make(base), {})
+                u.setdefault(Monomial(par), []).append((Monomial(rest), c))
             for j in range(len(split)):
-                acc: dict[Monomial, Rat] = {}
+                pieces: dict[Monomial, dict[Monomial, Rat]] = {}
                 for w, u in split.items():
                     wj = w.pow(j)
-                    for m, c in u:
-                        m = m.mul(wj)
-                        acc[m] = acc.get(m, 0) + c
-                clauses.append(Clause.unit(Polynomial(acc)))
+                    for q, terms in u.items():
+                        acc = pieces.setdefault(q, {})
+                        for m, c in terms:
+                            m = m.mul(wj)
+                            acc[m] = acc.get(m, 0) + c
+                if len(pieces) > 1:
+                    pieces = {q: pieces[q] for q in sorted(pieces, key=by_parameter)}
+                rows = [r for r in map(Polynomial, pieces.values()) if r.terms]
+                clauses.extend(Clause.unit(r) for r in rows or [Polynomial.zero()])
     return clauses
 
 
@@ -199,7 +223,14 @@ def base_clauses(tpl: RecurrenceTemplate) -> list[Clause]:
     or parameterized -- not on the variable order itself.
     """
     base = gen_roots(tpl) + gen_coeff(tpl) + gen_init(tpl)
-    return _parameter_free(tpl, base)
+    if not tpl.params:
+        return base
+    out = decompose(base, list(tpl.params))
+    for c in out:
+        leftover = c.variables() & set(tpl.params)
+        if leftover:
+            raise AssertionError(f"parameter symbols survived decomposition: {leftover}")
+    return out
 
 
 def build_pcp(
@@ -208,32 +239,20 @@ def build_pcp(
     base: Pcp | None = None,
     forms: ClosedForms | None = None,
 ) -> PcpBundle:
-    """Union of the four clause families, in a fixed deterministic order.
+    """Union of the four clause families, in a fixed deterministic order:
+    `base_clauses`, then `gen_alg`'s relation clauses, both parameter-free.
 
-    For parameterized templates every clause is decomposed over the
-    parameter symbols; the result is guaranteed parameter-free.  `base`,
-    when given, must be the clause set of `base_clauses(tpl)`, and `forms`
-    the template's `ClosedForms`; a caller that builds many templates
-    sharing them computes them once, and `base` is copied, not changed.
+    `base`, when given, must be the clause set of `base_clauses(tpl)`, and
+    `forms` the template's `ClosedForms`; a caller that builds many
+    templates sharing them computes them once, and `base` is copied, not
+    changed.
     """
     pcp = Pcp(base_clauses(tpl)) if base is None else base.copy()
-    alg = _parameter_free(tpl, gen_alg(tpl, invariants, forms))
+    alg = gen_alg(tpl, invariants, forms)
     _reject_degenerate(alg)
     for c in alg:
         pcp.add(c)
     return PcpBundle(template=tpl, pcp=pcp)
-
-
-def _parameter_free(tpl: RecurrenceTemplate, clauses: list[Clause]) -> list[Clause]:
-    if not tpl.params:
-        return clauses
-    params = list(tpl.params)
-    out = decompose(clauses, params)
-    for c in out:
-        leftover = c.variables() & set(params)
-        if leftover:
-            raise AssertionError(f"parameter symbols survived decomposition: {leftover}")
-    return out
 
 
 def _reject_degenerate(clauses: Iterable[Clause]) -> None:

@@ -15,14 +15,16 @@ of the user's names and of every name generated before it.
 The order is realized by a plain sort key, `MONO_KEY(m)`: a flat tuple of
 the degree followed, for each variable of `m` in the global order, by that
 variable's inverted sort key and its exponent.  The inverted key
-(`Var.order_key`, computed once per variable) is larger for an earlier
-variable: (0, -pos) for a positioned program variable, (-1, 0) for any
-other, then the negated code points of the name and a trailing sentinel 1.
-The sentinel gives a name a larger key than every name it is a proper
-prefix of (b1 before b11), so `order_key` inverts `sort_key` on its own;
-inside `MONO_KEY` the positive exponent after each name does the same.
-Degrees are compared first, so two flat keys of equal degree are decided
-within the first (variable, exponent) pair the monomials do not share.
+(`Var.order_key`, computed once per variable) is one string that is larger
+for an earlier variable: the character U+0001 for a positioned program
+variable and U+0000 for any other, then U+10FFFF minus the position (0 for
+an unpositioned one), U+10FFFE minus each code point of the name, and the
+sentinel U+10FFFF, which no inverted character reaches.  The sentinel
+gives a name a larger key than every name it is a proper prefix of (b1
+before b11), so `order_key` inverts `sort_key` on its own.  A name may not
+hold U+10FFFF, and a position must be below it.  Degrees are compared
+first, so two flat keys of equal degree are decided within the first
+(variable, exponent) pair the monomials do not share.
 
 Identity costs no Python call.  `Var` is interned: one object per (name,
 kind, pos), kept in a class-level table that holds only the names the
@@ -46,6 +48,8 @@ from typing import Iterable, Mapping
 #: Recognized symbol kinds.
 KINDS = ("program", "initial", "root", "matrix", "coeff", "param")
 
+_TOP = 0x10FFFF  # the largest code point: `order_key`'s sentinel
+
 
 class Var:
     """A named indeterminate with a kind and optional declaration position.
@@ -61,7 +65,7 @@ class Var:
     kind: str
     pos: int
     sort_key: tuple[int, int, str]
-    order_key: tuple[int, ...]
+    order_key: str
 
     def __new__(cls, name: str, kind: str = "program", pos: int = -1) -> "Var":
         v = cls._interned.get((name, kind, pos))
@@ -69,6 +73,8 @@ class Var:
             return v
         if kind not in KINDS:
             raise ValueError(f"unknown variable kind {kind!r}")
+        if chr(_TOP) in name:
+            raise ValueError(f"a symbol name may not hold U+10FFFF: {name!r}")
         # Program variables first, in declaration order; generated symbols
         # after them, alphabetically.
         if kind == "program" and pos >= 0:
@@ -80,7 +86,8 @@ class Var:
         for attr, value in (
             ("name", name), ("kind", kind), ("pos", pos), ("sort_key", sort_key),
             # larger for an earlier variable; see the module docstring
-            ("order_key", (-rank, -p, *(-ord(ch) for ch in name), 1)),
+            ("order_key", chr(1 - rank) + chr(_TOP - p)
+             + "".join([chr(_TOP - 1 - ord(ch)) for ch in name]) + chr(_TOP)),
         ):
             object.__setattr__(v, attr, value)
         return cls._interned.setdefault((name, kind, pos), v)
@@ -152,6 +159,10 @@ class Monomial(tuple):
         a, b = self, other
         if not a or not b:
             return a if not b else b
+        if a[-1][0].sort_key < b[0][0].sort_key:  # disjoint: a's symbols all come first
+            return _new_tuple(Monomial, a + b)
+        if b[-1][0].sort_key < a[0][0].sort_key:
+            return _new_tuple(Monomial, b + a)
         out, i, j = [], 0, 0
         while i < len(a) and j < len(b):
             (u, e), (v, f) = a[i], b[j]
@@ -200,7 +211,7 @@ def MONO_KEY(m: Monomial) -> tuple:
     degree, key = 0, ()
     for v, e in m:
         degree += e
-        key += v.order_key + (e,)
+        key += (v.order_key, e)
     return (degree,) + key
 
 

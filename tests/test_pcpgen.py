@@ -1,11 +1,12 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopsynth.constraints import Clause, first_violated
+from loopsynth.constraints import Clause, decompose, first_violated
 from loopsynth.pcpgen import (
     DegenerateInvariantError,
     base_clauses,
@@ -326,14 +327,78 @@ class TestClosedForms:
     @settings(deadline=None, max_examples=25)
     def test_relation_clauses_match_the_regrouped_reference(self, name, data):
         """Reading each n-power's coefficient of p(X(n)) straight off the
-        substitution gives the clauses of the regroup-and-instantiate
-        reference, in the same order and with the same text."""
+        substitution, split by parameter monomial, gives the clauses of the
+        regroup-and-instantiate reference decomposed over the parameters,
+        in the same order and with the same text."""
         tpl = TEMPLATES[name]
         symbols = list(tpl.vars) + list(tpl.params)
         invariants = data.draw(st.lists(invariants_over(symbols), min_size=1, max_size=2))
         got = gen_alg(tpl, invariants)
-        assert got == reference_alg(tpl, invariants)
-        assert [c.smtlib for c in got] == [c.smtlib for c in reference_alg(tpl, invariants)]
+        want = decompose(reference_alg(tpl, invariants), list(tpl.params))
+        assert got == want
+        assert [c.smtlib for c in got] == [c.smtlib for c in want]
+
+
+def split_by_parameters(clause, params):
+    """A relation clause as the pieces of its lhs per parameter monomial:
+    ascending on the reversed exponent vector, and a single 0 for a zero
+    lhs."""
+    groups = {}
+    for m, c in clause.atoms[0].lhs.terms.items():
+        key = tuple(m.degree_of(p) for p in reversed(params))
+        rest = Monomial.make({v: e for v, e in m.powers if v not in params})
+        groups.setdefault(key, {})[rest] = c
+    return [Clause.unit(Polynomial(groups[k])) for k in sorted(groups)] or [Clause.unit(Polynomial.zero())]
+
+
+X0, Y0 = Var("x0", "param"), Var("y0", "param")
+TWO_PARAMETERS = {
+    "un-4": build_template(
+        make_vars("r", "q", "y", "t"), ShapeTier.UNIT_UPPER, (4,),
+        pinned_inits={"t": Fraction(1)}, params=[(X0, 0), (Y0, 2)],
+    ),
+    "fu-1-1-1": build_template(
+        make_vars("r", "q", "y"), ShapeTier.FULL, (1, 1, 1), params=[(X0, 0), (Y0, 2)],
+    ),
+}
+
+
+class TestParameterPieces:
+    @pytest.mark.parametrize("name", sorted(TWO_PARAMETERS))
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=25)
+    def test_pieces_come_in_reversed_exponent_order(self, name, data):
+        """With two parameters, as in eucliddiv, each relation row gives
+        its parameter pieces with y0's degree most significant, then
+        x0's."""
+        tpl = TWO_PARAMETERS[name]
+        symbols = list(tpl.vars) + list(tpl.params)
+        invariants = data.draw(st.lists(invariants_over(symbols, max_terms=3, max_exp=1),
+                                        min_size=1, max_size=2))
+        want = [piece for row in reference_alg(tpl, invariants)
+                for piece in split_by_parameters(row, list(tpl.params))]
+        got = gen_alg(tpl, invariants)
+        assert got == want
+        assert [c.smtlib for c in got] == [c.smtlib for c in want]
+
+    def test_a_row_whose_pieces_all_cancel_is_one_zero_clause(self):
+        """x(n) = (a + b x0 + c y0) (w1^n - w2^n) + t y0 w2^n: at n = 0 the
+        pieces of 1 and x0 cancel, leaving t for y0, and with t = 0 the
+        row is a single 0.  At n = 1 no piece cancels."""
+        base = TWO_PARAMETERS["fu-1-1-1"]
+        (w1, _), (w2, _), (w3, _) = base.rootspec
+        a, b, c, d = (Polynomial.var(Var(s, "coeff")) for s in ("a", "b", "c", "d"))
+        x0, y0 = Polynomial.var(X0), Polynomial.var(Y0)
+        zero = Polynomial.zero()
+        for tail, n0 in ((d, [d]), (zero, [zero])):
+            first = a + b * x0 + c * y0
+            columns = {(w1, 1): (first, zero, zero), (w2, 1): (tail * y0 - first, zero, zero),
+                       (w3, 1): (zero, zero, zero)}
+            tpl = replace(base, coeff_columns=columns)
+            x = Polynomial.var(tpl.vars[0])
+            w1p, w2p = Polynomial.var(w1), Polynomial.var(w2)
+            n1 = [a * w1p - a * w2p, b * w1p - b * w2p, c * w1p + (tail - c) * w2p]
+            assert gen_alg(tpl, [x]) == [Clause.unit(p) for p in n0 + n1]
 
 
 class TestStructuredConstraints:

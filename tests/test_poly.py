@@ -305,6 +305,15 @@ ORDER_POOL = (
     Var("w1", "root"), Var("c1_1_1", "coeff"),
 )
 
+# In the global order: a user variable w1 makes the template name its root
+# _w1, which sorts before the coefficient symbols c...; s is two kinds that
+# share one name, so one sort key.
+MUL_POOL = (
+    Var("w1", "program", 0), Var("_w1", "root"), Var("c1_1_1", "coeff"),
+    Var("c1_2_1", "coeff"), Var("s", "coeff"), Var("s", "root"), Var("w2", "root"),
+    Var("x0", "param"),
+)
+
 # the empty dict gives the empty monomial
 monomials = st.dictionaries(
     st.sampled_from(ORDER_POOL), st.integers(1, 3), max_size=4
@@ -347,6 +356,32 @@ class TestMonomialOrder:
         p, q = Var("s", "coeff"), Var("s", "root")
         a, b = Monomial.make({p: 1, q: 2}), Monomial.make({q: 1, p: 1})
         assert a.mul(b).powers == Monomial.make({p: 2, q: 3}).powers
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=300)
+    def test_product_matches_a_dict_merge(self, data):
+        """Monomials drawn below and above a cut in the global order, so
+        each sorts wholly before the other, multiply in either order as a
+        merge of their exponent dicts does; a cut between the two kinds of
+        `s` leaves one sort key on both sides."""
+        assert sorted(MUL_POOL, key=lambda v: v.sort_key) == list(MUL_POOL)
+        cut = data.draw(st.integers(0, len(MUL_POOL)))
+
+        def over(pool):
+            return st.dictionaries(st.sampled_from(pool), st.integers(1, 3), max_size=3).map(
+                Monomial.make) if pool else st.just(Monomial.one())
+
+        low, high, any_ = (data.draw(over(pool)) for pool in (MUL_POOL[:cut], MUL_POOL[cut:], MUL_POOL))
+        for a, b in ((low, high), (high, low), (low, any_), (any_, high)):
+            merged = dict(a.powers)
+            for v, e in b.powers:
+                merged[v] = merged.get(v, 0) + e
+            got = a.mul(b)
+            assert type(got) is Monomial and got.powers == Monomial.make(merged).powers
+
+    def test_a_name_may_not_hold_the_order_key_sentinel(self):
+        with pytest.raises(ValueError, match="U\\+10FFFF"):
+            Var("b\U0010ffff", "coeff")
 
     def test_without_an_absent_variable_is_the_same_monomial(self):
         m = Monomial.make({X: 2, ORDER_POOL[6]: 1})
