@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .poly import Polynomial, Rat, Var, sign_normalize
+from .poly import Monomial, Polynomial, Rat, Var, sign_normalize
 
 RELATIONS = ("=", "!=")
 
@@ -173,20 +173,32 @@ def first_violated(clauses: Iterable[Clause], model: Mapping[Var, Fraction]) -> 
 
 
 def decompose_poly(p: Polynomial, vars: Sequence[Var]) -> list[Polynomial]:
-    """All coefficients of p with respect to the monomials in `vars`.
+    """All coefficients of p with respect to the monomials in `vars`, in
+    the order of `parameter_pieces`.
 
     p = 0 holds for every valuation of `vars` exactly when all returned
     polynomials are zero (a nonzero polynomial has finitely many roots).
     """
-    if not vars:
-        return [p]
-    *rest, last = vars
-    out: list[Polynomial] = []
-    for _, coeff in p.coeffs_in(last):
-        out.extend(decompose_poly(coeff, rest))
-    if not out:
-        out.append(Polynomial.zero())
-    return out
+    symbols = set(vars)
+    pieces: dict[Monomial, dict[Monomial, Rat]] = {}
+    for m, c in p.terms.items():
+        par, rest = [], []
+        for f in m:
+            (par if f[0] in symbols else rest).append(f)
+        pieces.setdefault(Monomial(par), {})[Monomial(rest)] = c
+    return parameter_pieces(pieces, vars)
+
+
+def parameter_pieces(pieces: Mapping[Monomial, Mapping[Monomial, Rat]],
+                     vars: Sequence[Var]) -> list[Polynomial]:
+    """The pieces of a polynomial split by monomial in `vars`, each given
+    as its terms, in ascending order of the reversed exponent vector of
+    that monomial (the last of `vars` is the most significant), with
+    pieces that cancel dropped, and a single 0 when every piece cancels."""
+    if len(pieces) > 1:
+        order = sorted(pieces, key=lambda q: [q.degree_of(v) for v in reversed(vars)])
+        pieces = {q: pieces[q] for q in order}
+    return [r for r in map(Polynomial, pieces.values()) if r.terms] or [Polynomial.zero()]
 
 
 def decompose(clauses: Iterable[Clause], vars: Sequence[Var]) -> list[Clause]:

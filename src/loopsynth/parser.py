@@ -19,8 +19,9 @@ from typing import Callable, Mapping, Sequence
 from .poly import Polynomial, Var, fresh_name
 from .verify import ConcreteSystem
 
+_IDENT = r"[A-Za-z_][A-Za-z_0-9]*"  # a name: in expressions, specs and assignment targets
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    rf"\s*(?:(?P<num>\d+)|(?P<ident>{_IDENT})"
     r"|(?P<op>==|&&|[-+*/^(),=])|(?P<bad>\S))"
 )
 
@@ -333,7 +334,7 @@ def parse_spec(text: str) -> SpecFile:
 
 def _parse_spec_line(spec: SpecFile, key: str, rest: str) -> None:
     if key == "vars":
-        names = rest.split()
+        names = [_name(n, "variable name") for n in rest.split()]
         if not names or len(set(names)) != len(names):
             raise ParseError("vars line needs distinct names")
         spec.var_names = names
@@ -342,7 +343,7 @@ def _parse_spec_line(spec: SpecFile, key: str, rest: str) -> None:
             pname, sep, vname = item.partition("=")
             if not sep:
                 raise ParseError(f"expected param=var, found {item!r}")
-            spec.params.append((pname, vname))
+            spec.params.append((_name(pname, "parameter name"), vname))
     elif key == "invariant":
         if not rest:
             raise ParseError("empty invariant line")
@@ -369,6 +370,12 @@ def _parse_spec_line(spec: SpecFile, key: str, rest: str) -> None:
         spec.reconstructed = True
     else:
         raise ParseError(f"unknown directive {key!r}")
+
+
+def _name(text: str, what: str) -> str:
+    if not re.fullmatch(_IDENT, text):
+        raise ParseError(f"bad {what} {text!r}")
+    return text
 
 
 def _number(kind: type, text: str):
@@ -475,10 +482,7 @@ def _parse_assign_line(line: str) -> tuple[list[str], list[str]]:
     exprs = _split_top_level(rhs)
     if len(targets) != len(exprs):
         raise ParseError(f"assignment arity mismatch in {line!r}")
-    for t in targets:
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", t):
-            raise ParseError(f"bad assignment target {t!r}")
-    return targets, exprs
+    return [_name(t, "assignment target") for t in targets], exprs
 
 
 def _split_top_level(text: str) -> list[str]:

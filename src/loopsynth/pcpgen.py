@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .constraints import Clause, Pcp, decompose
+from .constraints import Clause, Pcp, decompose, parameter_pieces
 from .matrix import char_poly, mat_apply
 from .poly import Monomial, Polynomial, Rat, Var
 from .template import RecurrenceTemplate
@@ -147,11 +147,11 @@ def gen_alg(
     for j < l, in ascending k, and every model of a cell's problem is a
     loop that keeps p.
 
-    Each a_k(j) must vanish for every value of the parameters, so it is
-    split by parameter monomial as its terms are read, into the pieces
-    `decompose_poly` gives and in its order: ascending on the reversed
-    exponent vector, with pieces that cancel dropped, and a single 0
-    when every piece cancels.
+    Each a_k(j) must vanish for every value of the parameters, so each
+    term is classified once, by root base and parameter monomial, as it
+    is read, and each a_k(j) is handed to `parameter_pieces` as its
+    pieces by parameter monomial: the coefficients `decompose_poly`
+    gives, in its order.
 
     `forms`, when given, must be the template's `ClosedForms`; templates
     that differ only in `vars` can share them.
@@ -162,11 +162,6 @@ def gen_alg(
     slot = {v: i for i, v in enumerate(tpl.vars)}
     param_set = set(tpl.params)
     known = set(tpl.vars) | param_set
-    last_first = list(reversed(tpl.params))  # decompose_poly's order of significance
-
-    def by_parameter(q: Monomial) -> list[int]:
-        return [q.degree_of(v) for v in last_first]
-
     clauses: list[Clause] = []
     for p in invariants:
         unknown = p.variables() - known
@@ -197,10 +192,7 @@ def gen_alg(
                         for m, c in terms:
                             m = m.mul(wj)
                             acc[m] = acc.get(m, 0) + c
-                if len(pieces) > 1:
-                    pieces = {q: pieces[q] for q in sorted(pieces, key=by_parameter)}
-                rows = [r for r in map(Polynomial, pieces.values()) if r.terms]
-                clauses.extend(Clause.unit(r) for r in rows or [Polynomial.zero()])
+                clauses.extend(Clause.unit(r) for r in parameter_pieces(pieces, tpl.params))
     return clauses
 
 

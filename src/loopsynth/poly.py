@@ -112,10 +112,6 @@ class Monomial(tuple):
 
     __slots__ = ()
 
-    @property
-    def powers(self) -> tuple[tuple[Var, int], ...]:
-        return self
-
     def __repr__(self):
         return f"Monomial({tuple.__repr__(self)})"
 
@@ -127,10 +123,6 @@ class Monomial(tuple):
                 raise ValueError(f"negative exponent for {v.name}")
         items.sort(key=lambda p: p[0].sort_key)
         return _monomial(items)
-
-    @staticmethod
-    def one() -> "Monomial":
-        return _MONOMIAL_ONE
 
     @staticmethod
     def of(v: Var, exp: int = 1) -> "Monomial":
@@ -149,9 +141,6 @@ class Monomial(tuple):
     def degree_in(self, vars: Iterable[Var]) -> int:
         vs = set(vars)
         return sum(e for u, e in self if u in vs)
-
-    def variables(self) -> set[Var]:
-        return {v for v, _ in self}
 
     def mul(self, other: "Monomial") -> "Monomial":
         """The product, by merging the two power tuples, which are both

@@ -11,14 +11,15 @@ module, so a wrong solver answer can never surface as output.
 
 The unit-upper-triangular tier searches only the partition (s): its
 characteristic polynomial is always (z-1)^s, so a partition with two or
-more parts would ask for distinct roots that cannot exist.  Within one
-search, the variable orders of a triangular tier that agree on the tier,
-the partition, the pin of each position and the position of each
-parameter's variable share one template, whose `vars` each order
-replaces, and with it the order-independent clause families (roots,
-coefficients, initial values), the closed forms and the nontriviality
-clause.  These are built at the first such order and held only until
-the last; each order builds only its relation clauses.
+more parts would ask for distinct roots that cannot exist.  Every cell
+is built from the parts of its key -- the tier, the partition, the pin
+of each position and the position of each parameter's variable: one
+template, whose `vars` each cell replaces, the order-independent clause
+families (roots, coefficients, initial values), the closed forms and the
+nontriviality clause.  Within one search, the variable orders of a
+triangular tier that agree on the key share them; they are built at the
+key's first cell and held only until its last, and each cell builds
+only its relation clauses.
 
 With an external solver, the next cell's solver is started as soon as
 that cell is built, while the current cell's solver runs, so Python
@@ -195,7 +196,7 @@ def synthesize(request: SynthRequest, cfg: SolverConfig | None = None) -> SynthR
         for tier, perm, part in cells:
             if time.monotonic() >= deadline:
                 raise SolverTimeout("no time budget left")
-            bundle = _cell_problem(request, perm, tier, part, pinned, bases)
+            bundle = _cell_problem(request, perm, tier, part, bases)
             if bundle is not None:
                 runs.append((bundle, SolverRun(bundle.pcp, cfg)))
             if len(runs) >= window:
@@ -248,12 +249,19 @@ def _finish(found: list[Loop], start: float, cfg: SolverConfig, timeout: bool) -
 
 def _effective_vars(request: SynthRequest) -> tuple[list[Var], dict[str, Fraction], tuple[str, ...]]:
     seen: dict[Var, Var] = {}
-    for p, v in request.params:  # as parse_spec checks a spec's params
+    for p, v in request.params:  # as parse_spec checks a spec's params and pins
+        if v not in request.vars:
+            raise RequestError(f"parameter {p.name!r} refers to unknown variable {v.name!r}")
         if p in seen:
             raise RequestError(f"parameter {p.name!r} is declared twice")
         if v in seen.values():
             raise RequestError(f"variable {v.name!r} is named by two parameters")
         seen[p] = v
+    for name in request.pinned:
+        if name not in [v.name for v in request.vars]:
+            raise RequestError(f"pinned initial value for unknown variable {name!r}")
+        if name in [v.name for v in seen.values()]:
+            raise RequestError(f"variable {name!r} is both pinned and parameterized")
     vars = list(request.vars)
     pinned = dict(request.pinned)
     taken = {v.name for v in vars} | {p.name for p, _ in request.params}
@@ -312,52 +320,45 @@ def _cells(
                 yield tier, perm, part
 
 
-@dataclass(frozen=True)
-class _KeyParts:
-    """What the cells of one key share: its template, whose `vars` each
-    order replaces, the base clauses as one clause set, the closed forms
-    and the nontriviality clause."""
-
-    template: RecurrenceTemplate
-    base: Pcp
-    forms: ClosedForms
-    nontrivial: Clause | None
-
-
 class _SharedBases:
-    """The cell parts that the cells of one key share, for one search.
+    """The cell parts that the cells of one key share, for one search: the
+    template, whose `vars` each order replaces, the base clauses as one
+    clause set, the closed forms and the nontriviality clause.
 
     A cell's key is its tier, its partition, the pin of each position and
     the position of each parameter's variable: template symbols are named
     by position, so cells of one key differ only in `vars`.  A key's parts
-    are held from its first cell to its last; a key that a single cell
-    uses is never built or held here.  The full tier searches one order,
-    so its keys are unshared.  In a triangular tier two orders share a key
-    when they differ by permuting variables within a class: the unpinned
-    variables without a parameter, those pinned to each value, and each
-    parameter-bound variable alone.  So each key has the same number of
-    cells, the product of the class sizes' factorials.
+    are built at its first cell and held until its last; the parts of a
+    key that a single cell uses are never held.  The full tier searches
+    one order, so its keys are unshared.  In a triangular tier two orders
+    share a key when they differ by permuting variables within a class:
+    the unpinned variables without a parameter, those pinned to each
+    value, and each parameter-bound variable alone.  So each key has the
+    same number of cells, the product of the class sizes' factorials.
     """
 
     def __init__(self, request: SynthRequest, pinned: Mapping[str, Fraction], aux: tuple[str, ...]):
         self.pinned = pinned
+        self.params = request.params
         bound = {v for _, v in request.params}
         names = [v.name for v in request.vars if v not in bound] + list(aux)
         classes = Counter(pinned.get(name) for name in names).values()
         self.orders = math.prod(math.factorial(k) for k in classes)
-        self.held: dict[tuple, tuple[_KeyParts, int]] = {}  # parts, cells left
+        self.held: dict[tuple, tuple[tuple, int]] = {}  # parts, cells left
 
-    def take(self, perm: tuple[Var, ...], tier: ShapeTier, partition: tuple[int, ...],
-             params: Sequence[tuple[Var, int]]) -> _KeyParts | None:
-        """The parts of the cell's key, or None when no other cell shares them."""
+    def take(
+        self, perm: tuple[Var, ...], tier: ShapeTier, partition: tuple[int, ...]
+    ) -> tuple[RecurrenceTemplate, Pcp, ClosedForms, Clause | None]:
+        """The template, base clause set, closed forms and nontriviality
+        clause of the cell's key."""
+        params = [(p, perm.index(v)) for p, v in self.params]
         pins = tuple(self.pinned.get(v.name) for v in perm)
         key = (tier, partition, pins, tuple(i for _, i in params))
         parts, left = self.held.pop(key, (None, 1 if tier is ShapeTier.FULL else self.orders))
+        if parts is None:
+            tpl = build_template(perm, tier, partition, self.pinned, params)
+            parts = (tpl, Pcp(base_clauses(tpl)), ClosedForms(tpl), _nontriviality_clause(tpl))
         if left > 1:
-            if parts is None:
-                tpl = build_template(perm, tier, partition, self.pinned, params)
-                parts = _KeyParts(tpl, Pcp(base_clauses(tpl)), ClosedForms(tpl),
-                                  _nontriviality_clause(tpl))
             self.held[key] = (parts, left - 1)
         return parts
 
@@ -367,30 +368,18 @@ def _cell_problem(
     perm: tuple[Var, ...],
     tier: ShapeTier,
     partition: tuple[int, ...],
-    pinned: Mapping[str, Fraction],
-    bases: _SharedBases | None = None,
+    bases: _SharedBases,
 ) -> PcpBundle | None:
-    """The cell's constraint problem, or None if no loop can come from it.
-
-    With `bases`, the cells of one key share their template, base clauses,
-    closed forms and nontriviality clause, and each builds only its
-    relation clauses.
-    """
-    params = [(p, perm.index(v)) for p, v in request.params]
-    parts = bases.take(perm, tier, partition, params) if bases is not None else None
-    if parts is None:
-        tpl = build_template(perm, tier, partition, pinned, params)
-        base = forms = None
-    else:
-        tpl, base, forms = replace(parts.template, vars=perm), parts.base, parts.forms
+    """The cell's constraint problem, or None if no loop can come from it:
+    its key's parts from `bases`, and its own relation clauses."""
+    tpl, base, forms, nontrivial = bases.take(perm, tier, partition)
     try:
-        bundle = build_pcp(tpl, request.invariants, base, forms)
+        bundle = build_pcp(replace(tpl, vars=perm), request.invariants, base, forms)
     except DegenerateInvariantError:
         return None
-    nt = _nontriviality_clause(tpl) if parts is None else parts.nontrivial
-    if nt is None:
+    if nontrivial is None:
         return None
-    bundle.pcp.add(nt)
+    bundle.pcp.add(nontrivial)
     return bundle
 
 
@@ -462,9 +451,10 @@ def _extract_loop(
 def first_cell_script(request: SynthRequest) -> str:
     """SMT-LIB script of the first search cell's constraint problem: the
     script an external solver is given for that cell."""
-    cells, pinned, _aux = _search_space(request)
+    cells, pinned, aux = _search_space(request)
+    bases = _SharedBases(request, pinned, aux)
     for tier, perm, part in cells:
-        bundle = _cell_problem(request, perm, tier, part, pinned)
+        bundle = _cell_problem(request, perm, tier, part, bases)
         if bundle is not None:
             return emit_smtlib(list(bundle.pcp))
     raise RequestError("no admissible search cell")

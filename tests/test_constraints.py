@@ -111,6 +111,23 @@ class TestDecompose:
         got = sorted(str(q) for q in parts if not q.is_zero())
         assert got == expected
 
+    @given(mixed_polys())
+    @settings(deadline=None, max_examples=100)
+    def test_pieces_come_in_reversed_exponent_order(self, p):
+        # oracle: the coefficient of p^i q^j for ascending (j, i), the last
+        # parameter most significant; none for an absent (i, j), and a
+        # single 0 when p is zero
+        want = []
+        for j in range(3):
+            for i in range(3):
+                piece = Polynomial({
+                    Monomial.make({X: m.degree_of(X)}): c for m, c in p.terms.items()
+                    if (m.degree_of(P1), m.degree_of(P2)) == (i, j)
+                })
+                if not piece.is_zero():
+                    want.append(piece)
+        assert decompose_poly(p, [P1, P2]) == (want or [Polynomial.zero()])
+
     @given(mixed_polys(), rationals, rationals, rationals)
     @settings(deadline=None, max_examples=60)
     def test_zero_for_all_values_iff_all_parts_zero(self, p, a, b, c):

@@ -157,6 +157,17 @@ timeout 30
         with pytest.raises(ParseError, match="twice|two parameters"):
             parse_spec(f"vars x y\nparams {params}\ninvariant x == p\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("vars a b-c\ninvariant a == 1\n", "line 1: bad variable name 'b-c'"),
+        ("vars a\nparams p-1=a\ninvariant a == 1\n", "line 2: bad parameter name 'p-1'"),
+    ])
+    def test_spec_names_must_be_identifiers(self, text, message):
+        # the names a loop file takes as assignment targets, so that verify
+        # reads back every loop synth writes
+        with pytest.raises(ParseError) as err:
+            parse_spec(text)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("value", ["0", "-1", "-0.5", "nan"])
     def test_nonpositive_timeout_rejected(self, value):
         with pytest.raises(ParseError, match="line 3: timeout must be positive"):

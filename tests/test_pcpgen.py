@@ -55,8 +55,8 @@ class TestClauseFamilies:
         wp = Polynomial.var(w)
         c1, c2 = tpl.coeff_columns[(w, 1)]
         d1, d2 = tpl.coeff_columns[(w, 2)]
-        a1 = Polynomial.var(tpl.a_matrix.at(0, 0).leading()[0].powers[0][0])
-        a2 = Polynomial.var(tpl.a_matrix.at(1, 0).leading()[0].powers[0][0])
+        a1 = Polynomial.var(tpl.a_matrix.at(0, 0).leading()[0][0][0])
+        a2 = Polynomial.var(tpl.a_matrix.at(1, 0).leading()[0][0][0])
 
         expected_roots = {
             str(Clause.unit(b11 + b22 - 2 * wp)),
@@ -281,7 +281,7 @@ class TestClosedForms:
             shapes = {}
             for m, c in f.terms.items():
                 assert c == 1
-                rest = Monomial.make({v: e for v, e in m.powers if v not in (standin, n)})
+                rest = Monomial.make({v: e for v, e in m if v not in (standin, n)})
                 shapes[rest] = (m.degree_of(standin), m.degree_of(n))
             c1 = tpl.coeff_columns[(w, 1)][i].leading()[0]
             c2 = tpl.coeff_columns[(w, 2)][i].leading()[0]
@@ -346,7 +346,7 @@ def split_by_parameters(clause, params):
     groups = {}
     for m, c in clause.atoms[0].lhs.terms.items():
         key = tuple(m.degree_of(p) for p in reversed(params))
-        rest = Monomial.make({v: e for v, e in m.powers if v not in params})
+        rest = Monomial.make({v: e for v, e in m if v not in params})
         groups.setdefault(key, {})[rest] = c
     return [Clause.unit(Polynomial(groups[k])) for k in sorted(groups)] or [Clause.unit(Polynomial.zero())]
 

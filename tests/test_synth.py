@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from loopsynth import synth as synth_module
 from loopsynth.parser import parse_invariant, parse_loop, parse_spec
-from loopsynth.pcpgen import base_clauses
+from loopsynth.pcpgen import DegenerateInvariantError, base_clauses, build_pcp
 from loopsynth.poly import Polynomial, Var
 from loopsynth.smt import SolverConfig, SolverError, SolverRun, emit_smtlib, solve
 from loopsynth.synth import (
@@ -25,6 +25,7 @@ from loopsynth.synth import (
     _cell_problem,
     _cells,
     _effective_vars,
+    _nontriviality_clause,
     _search_space,
     first_cell_script,
     synthesize,
@@ -65,6 +66,14 @@ def unknown_runs(monkeypatch):
 
     monkeypatch.setattr(synth_module, "SolverRun", UnknownRun)
     return scripts
+
+
+def built_cells(req):
+    """Each search cell's problem, or None for a cell that is not built,
+    in search order, through one `_SharedBases` as the search builds them."""
+    cells, pinned, aux = _search_space(req)
+    bases = _SharedBases(req, pinned, aux)
+    return [_cell_problem(req, perm, tier, part, bases) for tier, perm, part in cells]
 
 
 class TestEndToEnd:
@@ -275,9 +284,7 @@ class TestSolverWindow:
     @staticmethod
     def cell_scripts(req):
         """Each built cell's bundle and script, in search order."""
-        cells, pinned, _aux = _search_space(req)
-        bundles = [_cell_problem(req, perm, tier, part, pinned) for tier, perm, part in cells]
-        return [(b, emit_smtlib(list(b.pcp))) for b in bundles if b is not None]
+        return [(b, emit_smtlib(list(b.pcp))) for b in built_cells(req) if b is not None]
 
     @staticmethod
     def model_answer(bundle):
@@ -448,6 +455,25 @@ class TestRequestExpansion:
         req = SynthRequest(
             invariants=[Polynomial.var(x) - Polynomial.var(p)], vars=[x, y],
             params=[(p, x), (q, second)], timeout=60.0,
+        )
+        with pytest.raises(RequestError, match=message):
+            synthesize(req, cfg())
+        with pytest.raises(RequestError, match=message):
+            first_cell_script(req)
+
+    @pytest.mark.parametrize("binding, pinned, message", [
+        ("z", {}, "parameter 'p' refers to unknown variable 'z'"),
+        ("x", {"z": Fraction(1)}, "pinned initial value for unknown variable 'z'"),
+        ("x", {"x": Fraction(1)}, "variable 'x' is both pinned and parameterized"),
+    ])
+    def test_code_built_request_rejects_bad_bindings_and_pins(self, binding, pinned, message):
+        # the checks parse_spec makes on a spec's params and pins, for a
+        # request built in code
+        x, y = make_vars("x", "y")
+        p, z = Var("p", "param"), Var("z", "program", 2)
+        req = SynthRequest(
+            invariants=[Polynomial.var(x) - Polynomial.var(p)], vars=[x, y],
+            params=[(p, {"x": x, "z": z}[binding])], pinned=pinned, timeout=60.0,
         )
         with pytest.raises(RequestError, match=message):
             synthesize(req, cfg())
@@ -641,9 +667,7 @@ class TestSearchSpace:
         req = benchmark_request(name, tiers)
         res = synthesize(req, SolverConfig(("counting",)))
         assert res.status == "notfound" and "undecided" in res.note
-        cells, pinned, _aux = _search_space(req)
-        built = [_cell_problem(req, perm, tier, part, pinned) for tier, perm, part in cells]
-        assert len(calls) == sum(1 for b in built if b is not None) > 0
+        assert len(calls) == sum(1 for b in built_cells(req) if b is not None) > 0
 
     @pytest.mark.parametrize("name", [
         "square", "fmi2",
@@ -667,24 +691,17 @@ class TestSearchSpace:
         tiers = [ShapeTier.UNIT_UPPER, ShapeTier.UPPER]
         req = benchmark_request(name, tiers)
         vars, pinned, aux = _effective_vars(req)
-        cells = list(_cells(vars, tiers, int_partitions(len(vars))))
-        # the reference key, from the request rather than the template:
-        # tier, partition, pins by position, parameter positions
-        keys = Counter(
-            (tier, part, tuple(pinned.get(v.name) for v in perm),
-             tuple(perm.index(v) for _, v in req.params))
-            for tier, perm, part in cells
-        )
+        cells, keys = reference_keys(req, tiers)
         bases = _SharedBases(req, pinned, aux)
-        shared = [_cell_problem(req, perm, tier, part, pinned, bases) for tier, perm, part in cells]
-        # one template per key and one base per shared key, whatever the
-        # number of its orders, and nothing held once the search is over
+        shared = [_cell_problem(req, perm, tier, part, bases) for tier, perm, part in cells]
+        # one template and one base per key, whatever the number of its
+        # orders, and nothing held once the search is over
         assert Counter(templates) == Counter(set(keys))
-        assert len(built) == sum(1 for n in keys.values() if n > 1) < len(cells)
-        assert bool(built) == (name != "eucliddiv")
+        assert len(built) == len(keys)
+        assert (len(keys) < len(cells)) == (name != "eucliddiv")
         assert not bases.held
         for (tier, perm, part), cell in zip(cells, shared):
-            fresh = _cell_problem(req, perm, tier, part, pinned)
+            fresh = fresh_cell_problem(req, perm, tier, part, pinned)
             assert (cell is None) == (fresh is None)
             if fresh is not None:
                 assert cell.template == fresh.template
@@ -716,9 +733,10 @@ class TestSearchSpace:
         req = benchmark_request(name, tiers)
         res = synthesize(req, cfg())
         assert res.status == "notfound"
-        vars, _pinned, _aux = _effective_vars(req)
-        assert len(sizes) == len(list(_cells(vars, tiers, int_partitions(len(vars)))))
-        assert (max(sizes) > 0) == holds == bool(built)
+        cells, keys = reference_keys(req, tiers)
+        assert len(sizes) == len(cells)
+        assert (max(sizes) > 0) == holds == (len(keys) < len(cells))
+        assert len(built) == len(keys)
         assert sizes[-1] == 0
 
     def test_a_large_search_space_keeps_to_the_budget(self, monkeypatch):
@@ -731,13 +749,40 @@ class TestSearchSpace:
         assert time.monotonic() - begin < 2.0
 
 
+def reference_keys(req, tiers):
+    """The request's cells in search order, and the number of cells of
+    each reference key, taken from the request rather than the template:
+    tier, partition, pins by position, parameter positions."""
+    vars, pinned, _aux = _effective_vars(req)
+    cells = list(_cells(vars, tiers, int_partitions(len(vars))))
+    keys = Counter(
+        (tier, part, tuple(pinned.get(v.name) for v in perm),
+         tuple(perm.index(v) for _, v in req.params))
+        for tier, perm, part in cells
+    )
+    return cells, keys
+
+
+def fresh_cell_problem(req, perm, tier, part, pinned):
+    """The cell's problem built from nothing that another cell shares:
+    its own template, clause families and nontriviality clause."""
+    tpl = build_template(perm, tier, part, pinned, [(p, perm.index(v)) for p, v in req.params])
+    try:
+        bundle = build_pcp(tpl, req.invariants)
+    except DegenerateInvariantError:
+        return None
+    nontrivial = _nontriviality_clause(tpl)
+    if nontrivial is None:
+        return None
+    bundle.pcp.add(nontrivial)
+    return bundle
+
+
 def _cell_text_digest(req):
     """SHA-256 over the SMT-LIB script of every search cell of the
     request, in search order."""
-    vars, pinned, _aux = _effective_vars(req)
     digest = hashlib.sha256()
-    for tier, perm, part in _cells(vars, req.tiers, int_partitions(len(vars))):
-        bundle = _cell_problem(req, perm, tier, part, pinned)
+    for bundle in built_cells(req):
         if bundle is None:
             digest.update(b"none\n")
             continue
