@@ -8,7 +8,6 @@ once (`Clause.smtlib`), however many solver scripts assert it.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -43,6 +42,21 @@ class Atom:
         return f"{self.lhs} {self.rel} 0"
 
 
+class _once:
+    """`functools.cached_property` without its lock, which Python 3.11 and
+    older take at each first access: the value is stored in the
+    instance's dict, where every later read finds it first."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Clause:
     """A nonempty disjunction of atoms; a model satisfies it by satisfying
@@ -71,11 +85,11 @@ class Clause:
     def variables(self) -> frozenset[Var]:
         return self._variables
 
-    @functools.cached_property
+    @_once
     def _variables(self) -> frozenset[Var]:  # computed once: a clause is immutable
         return frozenset().union(*(a.lhs.variables() for a in self.atoms))
 
-    @functools.cached_property
+    @_once
     def smtlib(self) -> str:  # rendered once: a clause is immutable
         """The clause as an SMT-LIB 2 term over real constants."""
         rendered = [_smt_atom(a) for a in self.atoms]
@@ -201,18 +215,8 @@ def parameter_pieces(pieces: Mapping[Monomial, Mapping[Monomial, Rat]],
     return [r for r in map(Polynomial, pieces.values()) if r.terms] or [Polynomial.zero()]
 
 
-def decompose(clauses: Iterable[Clause], vars: Sequence[Var]) -> list[Clause]:
-    """Eliminate `vars` from every unit equality by coefficient collection.
-
-    Unit equalities p = 0 are replaced by one equality per coefficient of
-    the monomials in `vars`; any other clause, and a unit equality free of
-    `vars` (its own only coefficient), passes through unchanged.
-    """
-    out: list[Clause] = []
-    for c in clauses:
-        if c.is_unit_equality and not c.variables().isdisjoint(vars):
-            for q in decompose_poly(c.atoms[0].lhs, vars):
-                out.append(Clause.unit(q))
-        else:
-            out.append(c)
-    return out
+def decompose(equalities: Iterable[Polynomial], vars: Sequence[Var]) -> list[Clause]:
+    """Eliminate `vars` from equalities p = 0 by coefficient collection:
+    one unit equality per coefficient of each p over the monomials in
+    `vars` (`decompose_poly`), each p in turn."""
+    return [Clause.unit(q) for p in equalities for q in decompose_poly(p, vars)]

@@ -22,8 +22,11 @@ Four clause families are produced:
 For parameterized templates a clause must hold for every value of the
 parameters, so it is split into its coefficients over the parameter
 monomials, and the problem is parameter-free: `gen_alg` splits each
-relation term as it reads it, and `base_clauses` decomposes the other
-families, passing a clause without parameters (every root clause) as it is.
+relation term as it reads it, and `base_clauses` splits each coefficient
+and initial-value equality as it makes it a clause, so every piece is
+sorted once; the root clauses have no parameters.  The templates of one
+`TemplateShape` share det(zI - B) and each product B C_(w,j) through a
+`ShapeProducts`.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .constraints import Clause, Pcp, decompose, parameter_pieces
-from .matrix import char_poly, mat_apply
+from .matrix import SymMatrix, char_poly, mat_apply
 from .poly import Monomial, Polynomial, Rat, Var
 from .template import RecurrenceTemplate
 
@@ -79,14 +82,44 @@ class ClosedForms:
         return q
 
 
-def gen_roots(tpl: RecurrenceTemplate) -> list[Clause]:
-    z = Var("z^", "root")  # like the stand-ins, a name no other symbol has
-    chi = char_poly(tpl.b, z)
+class ShapeProducts:
+    """The parts of the root and coefficient families that every
+    partition of one `TemplateShape` shares: det(zI - B) and the product
+    B C_(w,j) of each coefficient column, each computed at its first use.
+
+    Roots and columns are named by position and slot, so one slot's
+    column, and its product, is the same in every partition that has it.
+    """
+
+    def __init__(self, b: SymMatrix):
+        self.b = b
+        self._chi: Polynomial | None = None
+        self._applied: dict[tuple[Var, int], tuple[Polynomial, ...]] = {}
+
+    def chi(self) -> Polynomial:
+        """det(zI - B) in the indeterminate `_Z`."""
+        if self._chi is None:
+            self._chi = char_poly(self.b, _Z)
+        return self._chi
+
+    def applied(self, tpl: RecurrenceTemplate, slot: tuple[Var, int]) -> tuple[Polynomial, ...]:
+        """B times the template's coefficient column of `slot`."""
+        out = self._applied.get(slot)
+        if out is None:
+            out = self._applied[slot] = mat_apply(self.b, tpl.coeff_columns[slot])
+        return out
+
+
+_Z = Var("z^", "root")  # like the stand-ins, a name no other symbol has
+
+
+def gen_roots(tpl: RecurrenceTemplate, products: ShapeProducts | None = None) -> list[Clause]:
+    chi = (products or ShapeProducts(tpl.b)).chi()
     product = Polynomial.const(1)
     for w, m in tpl.rootspec:
-        product = product * (Polynomial.var(z) - Polynomial.var(w)) ** m
+        product = product * (Polynomial.var(_Z) - Polynomial.var(w)) ** m
     difference = chi - product
-    out = [Clause.unit(coeff) for _, coeff in difference.coeffs_in(z)]
+    out = [Clause.unit(coeff) for _, coeff in difference.coeffs_in(_Z)]
     roots = [w for w, _ in tpl.rootspec]
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
@@ -96,8 +129,10 @@ def gen_roots(tpl: RecurrenceTemplate) -> list[Clause]:
     return out
 
 
-def gen_coeff(tpl: RecurrenceTemplate) -> list[Clause]:
-    out: list[Clause] = []
+def gen_coeff(tpl: RecurrenceTemplate, products: ShapeProducts | None = None) -> list[Polynomial]:
+    """The coefficient equalities, as their left-hand sides."""
+    products = products or ShapeProducts(tpl.b)
+    out: list[Polynomial] = []
     for w, m in tpl.rootspec:
         wpoly = Polynomial.var(w)
         for j in range(1, m + 1):
@@ -106,25 +141,25 @@ def gen_coeff(tpl: RecurrenceTemplate) -> list[Clause]:
                 coef = math.comb(k - 1, j - 1)
                 col = tpl.coeff_columns[(w, k)]
                 shifted = [acc + col[i] * wpoly * coef for i, acc in enumerate(shifted)]
-            applied = mat_apply(tpl.b, tpl.coeff_columns[(w, j)])
-            for lhs, rhs in zip(shifted, applied):
-                out.append(Clause.unit(lhs - rhs))
+            applied = products.applied(tpl, (w, j))
+            out.extend(lhs - rhs for lhs, rhs in zip(shifted, applied))
     return out
 
 
-def gen_init(tpl: RecurrenceTemplate) -> list[Clause]:
-    """The initial-value clauses sum_w C_(w,1) - X_0 = 0: the closed form
-    at n = 0.  With the coefficient clauses they imply X(n) = B^n X_0 for
-    every n.  Let E_(w,j) = sum_(k>=j) C(k-1, j-1) w C_(w,k) - B C_(w,j),
-    the coefficient clauses of (w, j), and G(k) = sum_(w,j) w^k k^(j-1)
-    E_(w,j) with 0^0 = 1.  Expanding (k+1)^(j-1) gives X(k+1) - B X(k) =
-    G(k), so by induction on n
+def gen_init(tpl: RecurrenceTemplate) -> list[Polynomial]:
+    """The initial-value equalities sum_w C_(w,1) - X_0 = 0, as their
+    left-hand sides: the closed form at n = 0.  With the coefficient
+    equalities they imply X(n) = B^n X_0 for every n.  Let E_(w,j) =
+    sum_(k>=j) C(k-1, j-1) w C_(w,k) - B C_(w,j), the coefficient
+    equalities of (w, j), and G(k) = sum_(w,j) w^k k^(j-1) E_(w,j) with
+    0^0 = 1.  Expanding (k+1)^(j-1) gives X(k+1) - B X(k) = G(k), so by
+    induction on n
 
         X(n) - B^n X_0 = B^n (X(0) - X_0) + sum_(k<n) B^(n-1-k) G(k).
     """
     firsts = [col for (_, j), col in tpl.coeff_columns.items() if j == 1]
     return [
-        Clause.unit(sum((col[i] for col in firsts), Polynomial.zero()) - x0)
+        sum((col[i] for col in firsts), Polynomial.zero()) - x0
         for i, x0 in enumerate(tpl.init_exprs)
     ]
 
@@ -204,20 +239,26 @@ class PcpBundle:
     pcp: Pcp  # the cell's clauses; synth adds the nontriviality and blocking ones
 
 
-def base_clauses(tpl: RecurrenceTemplate) -> list[Clause]:
+def base_clauses(tpl: RecurrenceTemplate, products: ShapeProducts | None = None) -> list[Clause]:
     """The root, coefficient and initial-value (n = 0 only, see `gen_init`)
-    families, in that order, decomposed over the parameter symbols of a
-    parameterized template.
+    families, in that order, free of the parameter symbols of a
+    parameterized template: the coefficient and initial-value equalities
+    are split over the parameter monomials as they are made into clauses,
+    and every root clause is parameter-free.
 
     They never read the invariants.  Template symbols are named by
     position, so in the triangular tiers these clauses depend only on the
     tier, the partition, and which positions are pinned (to which value)
-    or parameterized -- not on the variable order itself.
+    or parameterized -- not on the variable order itself.  `products`,
+    when given, must be the `ShapeProducts` of the template's B; the
+    templates of one shape can share it.
     """
-    base = gen_roots(tpl) + gen_coeff(tpl) + gen_init(tpl)
+    products = products or ShapeProducts(tpl.b)
+    roots = gen_roots(tpl, products)
+    equalities = gen_coeff(tpl, products) + gen_init(tpl)
     if not tpl.params:
-        return base
-    out = decompose(base, list(tpl.params))
+        return roots + [Clause.unit(p) for p in equalities]
+    out = roots + decompose(equalities, tpl.params)
     for c in out:
         leftover = c.variables() & set(tpl.params)
         if leftover:

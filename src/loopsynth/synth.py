@@ -12,14 +12,18 @@ module, so a wrong solver answer can never surface as output.
 The unit-upper-triangular tier searches only the partition (s): its
 characteristic polynomial is always (z-1)^s, so a partition with two or
 more parts would ask for distinct roots that cannot exist.  Every cell
-is built from the parts of its key -- the tier, the partition, the pin
-of each position and the position of each parameter's variable: one
-template, whose `vars` each cell replaces, the order-independent clause
-families (roots, coefficients, initial values), the closed forms and the
-nontriviality clause.  Within one search, the variable orders of a
-triangular tier that agree on the key share them; they are built at the
-key's first cell and held only until its last, and each cell builds
-only its relation clauses.
+is built from the parts of its shape -- the tier, the pin of each
+position and the position of each parameter's variable -- and of its
+key, the shape and the partition.  The shape's parts do not depend on
+the partition and are built once per shape: B, the initial values,
+each coefficient column, det(zI - B), each product B C_(w,j) and the
+nontriviality clause.  The key's are one template, whose `vars` each
+cell replaces, the order-independent clause families (roots,
+coefficients, initial values) and the closed forms.  Within one search,
+the variable orders of a triangular tier that agree on the key share
+them, and the partitions of a shape share its parts; each part is built
+at the first cell that needs it and held only until the last, and each
+cell builds only its relation clauses.
 
 With an external solver, the next cell's solver is started as soon as
 that cell is built, while the current cell's solver runs, so Python
@@ -40,11 +44,11 @@ import time
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .constraints import Clause, Pcp
 from .parser import SpecFile
-from .pcpgen import ClosedForms, DegenerateInvariantError, PcpBundle, base_clauses, build_pcp
+from .pcpgen import ClosedForms, DegenerateInvariantError, PcpBundle, ShapeProducts, base_clauses, build_pcp
 from .poly import Polynomial, Var, fresh_name, signed_sum
 from .smt import (
     ModelValue,
@@ -55,7 +59,7 @@ from .smt import (
     emit_smtlib,
     solve_structured,  # not called here; perfbench/spans.py hooks it in this module
 )
-from .template import RecurrenceTemplate, ShapeTier, build_template, int_partitions
+from .template import RecurrenceTemplate, ShapeTier, TemplateShape, build_template, int_partitions
 from .verify import ConcreteSystem, check_invariant
 
 
@@ -183,10 +187,9 @@ def synthesize(request: SynthRequest, cfg: SolverConfig | None = None) -> SynthR
     start = time.monotonic()
     deadline = start + request.timeout
 
-    cells, pinned, aux = _search_space(request)
+    cells, bases, aux = _search_space(request)
     found: list[Loop] = []
     undecided: set[str] = set()  # why some cells were left undecided
-    bases = _SharedBases(request, pinned, aux)
     runs: deque[tuple[PcpBundle, SolverRun]] = deque()  # started, not yet read
 
     def in_search_order() -> Iterator[tuple[PcpBundle, SolverRun]]:
@@ -248,17 +251,22 @@ def _finish(found: list[Loop], start: float, cfg: SolverConfig, timeout: bool) -
 
 
 def _effective_vars(request: SynthRequest) -> tuple[list[Var], dict[str, Fraction], tuple[str, ...]]:
-    seen: dict[Var, Var] = {}
-    for p, v in request.params:  # as parse_spec checks a spec's params and pins
+    names = [v.name for v in request.vars]  # checked as parse_spec checks a spec's names
+    if len(set(names)) != len(names):
+        raise RequestError("vars line needs distinct names")
+    seen: dict[str, Var] = {}  # parameter name: its variable
+    for p, v in request.params:
+        if p.name in names:
+            raise RequestError(f"parameter {p.name!r} collides with a variable")
         if v not in request.vars:
             raise RequestError(f"parameter {p.name!r} refers to unknown variable {v.name!r}")
-        if p in seen:
+        if p.name in seen:
             raise RequestError(f"parameter {p.name!r} is declared twice")
         if v in seen.values():
             raise RequestError(f"variable {v.name!r} is named by two parameters")
-        seen[p] = v
+        seen[p.name] = v
     for name in request.pinned:
-        if name not in [v.name for v in request.vars]:
+        if name not in names:
             raise RequestError(f"pinned initial value for unknown variable {name!r}")
         if name in [v.name for v in seen.values()]:
             raise RequestError(f"variable {name!r} is both pinned and parameterized")
@@ -284,9 +292,10 @@ def _effective_vars(request: SynthRequest) -> tuple[list[Var], dict[str, Fractio
 _Cell = tuple[ShapeTier, tuple[Var, ...], tuple[int, ...]]  # tier, order, partition
 
 
-def _search_space(request: SynthRequest) -> tuple[Iterator[_Cell], dict[str, Fraction], tuple[str, ...]]:
-    """The request's search cells, lazily in search order, with the pinned
-    initial values and the auxiliary variable names of its padded vars."""
+def _search_space(request: SynthRequest) -> tuple[Iterator[_Cell], _SharedBases, tuple[str, ...]]:
+    """The request's search cells, lazily in search order, with the
+    `_SharedBases` that builds them and the auxiliary variable names of
+    its padded vars."""
     if request.count < 1:
         raise RequestError(f"count must be at least 1, found {request.count}")
     vars, pinned, aux = _effective_vars(request)
@@ -296,7 +305,8 @@ def _search_space(request: SynthRequest) -> tuple[Iterator[_Cell], dict[str, Fra
     ]
     if not partitions:
         raise RequestError(f"no admissible multiplicity partition of {len(vars)}")
-    return _cells(vars, request.tiers or list(ShapeTier), partitions), pinned, aux
+    cells = _cells(vars, request.tiers or list(ShapeTier), partitions)
+    return cells, _SharedBases(request, pinned, aux, partitions), aux
 
 
 def _cells(
@@ -305,59 +315,90 @@ def _cells(
     partitions: Sequence[tuple[int, ...]],
 ) -> Iterator[_Cell]:
     for tier in tiers:
-        parts = partitions
         if tier is ShapeTier.FULL:
             # a full matrix template is symmetric under variable reordering
             perms: Iterable[tuple[Var, ...]] = [tuple(vars)]
         else:
             perms = itertools.permutations(vars)
-        if tier is ShapeTier.UNIT_UPPER:
-            # char_poly(B) = (z-1)^s, which no product of two or more
-            # pairwise distinct root factors equals
-            parts = [p for p in partitions if len(p) == 1]
+        parts = _tier_partitions(tier, partitions)
         for perm in perms:
             for part in parts:
                 yield tier, perm, part
 
 
-class _SharedBases:
-    """The cell parts that the cells of one key share, for one search: the
-    template, whose `vars` each order replaces, the base clauses as one
-    clause set, the closed forms and the nontriviality clause.
+def _tier_partitions(tier: ShapeTier, partitions: Sequence[tuple[int, ...]]) -> Sequence[tuple[int, ...]]:
+    """The partitions a tier searches.  The unit-upper-triangular tier's
+    char_poly(B) is (z-1)^s, which no product of two or more pairwise
+    distinct root factors equals."""
+    return [p for p in partitions if len(p) == 1] if tier is ShapeTier.UNIT_UPPER else partitions
 
-    A cell's key is its tier, its partition, the pin of each position and
-    the position of each parameter's variable: template symbols are named
-    by position, so cells of one key differ only in `vars`.  A key's parts
-    are built at its first cell and held until its last; the parts of a
-    key that a single cell uses are never held.  The full tier searches
-    one order, so its keys are unshared.  In a triangular tier two orders
-    share a key when they differ by permuting variables within a class:
-    the unpinned variables without a parameter, those pinned to each
-    value, and each parameter-bound variable alone.  So each key has the
-    same number of cells, the product of the class sizes' factorials.
+
+class _SharedBases:
+    """The cell parts that cells share, for one search, at two levels.
+
+    A cell's shape is its tier, the pin of each position and the position
+    of each parameter's variable; its key is its shape and its partition.
+    Template symbols are named by position and slot, so the cells of one
+    shape share the partition-free parts: the `TemplateShape`, its
+    `ShapeProducts` (det(zI - B) and each B C_(w,j)) and the nontriviality
+    clause; and the cells of one key differ only in `vars`, so they share
+    the key's template, its base clauses as one clause set and its closed
+    forms.  Each part is built at the first cell that needs it and held
+    only until the last, so nothing that a single cell uses is held.
+
+    The full tier searches one order, so its key is unshared and its
+    shape spans the partitions.  In a triangular tier two orders share a
+    shape when they differ by permuting variables within a class: the
+    unpinned variables without a parameter, those pinned to each value,
+    and each parameter-bound variable alone.  So each key has the same
+    number of cells, the product of the class sizes' factorials, and each
+    shape that many times the tier's partitions.
     """
 
-    def __init__(self, request: SynthRequest, pinned: Mapping[str, Fraction], aux: tuple[str, ...]):
+    def __init__(
+        self,
+        request: SynthRequest,
+        pinned: Mapping[str, Fraction],
+        aux: tuple[str, ...],
+        partitions: Sequence[tuple[int, ...]],
+    ):
         self.pinned = pinned
         self.params = request.params
         bound = {v for _, v in request.params}
         names = [v.name for v in request.vars if v not in bound] + list(aux)
         classes = Counter(pinned.get(name) for name in names).values()
         self.orders = math.prod(math.factorial(k) for k in classes)
+        self.parts = {tier: len(_tier_partitions(tier, partitions)) for tier in ShapeTier}
         self.held: dict[tuple, tuple[tuple, int]] = {}  # parts, cells left
 
     def take(
         self, perm: tuple[Var, ...], tier: ShapeTier, partition: tuple[int, ...]
     ) -> tuple[RecurrenceTemplate, Pcp, ClosedForms, Clause | None]:
-        """The template, base clause set, closed forms and nontriviality
-        clause of the cell's key."""
+        """The template, base clause set and closed forms of the cell's
+        key, and the nontriviality clause of its shape."""
         params = [(p, perm.index(v)) for p, v in self.params]
-        pins = tuple(self.pinned.get(v.name) for v in perm)
-        key = (tier, partition, pins, tuple(i for _, i in params))
-        parts, left = self.held.pop(key, (None, 1 if tier is ShapeTier.FULL else self.orders))
+        shape_key = (tier, tuple(self.pinned.get(v.name) for v in perm), tuple(i for _, i in params))
+        orders = 1 if tier is ShapeTier.FULL else self.orders
+
+        def shape_parts() -> tuple[TemplateShape, ShapeProducts, Clause | None]:
+            shape = TemplateShape(perm, tier, self.pinned, params)
+            return shape, ShapeProducts(shape.b), _nontriviality_clause(shape)
+
+        shape, products, nontrivial = self._hold(shape_key, orders * self.parts[tier], shape_parts)
+
+        def key_parts() -> tuple[RecurrenceTemplate, Pcp, ClosedForms]:
+            tpl = build_template(perm, tier, partition, self.pinned, params, shape)
+            return tpl, Pcp(base_clauses(tpl, products)), ClosedForms(tpl)
+
+        tpl, base, forms = self._hold(shape_key + (partition,), orders, key_parts)
+        return tpl, base, forms, nontrivial
+
+    def _hold(self, key: tuple, cells: int, build: Callable[[], tuple]) -> tuple:
+        """The parts of `key`, built at the first of its `cells` cells and
+        held until the last."""
+        parts, left = self.held.pop(key, (None, cells))
         if parts is None:
-            tpl = build_template(perm, tier, partition, self.pinned, params)
-            parts = (tpl, Pcp(base_clauses(tpl)), ClosedForms(tpl), _nontriviality_clause(tpl))
+            parts = build()
         if left > 1:
             self.held[key] = (parts, left - 1)
         return parts
@@ -383,10 +424,10 @@ def _cell_problem(
     return bundle
 
 
-def _nontriviality_clause(tpl: RecurrenceTemplate) -> Clause | None:
+def _nontriviality_clause(shape: TemplateShape | RecurrenceTemplate) -> Clause | None:
     """Some entry of B*A - A must be nonzero, i.e. the synthesized loop
     changes at least one variable on some input."""
-    diff = tpl.b * tpl.a_matrix - tpl.a_matrix
+    diff = shape.b * shape.a_matrix - shape.a_matrix
     parts = [
         (e, "!=")
         for row in diff.entries
@@ -451,8 +492,7 @@ def _extract_loop(
 def first_cell_script(request: SynthRequest) -> str:
     """SMT-LIB script of the first search cell's constraint problem: the
     script an external solver is given for that cell."""
-    cells, pinned, aux = _search_space(request)
-    bases = _SharedBases(request, pinned, aux)
+    cells, bases, _aux = _search_space(request)
     for tier, perm, part in cells:
         bundle = _cell_problem(request, perm, tier, part, bases)
         if bundle is not None:

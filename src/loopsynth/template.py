@@ -13,7 +13,10 @@ so no generated name takes a variable's or a parameter's.  The
 initial-value matrix `a_matrix` records each position's pin or parameter,
 so within one search two orders with the same tier, partition, pin of
 each position and position of each parameter's variable have templates
-that differ only in `vars` (`synth._SharedBases`).
+that differ only in `vars` (`synth._SharedBases`).  The parts that do not
+depend on the partition -- B, the initial values and the coefficient
+column of each (root, slot) pair -- are a `TemplateShape`, built once
+for all the partitions of a shape.
 """
 
 from __future__ import annotations
@@ -86,14 +89,13 @@ class RecurrenceTemplate:
         return len(self.vars)
 
 
-def build_template(
-    vars: Sequence[Var],
-    tier: ShapeTier,
-    partition: Sequence[int],
-    pinned_inits: Mapping[str, Rat] | None = None,
-    params: Sequence[tuple[Var, int]] = (),
-) -> RecurrenceTemplate:
-    """Construct the symbolic system for one search cell.
+class TemplateShape:
+    """The parts of a template that do not depend on its partition: the
+    variables, the tier, B, the initial-value matrix and X_0, and the
+    coefficient column of each (root index, multiplicity slot) pair,
+    made at its first use.  Every template of the shape is
+    `template(partition)`; the templates of two partitions share B and
+    the column of each slot they both have.
 
     `vars` fixes the variable order (and thus which entries a triangular
     tier zeroes out).  `pinned_inits` fixes initial values to rationals by
@@ -101,94 +103,131 @@ def build_template(
     initial value of ``vars[index]`` that parameter; everything else stays
     symbolic.
     """
-    s = len(vars)
-    if s < 1:
-        raise ValueError("need at least one variable")
-    partition = tuple(partition)
-    if sorted(partition, reverse=True) != list(partition) or sum(partition) != s or min(partition) < 1:
-        raise ValueError(f"{partition} is not an integer partition of {s}")
-    pinned = dict(pinned_inits or {})
-    names = [v.name for v in vars]
-    for name in pinned:
-        if name not in names:
-            raise ValueError(f"pinned initial value for unknown variable {name!r}")
-    for p, idx in params:
-        if not (0 <= idx < s):
-            raise ValueError(f"parameter index {idx} out of range")
-        if names[idx] in pinned:
-            raise ValueError(f"variable {names[idx]!r} is both pinned and parameterized")
-    taken = set(names) | {p.name for p, _ in params}
-    if len(taken) < s + len(params):
-        raise ValueError("variable and parameter names must be distinct")
 
-    def sym(base: str, kind: str) -> Polynomial:
-        return Polynomial.var(Var(fresh_name(base, taken), kind))
+    def __init__(
+        self,
+        vars: Sequence[Var],
+        tier: ShapeTier,
+        pinned_inits: Mapping[str, Rat] | None = None,
+        params: Sequence[tuple[Var, int]] = (),
+    ):
+        s = len(vars)
+        if s < 1:
+            raise ValueError("need at least one variable")
+        pinned = dict(pinned_inits or {})
+        names = [v.name for v in vars]
+        for name in pinned:
+            if name not in names:
+                raise ValueError(f"pinned initial value for unknown variable {name!r}")
+        for p, idx in params:
+            if not (0 <= idx < s):
+                raise ValueError(f"parameter index {idx} out of range")
+            if names[idx] in pinned:
+                raise ValueError(f"variable {names[idx]!r} is both pinned and parameterized")
+        self._taken = set(names) | {p.name for p, _ in params}
+        if len(self._taken) < s + len(params):
+            raise ValueError("variable and parameter names must be distinct")
+        self.vars = tuple(vars)
+        self.tier = tier
+        self.params = tuple(p for p, _ in params)
+        # the parameters and a constant one; a plain template is the r = 0 case
+        self._basis = tuple(Polynomial.var(p) for p in self.params) + (Polynomial.const(1),)
+        width = len(self._basis)
 
-    # update matrix
-    rows = []
-    for i in range(s):
-        row: list[Polynomial | Rat] = []
-        for j in range(s):
-            if tier is ShapeTier.FULL:
-                row.append(sym(f"b{i + 1}{j + 1}", "matrix"))
-            elif j < i:
-                row.append(0)
-            elif j == i and tier is ShapeTier.UNIT_UPPER:
-                row.append(1)
+        # update matrix
+        rows = []
+        for i in range(s):
+            row: list[Polynomial | Rat] = []
+            for j in range(s):
+                if tier is ShapeTier.FULL:
+                    row.append(self._sym(f"b{i + 1}{j + 1}", "matrix"))
+                elif j < i:
+                    row.append(0)
+                elif j == i and tier is ShapeTier.UNIT_UPPER:
+                    row.append(1)
+                else:
+                    row.append(self._sym(f"b{i + 1}{j + 1}", "matrix"))
+            rows.append(row)
+        self.b = SymMatrix.make(rows)
+
+        # initial values: s x (r+1), one column per basis entry
+        index_of = {idx: col for col, (_, idx) in enumerate(params)}
+        a_rows: list[list[Polynomial | Rat]] = []
+        for i, v in enumerate(vars):
+            if i in index_of:
+                a_rows.append([1 if k == index_of[i] else 0 for k in range(width)])
+            elif v.name in pinned:
+                a_rows.append([0] * (width - 1) + [Fraction(pinned[v.name])])
             else:
-                row.append(sym(f"b{i + 1}{j + 1}", "matrix"))
-        rows.append(row)
-    b = SymMatrix.make(rows)
-
-    # symbolic eigenvalues
-    rootspec = tuple((Var(fresh_name(f"w{i + 1}", taken), "root"), m) for i, m in enumerate(partition))
-
-    # initial values: s x (r+1), one column per parameter and a constant
-    # one; a plain template is the r = 0 case
-    r = len(params)
-    width = r + 1
-    index_of = {idx: col for col, (_, idx) in enumerate(params)}
-    a_rows: list[list[Polynomial | Rat]] = []
-    for i, v in enumerate(vars):
-        if i in index_of:
-            a_rows.append([1 if k == index_of[i] else 0 for k in range(width)])
-        elif v.name in pinned:
-            a_rows.append([0] * r + [Fraction(pinned[v.name])])
-        else:
-            a_rows.append([
-                sym(f"a{i + 1}" + (f"{k + 1}" if width > 1 else ""), "initial")
-                for k in range(width)
-            ])
-    a_matrix = SymMatrix.make(a_rows)
-    param_syms = tuple(p for p, _ in params)
-    basis = tuple(Polynomial.var(p) for p in param_syms) + (Polynomial.const(1),)
-
-    # closed-form coefficient columns C_ij, one per (root, multiplicity slot)
-    coeff_columns: dict[tuple[Var, int], tuple[Polynomial, ...]] = {}
-    for ridx, (w, m) in enumerate(rootspec):
-        for j in range(1, m + 1):
-            col = []
-            for i in range(s):
-                entries = [
-                    sym(f"c{ridx + 1}_{j}_{i + 1}" + (f"_{k + 1}" if width > 1 else ""), "coeff")
+                a_rows.append([
+                    self._sym(f"a{i + 1}" + (f"{k + 1}" if width > 1 else ""), "initial")
                     for k in range(width)
-                ]
-                col.append(sum((e * bk for e, bk in zip(entries, basis)), Polynomial.zero()))
-            coeff_columns[(w, j)] = tuple(col)
+                ])
+        self.a_matrix = SymMatrix.make(a_rows)
+        self.init_exprs = tuple(
+            sum((self.a_matrix.at(i, k) * self._basis[k] for k in range(width)), Polynomial.zero())
+            for i in range(s)
+        )
+        self._roots: dict[int, Var] = {}
+        self._columns: dict[tuple[int, int], tuple[Polynomial, ...]] = {}
 
-    init_exprs = tuple(
-        sum((a_matrix.at(i, k) * basis[k] for k in range(width)), Polynomial.zero())
-        for i in range(s)
-    )
+    def _sym(self, base: str, kind: str) -> Polynomial:
+        return Polynomial.var(Var(fresh_name(base, self._taken), kind))
 
-    return RecurrenceTemplate(
-        vars=tuple(vars),
-        tier=tier,
-        partition=partition,
-        b=b,
-        rootspec=rootspec,
-        coeff_columns=coeff_columns,
-        init_exprs=init_exprs,
-        a_matrix=a_matrix,
-        params=param_syms,
-    )
+    def root(self, r: int) -> Var:
+        """The symbolic eigenvalue of part r (from 0) of a partition."""
+        w = self._roots.get(r)
+        if w is None:
+            w = self._roots[r] = Var(fresh_name(f"w{r + 1}", self._taken), "root")
+        return w
+
+    def column(self, r: int, j: int) -> tuple[Polynomial, ...]:
+        """The closed-form coefficient column C_(r,j): per variable, a
+        linear form over the parameters and one."""
+        col = self._columns.get((r, j))
+        if col is None:
+            width = len(self._basis)
+            col = self._columns[(r, j)] = tuple(
+                sum((self._sym(f"c{r + 1}_{j}_{i + 1}" + (f"_{k + 1}" if width > 1 else ""), "coeff") * bk
+                     for k, bk in enumerate(self._basis)), Polynomial.zero())
+                for i in range(len(self.vars))
+            )
+        return col
+
+    def template(self, partition: Sequence[int]) -> RecurrenceTemplate:
+        """The shape's template for one partition of its size."""
+        partition = tuple(partition)
+        s = len(self.vars)
+        if sorted(partition, reverse=True) != list(partition) or sum(partition) != s or min(partition) < 1:
+            raise ValueError(f"{partition} is not an integer partition of {s}")
+        rootspec = tuple((self.root(r), m) for r, m in enumerate(partition))
+        return RecurrenceTemplate(
+            vars=self.vars,
+            tier=self.tier,
+            partition=partition,
+            b=self.b,
+            rootspec=rootspec,
+            coeff_columns={(w, j): self.column(r, j) for r, (w, m) in enumerate(rootspec) for j in range(1, m + 1)},
+            init_exprs=self.init_exprs,
+            a_matrix=self.a_matrix,
+            params=self.params,
+        )
+
+
+def build_template(
+    vars: Sequence[Var],
+    tier: ShapeTier,
+    partition: Sequence[int],
+    pinned_inits: Mapping[str, Rat] | None = None,
+    params: Sequence[tuple[Var, int]] = (),
+    shape: TemplateShape | None = None,
+) -> RecurrenceTemplate:
+    """Construct the symbolic system for one search cell: the template of
+    `partition` in `TemplateShape(vars, tier, pinned_inits, params)`.
+
+    `shape`, when given, must be that shape; a caller that builds the
+    templates of many partitions of one shape builds it once.
+    """
+    if shape is None:
+        shape = TemplateShape(vars, tier, pinned_inits, params)
+    return shape.template(partition)

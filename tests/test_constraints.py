@@ -136,8 +136,8 @@ class TestDecompose:
             assert p.evaluate({X: a, P1: b, P2: c}) == 0
 
     def test_clause_level(self):
-        eq = Clause.unit(Polynomial.var(P1) * Polynomial.var(X))
-        neq = Clause.unit(Polynomial.var(X), "!=")
-        out = decompose([eq, neq], [P1])
-        assert neq in out  # non-equalities pass through
-        assert all(P1 not in c.variables() for c in out if c.is_unit_equality)
+        # one unit equality per piece, each equality's pieces in turn
+        x, p1 = Polynomial.var(X), Polynomial.var(P1)
+        out = decompose([p1 * x - 2 * x, x, p1 - p1], [P1])
+        assert out == [Clause.unit(-2 * x), Clause.unit(x), Clause.unit(x), Clause.unit(Polynomial.zero())]
+        assert all(c.is_unit_equality and P1 not in c.variables() for c in out)

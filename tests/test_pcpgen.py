@@ -38,7 +38,8 @@ def doubling_template():
 
 
 def atom_set(clauses):
-    return {str(c) for c in clauses}
+    """The clauses' text; a polynomial is its unit equality."""
+    return {str(Clause.unit(c) if isinstance(c, Polynomial) else c) for c in clauses}
 
 
 class TestClauseFamilies:
@@ -141,17 +142,17 @@ class TestInitialValues:
     def test_full_tier_matches_matrix_powers(self, name):
         request = SynthRequest.from_spec(parse_spec((BENCHMARKS / f"{name}.spec").read_text()))
         request.tiers = [ShapeTier.FULL]
-        cells, pinned, _ = _search_space(request)
+        cells, bases, _ = _search_space(request)
+        pinned = bases.pinned
         for tier, perm, part in cells:
             params = [(p, perm.index(v)) for p, v in request.params]
             tpl = build_template(perm, tier, part, pinned, params)
-            assert gen_init(tpl) == init_clauses_by_matrix_powers(tpl)[:tpl.size]
+            assert list(map(Clause.unit, gen_init(tpl))) == init_clauses_by_matrix_powers(tpl)[:tpl.size]
 
 
-def signed(clause, term):
-    """The clause's lhs with the sign that gives the leading monomial of
+def signed(lhs, term):
+    """The equality's lhs with the sign that gives the leading monomial of
     `term` the coefficient 1 (0 if that monomial is absent)."""
-    lhs = clause.atoms[0].lhs
     mono, _ = term.leading()
     return lhs * lhs.terms.get(mono, 0)
 
@@ -186,19 +187,19 @@ class TestInitialValueCertificate:
         """The certificate in `gen_init`'s docstring, as an exact identity:
         X(n) - B^n X_0 = B^n (X(0) - X_0) + sum_(k<n) B^(n-1-k) G(k), where
         G(k) = sum_(w,j) w^k k^(j-1) E_(w,j) sums the coefficient clauses.
-        Clauses are sign-normalized, so each one's sign is fixed by its
-        w * C_(w,j) term (at n = 0, by its C_(w1,1) term), which has the
-        coefficient 1 in the expression the clause states."""
+        Each equality's sign is fixed by its w * C_(w,j) term (at n = 0, by
+        its C_(w1,1) term), which has the coefficient 1 in the expression
+        the equality states."""
         tpl = CERTIFIED[name]
         s = tpl.size
         slots = list(tpl.coeff_columns)
         coeff = gen_coeff(tpl)
         rows = list(itertools.product(slots, range(s)))  # gen_coeff's clause order
         columns = {slot: [Polynomial.zero()] * s for slot in slots}  # the E_(w,j)
-        for ((w, j), i), clause in zip(rows, coeff):
-            columns[(w, j)][i] = signed(clause, Polynomial.var(w) * tpl.coeff_columns[(w, j)][i])
+        for ((w, j), i), lhs in zip(rows, coeff):
+            columns[(w, j)][i] = signed(lhs, Polynomial.var(w) * tpl.coeff_columns[(w, j)][i])
         first = tpl.coeff_columns[(tpl.rootspec[0][0], 1)]
-        init = [signed(c, first[i]) for i, c in enumerate(gen_init(tpl))]
+        init = [signed(lhs, first[i]) for i, lhs in enumerate(gen_init(tpl))]
         assert len(init) == s
 
         def g(k):
@@ -334,7 +335,7 @@ class TestClosedForms:
         symbols = list(tpl.vars) + list(tpl.params)
         invariants = data.draw(st.lists(invariants_over(symbols), min_size=1, max_size=2))
         got = gen_alg(tpl, invariants)
-        want = decompose(reference_alg(tpl, invariants), list(tpl.params))
+        want = decompose([c.atoms[0].lhs for c in reference_alg(tpl, invariants)], list(tpl.params))
         assert got == want
         assert [c.smtlib for c in got] == [c.smtlib for c in want]
 

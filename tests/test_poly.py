@@ -506,10 +506,9 @@ import json, sys
 from loopsynth.poly import Var
 for key in reversed(json.loads(sys.stdin.read())):
     Var(*key)
-from test_synth import TestClauseTextIdentity, _cell_text_digest, benchmark_request
-from loopsynth.template import ShapeTier
-print(json.dumps({name: _cell_text_digest(benchmark_request(name, [ShapeTier.FULL]))
-                  for name in TestClauseTextIdentity.FULL_TIER_DIGESTS}))
+from test_synth import _cell_text_digest, benchmark_request, recorded_digests
+print(json.dumps({tier.value: {name: _cell_text_digest(benchmark_request(name, [tier])) for name in digests}
+                  for tier, digests in recorded_digests().items()}))
 """
 
 
@@ -517,11 +516,11 @@ def test_clause_text_does_not_depend_on_symbol_ids_or_string_hashes():
     """Interned symbols hash by identity.  Created in reverse order, under
     another string-hash seed, they must give the recorded clause text."""
     import test_synth
-    from loopsynth.template import ShapeTier
 
-    recorded = test_synth.TestClauseTextIdentity.FULL_TIER_DIGESTS
-    for name in recorded:  # intern every symbol the cells use, in search order
-        test_synth._cell_text_digest(test_synth.benchmark_request(name, [ShapeTier.FULL]))
+    recorded = test_synth.recorded_digests()
+    for tier, digests in recorded.items():  # intern every symbol the cells use, in search order
+        for name in digests:
+            test_synth._cell_text_digest(test_synth.benchmark_request(name, [tier]))
     keys = list(Var._interned)
     here = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONHASHSEED="4242", PYTHONPATH=os.pathsep.join(
@@ -529,4 +528,4 @@ def test_clause_text_does_not_depend_on_symbol_ids_or_string_hashes():
     res = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], input=json.dumps(keys),
                          capture_output=True, text=True, env=env, timeout=300)
     assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout) == recorded
+    assert json.loads(res.stdout) == {tier.value: digests for tier, digests in recorded.items()}

@@ -12,7 +12,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopsynth import synth as synth_module
+from loopsynth import pcpgen as pcpgen_module, synth as synth_module
+from loopsynth.matrix import char_poly
 from loopsynth.parser import parse_invariant, parse_loop, parse_spec
 from loopsynth.pcpgen import DegenerateInvariantError, base_clauses, build_pcp
 from loopsynth.poly import Polynomial, Var
@@ -71,8 +72,7 @@ def unknown_runs(monkeypatch):
 def built_cells(req):
     """Each search cell's problem, or None for a cell that is not built,
     in search order, through one `_SharedBases` as the search builds them."""
-    cells, pinned, aux = _search_space(req)
-    bases = _SharedBases(req, pinned, aux)
+    cells, bases, _aux = _search_space(req)
     return [_cell_problem(req, perm, tier, part, bases) for tier, perm, part in cells]
 
 
@@ -444,14 +444,15 @@ class TestRequestExpansion:
             synthesize(req, cfg())
 
     @pytest.mark.parametrize("names, message", [
-        (("p", "p"), "parameter 'p' is declared twice"),
-        (("p", "q"), "variable 'x' is named by two parameters"),
+        ((Var("p", "param"), Var("p", "param")), "parameter 'p' is declared twice"),
+        ((Var("p", "param"), Var("q", "param")), "variable 'x' is named by two parameters"),
+        ((Var("p", "param"), Var("p", "program")), "parameter 'p' is declared twice"),  # two symbols
     ])
     def test_code_built_request_rejects_duplicate_parameter_bindings(self, names, message):
         # the checks parse_spec makes on a spec's params, for a request built in code
         x, y = make_vars("x", "y")
-        p, q = (Var(n, "param") for n in names)
-        second = y if names[0] == names[1] else x
+        p, q = names
+        second = y if p.name == q.name else x
         req = SynthRequest(
             invariants=[Polynomial.var(x) - Polynomial.var(p)], vars=[x, y],
             params=[(p, x), (q, second)], timeout=60.0,
@@ -478,6 +479,27 @@ class TestRequestExpansion:
         with pytest.raises(RequestError, match=message):
             synthesize(req, cfg())
         with pytest.raises(RequestError, match=message):
+            first_cell_script(req)
+
+    def test_code_built_request_rejects_a_repeated_variable(self):
+        # as parse_spec refuses `vars x x`
+        x, = make_vars("x")
+        req = SynthRequest(invariants=[Polynomial.var(x) - 1], vars=[x, x], timeout=60.0)
+        with pytest.raises(RequestError, match="vars line needs distinct names"):
+            synthesize(req, cfg())
+        with pytest.raises(RequestError, match="vars line needs distinct names"):
+            first_cell_script(req)
+
+    def test_code_built_request_rejects_a_parameter_named_like_a_variable(self):
+        # as parse_spec refuses `vars x y` with `params y=x`
+        x, y = make_vars("x", "y")
+        req = SynthRequest(
+            invariants=[Polynomial.var(x) - Polynomial.var(y)], vars=[x, y],
+            params=[(Var("y", "param"), x)], timeout=60.0,
+        )
+        with pytest.raises(RequestError, match="parameter 'y' collides with a variable"):
+            synthesize(req, cfg())
+        with pytest.raises(RequestError, match="parameter 'y' collides with a variable"):
             first_cell_script(req)
 
     def test_spec_timeout_is_kept_and_defaults_to_60(self):
@@ -677,22 +699,23 @@ class TestSearchSpace:
     def test_shared_clause_families_match_a_fresh_build(self, name, monkeypatch):
         templates, built = [], []
 
-        def recording_build_template(perm, tier, part, pinned, params):
+        def recording_build_template(perm, tier, part, pinned, params, shape):
             templates.append((tier, part, tuple(pinned.get(v.name) for v in perm),
                               tuple(i for _, i in params)))
-            return build_template(perm, tier, part, pinned, params)
+            return build_template(perm, tier, part, pinned, params, shape)
 
-        def counting_base_clauses(tpl):
+        def counting_base_clauses(tpl, products):
             built.append(tpl)
-            return base_clauses(tpl)
+            return base_clauses(tpl, products)
 
         monkeypatch.setattr(synth_module, "build_template", recording_build_template)
         monkeypatch.setattr(synth_module, "base_clauses", counting_base_clauses)
-        tiers = [ShapeTier.UNIT_UPPER, ShapeTier.UPPER]
+        tiers = list(ShapeTier)
         req = benchmark_request(name, tiers)
-        vars, pinned, aux = _effective_vars(req)
+        _vars, pinned, _aux = _effective_vars(req)
         cells, keys = reference_keys(req, tiers)
-        bases = _SharedBases(req, pinned, aux)
+        search, bases, _ = _search_space(req)
+        assert list(search) == cells
         shared = [_cell_problem(req, perm, tier, part, bases) for tier, perm, part in cells]
         # one template and one base per key, whatever the number of its
         # orders, and nothing held once the search is over
@@ -707,19 +730,45 @@ class TestSearchSpace:
                 assert cell.template == fresh.template
                 assert emit_smtlib(list(cell.pcp)) == emit_smtlib(list(fresh.pcp))
 
+    @pytest.mark.parametrize("name, tier", [
+        ("fmi2", ShapeTier.FULL),  # one order: one shape for every partition
+        ("eucliddiv", ShapeTier.FULL),
+        ("fmi2", ShapeTier.UPPER),  # shapes that span orders and partitions
+        ("intsqrt2", ShapeTier.UPPER),
+    ])
+    def test_partition_free_parts_are_built_once_per_shape(self, name, tier, monkeypatch):
+        calls = Counter()
+
+        def counting(fn):
+            def counted(*args):
+                calls[fn.__name__] += 1
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(pcpgen_module, "char_poly", counting(char_poly))
+        monkeypatch.setattr(synth_module, "_nontriviality_clause", counting(_nontriviality_clause))
+        req = benchmark_request(name, [tier])
+        cells, keys = reference_keys(req, [tier])
+        shapes = {(t, pins, positions) for t, _part, pins, positions in keys}
+        assert any(b is not None for b in built_cells(req))
+        assert calls == {"char_poly": len(shapes), "_nontriviality_clause": len(shapes)}
+        assert len(shapes) < len(keys)
+        assert (len(keys) < len(cells)) == (tier is ShapeTier.UPPER)
+
     @pytest.mark.parametrize("name, tiers, holds", [
         ("eucliddiv", [ShapeTier.UNIT_UPPER], False),  # each order pins differently
         ("square", [ShapeTier.UNIT_UPPER, ShapeTier.UPPER], True),
-        ("square", [ShapeTier.FULL], False),  # one order
+        ("square", [ShapeTier.FULL], True),  # one order, one shape over the partitions
+        ("eucliddiv", [ShapeTier.FULL, ShapeTier.UNIT_UPPER], True),
     ])
     def test_a_search_holds_clause_families_only_while_a_later_cell_uses_them(
         self, name, tiers, holds, monkeypatch
     ):
         sizes, built = [], []
 
-        def counting_base_clauses(tpl):
+        def counting_base_clauses(tpl, products):
             built.append(tpl)
-            return base_clauses(tpl)
+            return base_clauses(tpl, products)
 
         class RecordingBases(_SharedBases):
             def take(self, *cell):
@@ -734,8 +783,9 @@ class TestSearchSpace:
         res = synthesize(req, cfg())
         assert res.status == "notfound"
         cells, keys = reference_keys(req, tiers)
+        shapes = {(t, pins, positions) for t, _part, pins, positions in keys}
         assert len(sizes) == len(cells)
-        assert (max(sizes) > 0) == holds == (len(keys) < len(cells))
+        assert (max(sizes) > 0) == holds == (len(shapes) < len(cells))
         assert len(built) == len(keys)
         assert sizes[-1] == 0
 
@@ -811,6 +861,28 @@ class TestClauseTextIdentity:
     def test_full_tier_cells_emit_the_recorded_text(self, name):
         req = benchmark_request(name, [ShapeTier.FULL])
         assert _cell_text_digest(req) == self.FULL_TIER_DIGESTS[name]
+
+    # The upper-triangular tier, where one shape (pins and parameter
+    # positions) spans several orders and every partition, recorded before
+    # the partitions of a shape came to share its partition-free parts.
+    UPPER_TIER_DIGESTS = {
+        "fmi2": "0bc6a54587c9fa2b674796ddb5f2c9938f8c43c19b67c4f3842d96e947e5b2c2",
+        "eucliddiv": "f467f4da91beddf8872948b0fe04bf3f7d07af7a40fa833cfb2ebe738e50d0dd",
+        "intsqrt2": "126a9dd5229ac965964fc511b06786518574733558db86194b5d33dc230439b0",
+    }
+
+    @pytest.mark.parametrize("name", sorted(UPPER_TIER_DIGESTS))
+    def test_upper_tier_cells_emit_the_recorded_text(self, name):
+        req = benchmark_request(name, [ShapeTier.UPPER])
+        assert _cell_text_digest(req) == self.UPPER_TIER_DIGESTS[name]
+
+
+def recorded_digests():
+    """The recorded cell-text digests, by tier."""
+    return {
+        ShapeTier.FULL: TestClauseTextIdentity.FULL_TIER_DIGESTS,
+        ShapeTier.UPPER: TestClauseTextIdentity.UPPER_TIER_DIGESTS,
+    }
 
 
 class TestRecordedSearchResults:
