@@ -138,10 +138,6 @@ class Monomial(tuple):
                 return e
         return 0
 
-    def degree_in(self, vars: Iterable[Var]) -> int:
-        vs = set(vars)
-        return sum(e for u, e in self if u in vs)
-
     def mul(self, other: "Monomial") -> "Monomial":
         """The product, by merging the two power tuples, which are both
         sorted by `Var.sort_key`."""

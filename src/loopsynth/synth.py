@@ -254,6 +254,8 @@ def _effective_vars(request: SynthRequest) -> tuple[list[Var], dict[str, Fractio
     names = [v.name for v in request.vars]  # checked as parse_spec checks a spec's names
     if len(set(names)) != len(names):
         raise RequestError("vars line needs distinct names")
+    if request.tiers is not None and len(set(request.tiers)) != len(request.tiers):
+        raise RequestError("a tier is named twice")  # each of its cells would be searched twice
     seen: dict[str, Var] = {}  # parameter name: its variable
     for p, v in request.params:
         if p.name in names:

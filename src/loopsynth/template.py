@@ -34,16 +34,13 @@ def int_partitions(s: int) -> list[tuple[int, ...]]:
     """All integer partitions of s, [s] first, then descending lexicographic."""
     if s < 1:
         raise ValueError("partitions are defined for positive integers")
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, maxpart: int, prefix: tuple[int, ...]):
-        if remaining == 0:
+    out, stack = [], [(s, ())]  # (left, prefix): a loop, as a recursive closure would be a cycle
+    while stack:
+        left, prefix = stack.pop()
+        if not left:
             out.append(prefix)
-            return
-        for part in range(min(remaining, maxpart), 0, -1):
-            rec(remaining - part, part, prefix + (part,))
-
-    rec(s, s, ())
+        else:  # the largest next part is pushed last, so it is taken first
+            stack.extend((left - k, prefix + (k,)) for k in range(1, min((left, *prefix[-1:])) + 1))
     return out
 
 

@@ -17,11 +17,11 @@ parameter instantiations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .poly import Polynomial, Rat, Var
+from .poly import Monomial, Polynomial, Var, _exact
 
 Value = Polynomial | Fraction
 
@@ -33,6 +33,7 @@ class ConcreteSystem:
     vars: tuple[Var, ...]
     update: tuple[tuple[Value, ...], ...]
     init: tuple[Value, ...]
+    rows: tuple = field(init=False, compare=False, repr=False)  # each row's nonzero (column, entry) pairs
 
     def __post_init__(self):
         s = len(self.vars)
@@ -40,20 +41,25 @@ class ConcreteSystem:
             raise ValueError("update matrix shape does not match the variable count")
         if len(self.init) != s:
             raise ValueError("initial vector length does not match the variable count")
+        object.__setattr__(self, "rows", tuple(  # entries as ints where integral, so steps stay in ints
+            tuple((j, _int_first(c)) for j, c in enumerate(row) if c != 0) for row in self.update))
 
     @property
     def size(self) -> int:
         return len(self.vars)
 
-    def step(self, state: Sequence[Value]) -> tuple[Value, ...]:
+    def step(self, state: Sequence[Value]) -> tuple[Value | int, ...]:
         out = []
-        for row in self.update:
-            acc: Value = Fraction(0)
-            for coef, val in zip(row, state):
-                if coef:  # update rows are sparse, e.g. the constant-one column
-                    acc = acc + coef * val
+        for row in self.rows:
+            acc = 0
+            for j, c in row:
+                acc = acc + c * state[j]
             out.append(acc)
         return tuple(out)
+
+
+def _int_first(v: Value) -> Value | int:
+    return v if isinstance(v, Polynomial) else _exact(v)
 
 
 @dataclass(frozen=True)
@@ -92,7 +98,10 @@ def order_bound(p: Polynomial, s: int, sequence_vars: Sequence[Var] | None = Non
     s^deg that the closure rules for C-finite sequences give.
     """
     seq = set(sequence_vars) if sequence_vars is not None else p.variables()
-    degrees = {mono.degree_in(seq) for mono in p.terms}
+    return _bound({sum(e for v, e in mono if v in seq) for mono in p.terms}, s)
+
+
+def _bound(degrees: set[int], s: int) -> int:
     return max(sum(math.comb(s + k - 1, k) if k else 1 for k in degrees), 1)
 
 
@@ -100,18 +109,27 @@ def check_invariant(sys: ConcreteSystem, p: Polynomial) -> Verdict:
     """Decide whether p = 0 holds at every iteration of the system.
 
     Variables of p that are program variables take the unrolled values;
-    any other symbol (a parameter) passes through symbolically.
+    any other symbol (a parameter) passes through symbolically.  p is read
+    once, into terms of (coefficient times parameter factor, [(slot, exponent)]),
+    and one kernel steps rational and parameterized systems alike.
     """
-    bound = order_bound(p, sys.size, sys.vars)
-    used = p.variables()
-    slots = [(i, v) for i, v in enumerate(sys.vars) if v in used]
-    state = sys.init
+    slot = {v: i for i, v in enumerate(sys.vars)}
+    terms = []
+    for mono, c in p.terms.items():
+        rest = {v: e for v, e in mono if v not in slot}
+        powers = [(slot[v], e) for v, e in mono if v in slot]
+        terms.append((Polynomial({Monomial.make(rest): c}) if rest else c, powers))
+    bound = _bound({sum(e for _, e in powers) for _, powers in terms}, sys.size)
+    state = tuple(_int_first(v) for v in sys.init)
     for n in range(bound):
-        bindings: dict[Var, Polynomial | Rat] = {v: state[i] for i, v in slots}
-        value = p.substitute(bindings)
-        if not value.is_zero():
-            witness: Value = value.constant_value() if value.is_constant() else value
-            return Verdict(holds=False, bound_used=bound, witness=(n, witness))
+        value = 0
+        for c, powers in terms:
+            for i, e in powers:
+                c = c * (state[i] if e == 1 else state[i] ** e)
+            value = value + c
+        if value != 0:  # a constant witness is a Fraction, a parameterized one a Polynomial
+            value = Polynomial.coerce(value)
+            return Verdict(False, bound, (n, value.constant_value() if value.is_constant() else value))
         state = sys.step(state)
     return Verdict(holds=True, bound_used=bound)
 
@@ -126,7 +144,7 @@ def check_equiv_modulo(
     p's variables through the bijection (sys1 vars -> sys2 vars)."""
     if len(set(bijection.values())) != len(bijection):
         raise ValueError("variable map is not injective")
-    missing = {v for v in p.variables() if v in set(sys1.vars)} - set(bijection)
+    missing = (p.variables() & set(sys1.vars)) - set(bijection)
     if missing:
         names = ", ".join(sorted(v.name for v in missing))
         raise ValueError(f"variable map does not cover: {names}")

@@ -29,7 +29,7 @@ BENCH = pathlib.Path(__file__).parent.parent / "benchmarks"
 def old_order_bound(p, vars):
     """The closure-rule order bound, the sum of s^deg over p's terms; it is
     never below `order_bound`, so unrolling to it checks more steps."""
-    return max(sum(len(vars) ** m.degree_in(vars) for m in p.terms), 1)
+    return max(sum(len(vars) ** sum(e for v, e in m if v in vars) for m in p.terms), 1)
 
 
 def spec_request(name, tier="un", timeout=60.0):

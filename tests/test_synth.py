@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -501,6 +502,25 @@ class TestRequestExpansion:
             synthesize(req, cfg())
         with pytest.raises(RequestError, match="parameter 'y' collides with a variable"):
             first_cell_script(req)
+
+    def test_code_built_request_rejects_a_repeated_tier(self):
+        # `tiers=[un, un]` would search every `un` cell twice
+        req = request_for("x == 2y", ["x", "y"], size=3, tiers=[ShapeTier.UNIT_UPPER] * 2, timeout=60.0)
+        with pytest.raises(RequestError, match="a tier is named twice"):
+            synthesize(req, cfg())
+        with pytest.raises(RequestError, match="a tier is named twice"):
+            first_cell_script(req)
+
+    def test_builtin_search_leaves_no_cyclic_garbage(self):
+        # the search's objects are freed by reference counting alone
+        request = SynthRequest.from_spec(parse_spec((BENCHMARKS / "square.spec").read_text()))
+        gc.collect()
+        gc.disable()
+        try:
+            assert synthesize(request, SolverConfig(("builtin",))).status == "found"
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_spec_timeout_is_kept_and_defaults_to_60(self):
         spec = parse_spec("vars x\ninvariant x == 1\ntimeout 0.5\n")

@@ -13,7 +13,31 @@ from loopsynth.verify import ConcreteSystem, Verdict, check_equiv_modulo, check_
 def old_order_bound(p, vars):
     """The closure-rule order bound, the sum of s^deg over p's terms; it is
     never below `order_bound`, so unrolling to it checks more steps."""
-    return max(sum(len(vars) ** m.degree_in(vars) for m in p.terms), 1)
+    return max(sum(len(vars) ** sum(e for v, e in m if v in vars) for m in p.terms), 1)
+
+
+def dense_step(sys, state):
+    """One step in dense `Fraction` arithmetic, independent of `ConcreteSystem.step`."""
+    out = []
+    for row in sys.update:
+        acc = Fraction(0)
+        for coef, val in zip(row, state):
+            acc = acc + coef * val
+        out.append(acc)
+    return tuple(out)
+
+
+def reference_verdict(sys, p):
+    """The verdict of unrolling with `Polynomial.substitute` at every step."""
+    bound = order_bound(p, sys.size, sys.vars)
+    state = sys.init
+    for n in range(bound):
+        value = p.substitute(dict(zip(sys.vars, state)))
+        if not value.is_zero():
+            witness = value.constant_value() if value.is_constant() else value
+            return Verdict(holds=False, bound_used=bound, witness=(n, witness))
+        state = dense_step(sys, state)
+    return Verdict(holds=True, bound_used=bound)
 
 
 def make_system(names, rows, init):
@@ -74,7 +98,7 @@ def monomial_rows(sys, monos, count):
     for _ in range(count):
         point = dict(zip(sys.vars, state))
         rows.append([Polynomial({m: 1}).evaluate(point) for m in monos])
-        state = sys.step(state)
+        state = dense_step(sys, state)
     return rows
 
 
@@ -134,7 +158,7 @@ class TestBoundSoundness:
             state = sys.init
             for _ in range(2 * old_order_bound(p, sys.vars)):
                 assert p.substitute(dict(zip(sys.vars, state))) == 0
-                state = sys.step(state)
+                state = dense_step(sys, state)
 
     @pytest.mark.parametrize("names, rows, init, degrees", [
         ("x", [[2]], [1], {0, 1, 2, 3}),
@@ -283,5 +307,94 @@ class TestRandomOracle:
                 if p.substitute(dict(zip(vars, state))) != 0:
                     long_holds = False
                     break
-                state = sys.step(state)
+                state = dense_step(sys, state)
             assert verdict.holds == long_holds
+
+
+PARAM = Var("k", "param")
+FRACTION = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A system of size 1-3 with entries whose denominators reach 4, initial
+    values that may be linear in the parameter k, and an invariant over
+    the variables and k.  A `random` invariant mostly fails at once.  A
+    `late` one is a multiple of x - x_0, so it holds at n = 0 and mostly
+    fails later.  For a `conserved` one the update keeps the sum of the
+    variables, and the invariant is a multiple of that sum minus its
+    initial value, so it holds."""
+    s = draw(st.integers(1, 3))
+    rows = [[draw(FRACTION) for _ in range(s)] for _ in range(s)]
+    kind = draw(st.sampled_from(["random", "late", "conserved"]))
+    if kind == "conserved":  # columns of U - I sum to zero
+        for j in range(s):
+            rows[s - 1][j] = (j == s - 1) - sum(rows[i][j] - (i == j) for i in range(s - 1))
+    init = []
+    for _ in range(s):
+        a, b = draw(FRACTION), draw(FRACTION)
+        init.append(a * Polynomial.var(PARAM) + b if a and draw(st.booleans()) else b)
+    sys = make_system("xyz"[:s], rows, init)
+    symbols = [*sys.vars, PARAM]
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        mono = Monomial.make({v: draw(st.integers(0, 2)) for v in symbols})
+        terms[mono] = draw(FRACTION)
+    p = Polynomial(terms)
+    if kind != "random":
+        p = p if not p.is_zero() else Polynomial.const(1)
+    if kind == "late":
+        p = p * (var_polys(sys)[0] - init[0])
+    if kind == "conserved":
+        p = p * (sum(var_polys(sys), Polynomial.zero()) - sum(init, Fraction(0)))
+    return sys, p
+
+
+class TestKernel:
+    """`check_invariant` and `ConcreteSystem.step` against the reference
+    that substitutes into the invariant and steps densely in `Fraction`s."""
+
+    @given(kernel_cases())
+    @settings(deadline=None, max_examples=150)
+    def test_verdict_matches_substitution_reference(self, case):
+        sys, p = case
+        verdict, reference = check_invariant(sys, p), reference_verdict(sys, p)
+        assert verdict == reference
+        if reference.witness is not None:
+            assert type(verdict.witness[1]) is type(reference.witness[1])
+        state = sys.init
+        for _ in range(4):
+            assert sys.step(state) == dense_step(sys, state)
+            state = dense_step(sys, state)
+
+    def test_conserved_cases_hold(self):
+        # the strategy's conserved branch gives invariants that hold
+        sys = make_system("xy", [[Fraction(1, 2), 3], [Fraction(1, 2), -2]], [Polynomial.var(PARAM), 1])
+        x, y = var_polys(sys)
+        p = (x * Polynomial.var(PARAM) + 1) * (x + y - Polynomial.var(PARAM) - 1)
+        assert check_invariant(sys, p) == reference_verdict(sys, p) == Verdict(True, 1 + 2 + 3)
+
+    def test_constant_witness_is_a_fraction(self):
+        sys = make_system("xu", [[1, 1], [0, 1]], [1, 1])
+        x, _ = var_polys(sys)
+        verdict = check_invariant(sys, x - 3)
+        assert verdict.witness == (0, Fraction(-2)) and type(verdict.witness[1]) is Fraction
+        # a parameter factor that cancels leaves a constant witness
+        k = Polynomial.var(PARAM)
+        verdict = check_invariant(sys, k * x - k - 2)
+        assert verdict.witness == (0, Fraction(-2)) and type(verdict.witness[1]) is Fraction
+
+    def test_parameterized_witness_is_a_polynomial(self):
+        sys = make_system("xu", [[1, 1], [0, 1]], [Polynomial.var(PARAM), 1])
+        x, _ = var_polys(sys)
+        verdict = check_invariant(sys, x * x - Polynomial.var(PARAM))
+        n, witness = verdict.witness
+        assert n == 0 and type(witness) is Polynomial
+        assert witness == Polynomial.var(PARAM) ** 2 - Polynomial.var(PARAM)
+
+    def test_sparse_rows_leave_fields_equality_and_repr_alone(self):
+        a = make_system("xu", [[1, Fraction(1, 2)], [0, 1]], [0, 1])
+        b = ConcreteSystem(a.vars, tuple(tuple(r) for r in a.update), a.init)
+        assert a == b and hash(a) == hash(b) and "rows" not in repr(a)
+        assert a.rows == (((0, 1), (1, Fraction(1, 2))), ((1, 1),))
+        assert all(type(c) is int for c in (a.rows[0][0][1], a.rows[1][0][1]))
