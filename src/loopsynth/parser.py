@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .poly import Polynomial, Var, fresh_name
+from .template import binding_error
 from .verify import ConcreteSystem
 
 _IDENT = r"[A-Za-z_][A-Za-z_0-9]*"  # a name: in expressions, specs and assignment targets
@@ -281,8 +282,6 @@ class SpecFile:
             for pos, name in enumerate(self.var_names)
         }
         for pname, _ in self.params:
-            if pname in out:
-                raise ParseError(f"parameter {pname!r} collides with a variable")
             out[pname] = Var(pname, "param")
         return out
 
@@ -315,20 +314,9 @@ def parse_spec(text: str) -> SpecFile:
         raise ParseError("spec declares no variables")
     if not spec.invariant_texts:
         raise ParseError("spec declares no invariant")
-    seen: dict[str, str] = {}
-    for pname, vname in spec.params:
-        if vname not in spec.var_names:
-            raise ParseError(f"parameter {pname!r} refers to unknown variable {vname!r}")
-        if pname in seen:
-            raise ParseError(f"parameter {pname!r} is declared twice")
-        if vname in seen.values():
-            raise ParseError(f"variable {vname!r} is named by two parameters")
-        seen[pname] = vname
-    for name in spec.init_pins:
-        if name not in spec.var_names:
-            raise ParseError(f"pinned initial value for unknown variable {name!r}")
-        if any(vname == name for _, vname in spec.params):
-            raise ParseError(f"variable {name!r} is both pinned and parameterized")
+    error = binding_error(spec.var_names, spec.params, spec.init_pins)
+    if error:
+        raise ParseError(error)
     return spec
 
 

@@ -273,13 +273,6 @@ class Polynomial:
             raise ValueError("polynomial is not constant")
         return Fraction(self.terms.get(_MONOMIAL_ONE, 0))
 
-    @property
-    def degree(self) -> int:
-        return max((m.degree for m in self.terms), default=0)
-
-    def degree_in(self, v: Var) -> int:
-        return max((m.degree_of(v) for m in self.terms), default=0)
-
     def variables(self) -> set[Var]:
         return {v for m in self.terms for v, _ in m}
 

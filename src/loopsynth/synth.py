@@ -59,7 +59,7 @@ from .smt import (
     emit_smtlib,
     solve_structured,  # not called here; perfbench/spans.py hooks it in this module
 )
-from .template import RecurrenceTemplate, ShapeTier, TemplateShape, build_template, int_partitions
+from .template import RecurrenceTemplate, ShapeTier, TemplateShape, binding_error, build_template, int_partitions
 from .verify import ConcreteSystem, check_invariant
 
 
@@ -251,27 +251,11 @@ def _finish(found: list[Loop], start: float, cfg: SolverConfig, timeout: bool) -
 
 
 def _effective_vars(request: SynthRequest) -> tuple[list[Var], dict[str, Fraction], tuple[str, ...]]:
-    names = [v.name for v in request.vars]  # checked as parse_spec checks a spec's names
-    if len(set(names)) != len(names):
-        raise RequestError("vars line needs distinct names")
+    error = binding_error(request.vars, [(p.name, v) for p, v in request.params], request.pinned)
+    if error:
+        raise RequestError(error)
     if request.tiers is not None and len(set(request.tiers)) != len(request.tiers):
         raise RequestError("a tier is named twice")  # each of its cells would be searched twice
-    seen: dict[str, Var] = {}  # parameter name: its variable
-    for p, v in request.params:
-        if p.name in names:
-            raise RequestError(f"parameter {p.name!r} collides with a variable")
-        if v not in request.vars:
-            raise RequestError(f"parameter {p.name!r} refers to unknown variable {v.name!r}")
-        if p.name in seen:
-            raise RequestError(f"parameter {p.name!r} is declared twice")
-        if v in seen.values():
-            raise RequestError(f"variable {v.name!r} is named by two parameters")
-        seen[p.name] = v
-    for name in request.pinned:
-        if name not in names:
-            raise RequestError(f"pinned initial value for unknown variable {name!r}")
-        if name in [v.name for v in seen.values()]:
-            raise RequestError(f"variable {name!r} is both pinned and parameterized")
     vars = list(request.vars)
     pinned = dict(request.pinned)
     taken = {v.name for v in vars} | {p.name for p, _ in request.params}
@@ -300,6 +284,8 @@ def _search_space(request: SynthRequest) -> tuple[Iterator[_Cell], _SharedBases,
     its padded vars."""
     if request.count < 1:
         raise RequestError(f"count must be at least 1, found {request.count}")
+    if math.isnan(request.timeout):  # a NaN deadline is never reached; zero or less is spent
+        raise RequestError("timeout must be a number of seconds, found nan")
     vars, pinned, aux = _effective_vars(request)
     partitions = [
         p for p in int_partitions(len(vars))

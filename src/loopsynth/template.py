@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .matrix import SymMatrix
 from .poly import Polynomial, Rat, Var, fresh_name
@@ -42,6 +42,38 @@ def int_partitions(s: int) -> list[tuple[int, ...]]:
         else:  # the largest next part is pushed last, so it is taken first
             stack.extend((left - k, prefix + (k,)) for k in range(1, min((left, *prefix[-1:])) + 1))
     return out
+
+
+def binding_error(
+    vars: Sequence[str | Var], params: Sequence[tuple[str, str | Var]], pins: Iterable[str]
+) -> str | None:
+    """The message of the first rule that a problem's names break, or None:
+    the one rule for a spec (`parser.parse_spec`), a request built in code
+    (`synth._effective_vars`) and a template.  `vars` are names or `Var`s,
+    `params` (parameter name, variable) pairs, where a variable not among
+    `vars` is unknown even under a declared name, and `pins` the names of
+    the pinned variables."""
+    names = [getattr(v, "name", v) for v in vars]
+    if len(set(names)) != len(names):
+        return "vars line needs distinct names"
+    bound: dict[str, str] = {}  # parameter name: its variable's name
+    for p, v in params:
+        vname = getattr(v, "name", v)
+        if p in names:
+            return f"parameter {p!r} collides with a variable"
+        if v not in vars:
+            return f"parameter {p!r} refers to unknown variable {vname!r}"
+        if p in bound:
+            return f"parameter {p!r} is declared twice"
+        if vname in bound.values():
+            return f"variable {vname!r} is named by two parameters"
+        bound[p] = vname
+    for pin in pins:
+        if pin not in names:
+            return f"pinned initial value for unknown variable {pin!r}"
+        if pin in bound.values():
+            return f"variable {pin!r} is both pinned and parameterized"
+    return None
 
 
 class ShapeTier(enum.Enum):
@@ -98,7 +130,7 @@ class TemplateShape:
     tier zeroes out).  `pinned_inits` fixes initial values to rationals by
     variable name, and each (parameter, index) of `params` makes the
     initial value of ``vars[index]`` that parameter; everything else stays
-    symbolic.
+    symbolic.  Names that break `binding_error`'s rule raise its message.
     """
 
     def __init__(
@@ -112,18 +144,13 @@ class TemplateShape:
         if s < 1:
             raise ValueError("need at least one variable")
         pinned = dict(pinned_inits or {})
-        names = [v.name for v in vars]
-        for name in pinned:
-            if name not in names:
-                raise ValueError(f"pinned initial value for unknown variable {name!r}")
-        for p, idx in params:
+        for _, idx in params:
             if not (0 <= idx < s):
                 raise ValueError(f"parameter index {idx} out of range")
-            if names[idx] in pinned:
-                raise ValueError(f"variable {names[idx]!r} is both pinned and parameterized")
-        self._taken = set(names) | {p.name for p, _ in params}
-        if len(self._taken) < s + len(params):
-            raise ValueError("variable and parameter names must be distinct")
+        error = binding_error(vars, [(p.name, vars[idx]) for p, idx in params], pinned)
+        if error:
+            raise ValueError(error)
+        self._taken = {v.name for v in vars} | {p.name for p, _ in params}
         self.vars = tuple(vars)
         self.tier = tier
         self.params = tuple(p for p, _ in params)

@@ -149,6 +149,8 @@ class TestInputErrors:
                                          "error: variable 'x' is named by two parameters\n"),
         "param_declared_twice": ("vars x y\nparams p=x\nparams p=y\ninvariant x == p\n",
                                  "error: parameter 'p' is declared twice\n"),
+        "param_collides_with_a_variable": ("vars x y\nparams y=x\ninvariant x == 2y\n",
+                                           "error: parameter 'y' collides with a variable\n"),
         "zero_timeout": ("vars x y\ninvariant x == 2y\ntimeout 0\n",
                          "error: line 3: timeout must be positive, found '0'\n"),
         "negative_timeout": ("vars x y\ninvariant x == 2y\ntimeout -1\n",

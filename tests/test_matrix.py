@@ -134,8 +134,8 @@ class TestCharPoly:
         w = Var("w", "root")
         m = SymMatrix.make([[2, 1], [0, 3]])
         chi = char_poly(m, w)
-        assert chi.degree_in(w) == 2
         coeffs = dict((k, c) for k, c in chi.coeffs_in(w))
+        assert max(coeffs) == 2
         assert coeffs[2] == Polynomial.const(1)
 
     def test_roots_of_triangular(self):

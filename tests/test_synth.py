@@ -2,7 +2,9 @@ import gc
 import hashlib
 import itertools
 import json
+import math
 import os
+import re
 import sys
 import time
 from collections import Counter
@@ -15,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from loopsynth import pcpgen as pcpgen_module, synth as synth_module
 from loopsynth.matrix import char_poly
-from loopsynth.parser import parse_invariant, parse_loop, parse_spec
+from loopsynth.parser import ParseError, parse_invariant, parse_loop, parse_spec
 from loopsynth.pcpgen import DegenerateInvariantError, base_clauses, build_pcp
 from loopsynth.poly import Polynomial, Var
 from loopsynth.smt import SolverConfig, SolverError, SolverRun, emit_smtlib, solve
@@ -134,8 +136,9 @@ class TestEndToEnd:
         res = synthesize(req, cfg())
         assert res.status == "notfound" and not res.loops
 
-    def test_budget_exhaustion_reports_timeout(self):
-        req = request_for("x == 2y", ["x", "y"], size=3, timeout=0.0)
+    @pytest.mark.parametrize("budget", [0.0, -1.0])  # perfbench passes what is left, which can be spent
+    def test_budget_exhaustion_reports_timeout(self, budget):
+        req = request_for("x == 2y", ["x", "y"], size=3, timeout=budget)
         res = synthesize(req, cfg())
         assert res.status == "timeout"
 
@@ -510,6 +513,54 @@ class TestRequestExpansion:
             synthesize(req, cfg())
         with pytest.raises(RequestError, match="a tier is named twice"):
             first_cell_script(req)
+
+    # one fault each: variable names, (parameter, variable) names, pins, message
+    NAME_FAULTS = {
+        "repeated_variable": (["x", "x"], [], {}, "vars line needs distinct names"),
+        "param_collides": (["x", "y"], [("y", "x")], {}, "parameter 'y' collides with a variable"),
+        "param_of_unknown_variable": (["x", "y"], [("p", "z")], {}, "parameter 'p' refers to unknown variable 'z'"),
+        "param_declared_twice": (["x", "y"], [("p", "x"), ("p", "y")], {}, "parameter 'p' is declared twice"),
+        "two_params_on_one_variable": (["x", "y"], [("p", "x"), ("q", "x")], {},
+                                       "variable 'x' is named by two parameters"),
+        "pin_of_unknown_variable": (["x", "y"], [], {"z": 1}, "pinned initial value for unknown variable 'z'"),
+        "pinned_and_parameterized": (["x", "y"], [("p", "x")], {"x": 1},
+                                     "variable 'x' is both pinned and parameterized"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NAME_FAULTS))
+    def test_one_name_rule_on_every_path(self, case):
+        # a spec, a request built in code and a template refuse the same
+        # names with the same message
+        names, params, pins, message = self.NAME_FAULTS[case]
+        text = (f"vars {' '.join(names)}\n" + "".join(f"params {p}={v}\n" for p, v in params)
+                + "".join(f"init {v}={c}\n" for v, c in pins.items()) + "invariant x == 2y\n")
+        with pytest.raises(ParseError) as err:
+            parse_spec(text)
+        assert str(err.value) in (message, f"line 1: {message}")  # a vars line error names its line
+
+        vars = make_vars(*names)
+        by_name = {v.name: v for v in vars}
+        req = SynthRequest(
+            invariants=[Polynomial.var(vars[0]) - 2 * Polynomial.var(vars[1])], vars=vars,
+            params=[(Var(p, "param"), by_name.get(v, Var(v, "program", len(vars)))) for p, v in params],
+            pinned={v: Fraction(c) for v, c in pins.items()}, timeout=60.0,
+        )
+        for path in (lambda: synthesize(req, cfg()), lambda: first_cell_script(req)):
+            with pytest.raises(RequestError) as err:
+                path()
+            assert str(err.value) == message
+
+        if all(v in names for _, v in params):  # a template binds parameters by position
+            with pytest.raises(ValueError) as err:
+                build_template(vars, ShapeTier.FULL, (len(vars),), pins,
+                               [(Var(p, "param"), names.index(v)) for p, v in params])
+            assert str(err.value) == message
+
+    def test_code_built_request_refuses_a_nan_budget(self):
+        # no clock reading is at or past a NaN deadline, so the search would never stop
+        req = request_for("x == 2y", ["x", "y"], timeout=math.nan)
+        with pytest.raises(RequestError, match="timeout must be a number of seconds, found nan"):
+            synthesize(req, cfg())
 
     def test_builtin_search_leaves_no_cyclic_garbage(self):
         # the search's objects are freed by reference counting alone

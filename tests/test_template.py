@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from loopsynth.matrix import SymMatrix, mat_apply
+from loopsynth.parser import ParseError, parse_spec
 from loopsynth.poly import Polynomial, Var
 from loopsynth.template import ShapeTier, build_template, int_partitions
 
@@ -104,10 +105,10 @@ class TestTemplate:
         assert tpl.init_exprs[0] == Polynomial.var(p1)
         assert tpl.init_exprs[2] == Polynomial.var(p2)
         # unbound rows are linear forms over the parameters
-        assert tpl.init_exprs[1].degree_in(p1) == 1
+        assert max(k for k, _ in tpl.init_exprs[1].coeffs_in(p1)) == 1
         # coefficient entries are linear forms too
         col = tpl.coeff_columns[(tpl.rootspec[0][0], 1)]
-        assert col[0].degree_in(p1) == 1
+        assert max(k for k, _ in col[0].coeffs_in(p1)) == 1
 
     def test_pin_param_conflict(self):
         vars = make_vars("x", "y")
@@ -123,6 +124,18 @@ class TestTemplate:
     def test_parameter_named_like_a_variable(self):
         with pytest.raises(ValueError):
             build_template(make_vars("x", "y"), ShapeTier.FULL, (2,), params=[(Var("y", "param"), 0)])
+
+    @pytest.mark.parametrize("params, spec_params", [
+        ([("p", 0), ("q", 0)], "p=x q=x"),  # two parameters on one position
+        ([("y", 0)], "y=x"),  # a parameter named like a variable
+    ])
+    def test_bindings_refused_with_the_spec_message(self, params, spec_params):
+        with pytest.raises(ParseError) as spec_err:
+            parse_spec(f"vars x y\nparams {spec_params}\ninvariant x == 2y\n")
+        with pytest.raises(ValueError) as err:
+            build_template(make_vars("x", "y"), ShapeTier.FULL, (2,),
+                           params=[(Var(p, "param"), i) for p, i in params])
+        assert str(err.value) == str(spec_err.value)
 
 
 class TestCompanionEmbedding:
