@@ -107,26 +107,47 @@ def _smt_rational(c: Rat) -> str:
     return f"(/ {c.numerator} {c.denominator})"
 
 
+_MEMO_LIMIT = 1 << 16
+
+
+class _Memo(dict):
+    """A dict that makes a missing value with `make`, and keeps it while
+    it holds fewer than `_MEMO_LIMIT` values, so no run of a long-lived
+    process can grow it without bound."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self.make(key)
+        if len(self) < _MEMO_LIMIT:
+            self[key] = value
+        return value
+
+
 #: The text `v v ... v` of each (symbol, exponent) factor, made once.
-_FACTORS: dict[tuple[Var, int], str] = {}
+_FACTORS = _Memo(lambda f: " ".join([f[0].name] * f[1]))
+#: The text `(* c ` that opens a term with each coefficient c != 1, made
+#: once.  A cell's terms share a handful of coefficients.
+_PREFIXES = _Memo(lambda c: f"(* {_smt_rational(c)} ")
 
 
 def _smt_poly(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
+    terms, factors, prefixes = p.terms, _FACTORS, _PREFIXES
     parts = []
-    for mono, coeff in p.sorted_terms():
+    for mono in p.sorted_monomials():
+        coeff = terms[mono]
         if not mono:
             parts.append(_smt_rational(coeff))
-            continue
-        text = " ".join([_FACTORS.get(f) or _FACTORS.setdefault(f, " ".join([f[0].name] * f[1]))
-                         for f in mono])
-        if coeff != 1:
-            parts.append(f"(* {_smt_rational(coeff)} {text})")
+        elif coeff != 1:
+            parts.append(prefixes[coeff] + " ".join(map(factors.__getitem__, mono)) + ")")
         elif len(mono) == 1 and mono[0][1] == 1:
-            parts.append(text)
+            parts.append(mono[0][0].name)
         else:
-            parts.append(f"(* {text})")
+            parts.append("(* " + " ".join(map(factors.__getitem__, mono)) + ")")
     return parts[0] if len(parts) == 1 else "(+ " + " ".join(parts) + ")"
 
 

@@ -34,9 +34,10 @@ pairs, so it hashes and compares as that tuple does.  Symbol hashes
 now vary with the order in which symbols are made, so neither the search
 nor the emitted text may depend on the iteration order of a set of them.
 
-A polynomial sorts its terms on first use (`sorted_terms`) and keeps the
-list; `leading`, `sign_normalize` and SMT-LIB emission all read it, and
-negation carries it over, so each term order is computed once.
+A polynomial sorts its monomials on first use (`sorted_monomials`) and
+keeps the list; `leading`, `sign_normalize` and SMT-LIB emission all read
+it, and negation shares it, so each term order is computed once and a sign
+flip copies no list.
 """
 
 from __future__ import annotations
@@ -276,21 +277,27 @@ class Polynomial:
     def variables(self) -> set[Var]:
         return {v for m in self.terms for v, _ in m}
 
-    def sorted_terms(self) -> list[tuple[Monomial, Rat]]:
-        """Terms in descending graded lexicographic order.
+    def sorted_monomials(self) -> list[Monomial]:
+        """Monomials in descending graded lexicographic order.
 
-        Sorted on first use and kept; the list is shared, so callers must
-        not modify it.
+        Sorted on first use and kept; the list is shared, also with the
+        negation, so callers must not modify it.
         """
         s = self._sorted
         if s is None:
-            s = self._sorted = sorted(self.terms.items(), key=_term_key, reverse=True)
+            s = self._sorted = sorted(self.terms, key=MONO_KEY, reverse=True)
         return s
+
+    def sorted_terms(self) -> list[tuple[Monomial, Rat]]:
+        """Terms in descending graded lexicographic order."""
+        terms = self.terms
+        return [(m, terms[m]) for m in self.sorted_monomials()]
 
     def leading(self) -> tuple[Monomial, Rat]:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
-        return self.sorted_terms()[0]
+        m = self.sorted_monomials()[0]
+        return m, self.terms[m]
 
     # -- arithmetic ---------------------------------------------------
 
@@ -311,8 +318,7 @@ class Polynomial:
 
     def __neg__(self):
         neg = _polynomial({m: -c for m, c in self.terms.items()})
-        if self._sorted is not None:  # negation keeps the order
-            neg._sorted = [(m, -c) for m, c in self._sorted]
+        neg._sorted = self._sorted  # negation keeps the order
         return neg
 
     def __sub__(self, other):
@@ -443,10 +449,6 @@ def _polynomial(terms: dict[Monomial, Rat]) -> Polynomial:
     p._hash = None
     p._sorted = None
     return p
-
-
-def _term_key(term: tuple[Monomial, Rat]) -> tuple:
-    return MONO_KEY(term[0])
 
 
 _ZERO = Polynomial()

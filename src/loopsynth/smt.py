@@ -199,19 +199,19 @@ def _unparse(node) -> str:
 
 
 def parse_solver_output(text: str, variables: Iterable[Var]) -> SolveResult:
+    """The status line's answer, and the model read from the text after it."""
     by_name = {v.name: v for v in variables}
-    status = None
-    for line in text.splitlines():
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
         line = line.strip()
         if line in ("sat", "unsat", "unknown"):
-            status = line
+            status, rest = line, "\n".join(lines[i + 1:])
             break
         if line.startswith("(error"):
             raise SolverError(f"solver error: {line}")
-    if status is None:
+    else:
         raise SolverError(f"no sat/unsat/unknown in solver output:\n{text[:2000]}")
 
-    rest = text.split(status, 1)[1]
     model: dict[Var, ModelValue] = {}
     for node in _parse_sexprs(_sexpr_tokens(rest)):
         if not isinstance(node, list):
@@ -261,20 +261,22 @@ class SolverRun:
     reaped, so nothing it started outlives the run.  The built-in backend
     starts nothing and searches in `result`.
     A failure to start is raised by `result`, so runs made ahead of time
-    report their errors in the order their results are read."""
+    report their errors in the order their results are read.  The run
+    keeps only its message: a kept exception would hold, through its
+    traceback, the frame that holds the run."""
 
     def __init__(self, clauses: Iterable[Clause], cfg: SolverConfig):
         self.clauses = list(clauses)
         self.variables = variables_of(self.clauses)
         self.proc: subprocess.Popen | None = None
-        self.error: SolverError | None = None
+        self.error: str | None = None
         if not cfg.builtin:
             self.out, self.err = tempfile.TemporaryFile(), tempfile.TemporaryFile()
             try:
                 script = emit_smtlib(self.clauses, self.variables)
                 self.proc = run_solver(script, cfg, self.out, self.err)
             except SolverError as e:
-                self.error = e
+                self.error = str(e)
                 self.out.close()
                 self.err.close()
 
@@ -282,7 +284,7 @@ class SolverRun:
         """The answer by `deadline` (a `time.monotonic()` instant), exactly
         re-checked when it is a rational model."""
         if self.error is not None:
-            raise self.error
+            raise SolverError(self.error)
         if deadline <= time.monotonic():
             self.cancel()
             raise SolverTimeout("no time budget left")

@@ -481,7 +481,9 @@ class TestSortOnce:
 
     def test_the_order_is_computed_once(self):
         p = poly_of((1, {Y: 2}), (-3, {X: 1}), (2, {}))
-        assert p.sorted_terms() is p.sorted_terms()
+        assert p.sorted_monomials() is p.sorted_monomials()
+        assert (-p).sorted_monomials() is p.sorted_monomials()
+        assert sign_normalize(-p).sorted_monomials() is p.sorted_monomials()
 
 
 class TestRenderOnce:

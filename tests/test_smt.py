@@ -101,6 +101,17 @@ class TestOutputParsing:
         assert isinstance(value, AlgebraicTag) and value.index == 2
         assert not res.rational
 
+    def test_the_model_is_read_after_the_status_line(self):
+        # "sat" inside an earlier line is not where the answer starts
+        out = '(warning "saturation of (x) off")\nsat\n((define-fun x () Real 2))\n'
+        res = parse_solver_output(out, [X, Y])
+        assert res.status == "sat" and res.model == {X: Fraction(2), Y: Fraction(0)}
+
+    def test_a_status_word_in_an_earlier_line_is_no_status(self):
+        out = '(info "unsat cores are off")\nunsat\n(error "model is not available")\n'
+        res = parse_solver_output(out, [X])
+        assert res.status == "unsat" and res.model == {}
+
     def test_error_raises(self):
         with pytest.raises(SolverError):
             parse_solver_output('(error "bad input")', [X])

@@ -8,6 +8,7 @@ import re
 import sys
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -562,16 +563,64 @@ class TestRequestExpansion:
         with pytest.raises(RequestError, match="timeout must be a number of seconds, found nan"):
             synthesize(req, cfg())
 
-    def test_builtin_search_leaves_no_cyclic_garbage(self):
-        # the search's objects are freed by reference counting alone
-        request = SynthRequest.from_spec(parse_spec((BENCHMARKS / "square.spec").read_text()))
+    # (spec, tiers, budget, solver command, status or the error raised)
+    SEARCH_ENDS = {
+        "builtin_found": ("square", None, None, ("builtin",), "found"),
+        "external_undecided": ("intcbrt", [ShapeTier.FULL], None,
+                               ("sh", "-c", "cat >/dev/null; echo unknown"), "notfound"),
+        "external_timeout": ("square", None, 0.5, ("sh", "-c", "sleep 5; echo unknown"), "timeout"),
+        "builtin_timeout": ("sum_of_square", None, 1.0, ("builtin",), "timeout"),
+        "start_failure": ("square", None, None, ("/nonexistent/solver",), SolverError),
+        "solver_failure": ("square", None, None, ("sh", "-c", "cat >/dev/null; exit 3"), SolverError),
+    }
+
+    def search_end(self, case):
+        """Run the search of `case` and check how it ends."""
+        name, tiers, budget, command, end = self.SEARCH_ENDS[case]
+        request = SynthRequest.from_spec(parse_spec((BENCHMARKS / f"{name}.spec").read_text()))
+        request.tiers = tiers or request.tiers
+        request.timeout = budget or request.timeout
+        if isinstance(end, str):
+            assert synthesize(request, SolverConfig(command)).status == end
+        else:
+            with pytest.raises(end):
+                synthesize(request, SolverConfig(command))
+
+    @pytest.mark.parametrize("case", sorted(set(SEARCH_ENDS) - {"solver_failure"}))
+    def test_search_leaves_no_cyclic_garbage(self, case):
+        # the search's objects are freed by reference counting alone, so
+        # holding the collector off during a search frees as much
         gc.collect()
         gc.disable()
         try:
-            assert synthesize(request, SolverConfig(("builtin",))).status == "found"
+            self.search_end(case)
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    @pytest.mark.parametrize("case", ["builtin_found", "solver_failure"])
+    def test_search_leaves_the_collector_as_it_found_it(self, case, collecting):
+        (gc.enable if collecting else gc.disable)()
+        try:
+            self.search_end(case)
+            assert gc.isenabled() is collecting
+        finally:
+            gc.enable()
+
+    def test_searches_on_threads_turn_the_collector_back_on(self):
+        # the searches read and set the collector in turn; once all have
+        # ended it must be on again, however the threads interleave
+        req = request_for("x == 2y", ["x", "y"], timeout=30.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(lambda _: synthesize(req, cfg()).status, range(40)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == ["found"] * 40
+        assert gc.isenabled()
 
     def test_spec_timeout_is_kept_and_defaults_to_60(self):
         spec = parse_spec("vars x\ninvariant x == 1\ntimeout 0.5\n")
@@ -947,12 +996,27 @@ class TestClauseTextIdentity:
         req = benchmark_request(name, [ShapeTier.UPPER])
         assert _cell_text_digest(req) == self.UPPER_TIER_DIGESTS[name]
 
+    # The unit-upper-triangular tier of the sweep-un instances, recorded
+    # before the clause text came to be joined from memoized factor and
+    # coefficient texts.
+    UNIT_UPPER_TIER_DIGESTS = {
+        "square": "b422aeed098a0ce74a5e9fc91e5a075c9afcc3500b263ab2a1e56f7765281f66",
+        "fmi1": "2ab71d2319e94e5272faccd5ad08839f6c415c7d2573fca28becd802289cae92",
+        "fmi2": "767b4756a4f141c92c0a991fc87fec4c8aa586f0d49e95cf6cff0f32c1261200",
+    }
+
+    @pytest.mark.parametrize("name", sorted(UNIT_UPPER_TIER_DIGESTS))
+    def test_unit_upper_tier_cells_emit_the_recorded_text(self, name):
+        req = benchmark_request(name, [ShapeTier.UNIT_UPPER])
+        assert _cell_text_digest(req) == self.UNIT_UPPER_TIER_DIGESTS[name]
+
 
 def recorded_digests():
     """The recorded cell-text digests, by tier."""
     return {
         ShapeTier.FULL: TestClauseTextIdentity.FULL_TIER_DIGESTS,
         ShapeTier.UPPER: TestClauseTextIdentity.UPPER_TIER_DIGESTS,
+        ShapeTier.UNIT_UPPER: TestClauseTextIdentity.UNIT_UPPER_TIER_DIGESTS,
     }
 
 
