@@ -11,33 +11,37 @@ Four clause families are produced:
   with one application of the update matrix;
 - initial-value clauses: the closed form agrees with X_0 at n = 0, which
   with the coefficient clauses implies B^n X_0 at every n (see `gen_init`);
-- relation clauses: the closed forms are ordinary polynomials in stand-in
-  symbols for each w^n and for n, so substituting them into each invariant
-  is one `Polynomial.substitute`; the coefficient of each power of n in
-  the result is an exponential sum that must vanish for all n, and its
+- relation clauses: the closed forms are ordinary polynomials in the
+  coefficient symbols, the parameters, each w^n and n, so substituting
+  them into an invariant gives p(X(n)); the coefficient of each power of
+  n in it is an exponential sum that must vanish for all n, and its
   values at n = 0, ..., l-1 (l = its number of distinct bases) are
   finitely many polynomial equalities equivalent to that (the proof is in
-  `gen_alg`).
+  `gen_alg`).  `gen_alg` computes them in one kernel on integer exponent
+  keys, which `ClosedForms` lays out once per search key: a product of
+  monomials is a sum of keys, and integer order on keys is term order, so
+  each clause is built once, already sorted.
 
 For parameterized templates a clause must hold for every value of the
 parameters, so it is split into its coefficients over the parameter
 monomials, and the problem is parameter-free: `gen_alg` splits each
-relation term as it reads it, and `base_clauses` splits each coefficient
-and initial-value equality as it makes it a clause, so every piece is
-sorted once; the root clauses have no parameters.  The templates of one
-`TemplateShape` share det(zI - B) and each product B C_(w,j) through a
-`ShapeProducts`.
+relation term by a mask on its key, and `base_clauses` splits each
+coefficient and initial-value equality as it makes it a clause, so every
+piece is sorted once; the root clauses have no parameters.  The templates
+of one `TemplateShape` share det(zI - B) and each product B C_(w,j)
+through a `ShapeProducts`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Sequence
 
-from .constraints import Clause, Pcp, decompose, parameter_pieces
+from .constraints import Clause, Pcp, decompose
 from .matrix import SymMatrix, char_poly, mat_apply
-from .poly import Monomial, Polynomial, Rat, Var
+from .poly import Monomial, Polynomial, Rat, Var, ordered_polynomial
 from .template import RecurrenceTemplate
 
 
@@ -45,41 +49,88 @@ class DegenerateInvariantError(ValueError):
     """The invariant forces a constant contradiction; no loop can satisfy it."""
 
 
-def closed_forms(tpl: RecurrenceTemplate) -> tuple[list[Polynomial], Var, dict[Var, Var]]:
-    """Per-variable closed form X(n) = sum_ij C_ij w_i^n n^(j-1) as an
-    ordinary polynomial, with stand-in symbols for each w_i^n and for n.
-
-    Returns the forms, the stand-in for n, and a map from each w^n
-    stand-in to its root w.  A stand-in's name holds a ``^``, which no
-    parsed or generated name can, so it collides with no other symbol.
-    """
-    n = Var("n^", "root")
-    standin = {w: Var(f"{w.name}^n", "root") for w, _ in tpl.rootspec}
-    forms: list[dict[Monomial, Rat]] = [{} for _ in tpl.vars]
-    for (w, j), col in tpl.coeff_columns.items():
-        factor = Monomial.make({standin[w]: 1, n: j - 1})
-        for form, entry in zip(forms, col):
-            for m, c in entry.terms.items():
-                form[m.mul(factor)] = c
-    return [Polynomial(f) for f in forms], n, {s: w for w, s in standin.items()}
-
-
 class ClosedForms:
-    """A template's `closed_forms`, with each power of a form computed once.
+    """A template's closed forms X(n) = sum_ij C_ij w_i^n n^(j-1), one per
+    position, packed for `gen_alg`'s kernel, with each power of a packed
+    form computed once.
 
-    Forms and powers are by position, so templates that differ only in
-    `vars` can share them."""
+    A monomial in the coefficient symbols, the parameters, the roots, the
+    w^n and n is packed into one integer key of fields `width` bits wide:
+    n has the lowest field, and each symbol one field above it, the
+    earliest symbol by `sort_key` most significant, where w^n counts in
+    w's field; the degree in the coefficient symbols sits above every
+    field, at `top`.  A product's key is the sum of its factors' keys
+    while no exponent outgrows its field, which the width guarantees (see
+    `gen_alg`).  Forms and powers are by position, so templates that
+    differ only in `vars` can share them.
+    """
 
     def __init__(self, tpl: RecurrenceTemplate):
-        self.forms, self.n, self.roots = closed_forms(tpl)
-        self._powers: dict[tuple[int, int], Polynomial] = {}
+        self.columns, self.params, self.rootspec = tpl.coeff_columns, tpl.params, tpl.rootspec
+        self.coeffs = {v for col in self.columns.values() for entry in col for v in entry.variables()}
+        self.coeffs -= set(self.params)
+        roots = [w for w, _ in tpl.rootspec]
+        # a rest's tuple then a base's is a sorted monomial when every
+        # coefficient symbol sorts before every root
+        self.join = max((v.sort_key for v in self.coeffs), default=()) < min(w.sort_key for w in roots)
+        self.symbols = sorted({*self.coeffs, *self.params, *roots}, key=lambda v: v.sort_key)
+        self.degree = -1  # the largest invariant degree the keys hold; none yet
 
-    def power(self, i: int, e: int) -> Polynomial:
-        """The closed form of position i, to the power e."""
-        q = self._powers.get((i, e))
+    def pack(self, degree: int) -> None:
+        """Lay the keys out for invariants of degree at most `degree`,
+        unless they already are."""
+        if degree <= self.degree:
+            return
+        self.width = width = max(1, _exponent_bound(degree, self.rootspec).bit_length())
+        self.top = width * (len(self.symbols) + 1)
+        self.by_field = [None, *reversed(self.symbols)]  # field i's symbol; field 0 is n's
+        self.shift = shift = {v: width * i for i, v in enumerate(self.by_field) if i}
+        self.unit = unit = {v: (1 << shift[v]) + ((1 << self.top) if v in self.coeffs else 0) for v in self.symbols}
+        field = (1 << width) - 1
+        self.root_mask = sum(field << shift[w] for w, _ in self.rootspec)
+        self.par_mask = sum(field << shift[p] for p in self.params)
+        self.packed: dict[tuple[int, int], dict[int, Rat]] = {}
+        for (w, j), col in self.columns.items():
+            factor = unit[w] + j - 1  # w^n n^(j-1)
+            for i, entry in enumerate(col):
+                form = self.packed.setdefault((i, 1), {})
+                for m, c in entry.terms.items():
+                    form[sum(e * unit[v] for v, e in m) + factor] = c
+        self.degree = degree
+
+    def packed_power(self, i: int, e: int) -> dict[int, Rat]:
+        """The packed form of position i to the power e >= 1."""
+        q = self.packed.get((i, e))
         if q is None:
-            q = self._powers[(i, e)] = self.forms[i] ** e
+            q = self.packed[(i, e)] = _times(self.packed_power(i, e - 1), self.packed[(i, 1)])
         return q
+
+    def unpack(self, key: int) -> Monomial:
+        """The monomial of a key with no degree part and no power of n."""
+        out, width = [], self.width
+        while key:
+            i = (key.bit_length() - 1) // width
+            e = key >> (i * width)
+            key -= e << (i * width)
+            out.append((self.by_field[i], e))
+        return Monomial(out)
+
+
+def _exponent_bound(degree: int, rootspec: Sequence[tuple[Var, int]]) -> int:
+    """The largest exponent in a key of `gen_alg` for invariants of degree
+    at most `degree` (the proof is in `gen_alg`)."""
+    r, m = len(rootspec), max(m for _, m in rootspec)
+    return degree * max(m - 1, math.comb(r + degree, degree) - 1)
+
+
+def _times(a: dict[int, Rat], b: dict[int, Rat]) -> dict[int, Rat]:
+    """The product of two packed polynomials."""
+    out: dict[int, Rat] = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            out[k] = out.get(k, 0) + c1 * c2
+    return out
 
 
 class ShapeProducts:
@@ -110,7 +161,7 @@ class ShapeProducts:
         return out
 
 
-_Z = Var("z^", "root")  # like the stand-ins, a name no other symbol has
+_Z = Var("z^", "root")  # no parsed or generated name holds a ``^``
 
 
 def gen_roots(tpl: RecurrenceTemplate, products: ShapeProducts | None = None) -> list[Clause]:
@@ -182,53 +233,125 @@ def gen_alg(
     for j < l, in ascending k, and every model of a cell's problem is a
     loop that keeps p.
 
-    Each a_k(j) must vanish for every value of the parameters, so each
-    term is classified once, by root base and parameter monomial, as it
-    is read, and each a_k(j) is handed to `parameter_pieces` as its
-    pieces by parameter monomial: the coefficients `decompose_poly`
-    gives, in its order.
+    Each a_k(j) must vanish for every value of the parameters, so it is
+    stated as its pieces by parameter monomial, in `parameter_pieces`'
+    order: pieces that cancel dropped, and one 0 if all do.
+
+    The kernel works on `ClosedForms`' packed keys.  p(X(n)) is summed
+    from products of packed form powers, and masks split each of its keys
+    into the power of n, the base (the w^n, in their roots' fields), the
+    parameter monomial and the rest.  The key of a term of a_k(j) is
+    then rest + j * base, with the base's degree added above the fields:
+    distinct terms of one sample have distinct keys except at j = 0,
+    where w^0 = 1 and equal rests merge.  With the earliest symbol most
+    significant and the degree above every field, integer order on keys
+    is the order of `MONO_KEY` (degree, then the exponent vector in
+    `sort_key` order), so each sample is sorted once, by its keys.
+
+    The fields never carry.  Let d be the invariants' largest degree, r
+    the number of roots and m the largest multiplicity.  In a term of
+    p(X(n)) each of at most d factors X_i contributes one coefficient
+    symbol (one parameter at most, in a parameterized template), one w^n
+    and n^(j-1) with j <= m, so a coefficient symbol, parameter or w^n
+    has exponent at most d, and n at most d (m - 1).  The bases of one
+    a_k are distinct monomials of degree at most d in r roots, so
+    l <= C(r+d, d), and a root's exponent in w^j is at most d (l - 1).
+    Every exponent is thus at most d max(m - 1, C(r+d, d) - 1)
+    (`_exponent_bound`), which `ClosedForms.pack` gives its fields room
+    for; a sample's roots are checked against their fields all the same,
+    so a key that would carry raises `OverflowError`.
 
     `forms`, when given, must be the template's `ClosedForms`; templates
     that differ only in `vars` can share them.
     """
     forms = ClosedForms(tpl) if forms is None else forms
-    n, roots = forms.n, forms.roots
-    bindings = dict(zip(tpl.vars, forms.forms))
-    slot = {v: i for i, v in enumerate(tpl.vars)}
-    param_set = set(tpl.params)
-    known = set(tpl.vars) | param_set
-    clauses: list[Clause] = []
+    known = set(tpl.vars) | set(tpl.params)
     for p in invariants:
         unknown = p.variables() - known
         if unknown:
             names = ", ".join(sorted(v.name for v in unknown))
             raise ValueError(f"invariant mentions unknown variable(s): {names}")
-        powers = {(v, e): forms.power(slot[v], e) for m in p.terms for v, e in m if v in slot}
-        for _, coeff in p.substitute(bindings, powers).coeffs_in(n):
-            # {w_i: u_i}, with u_i as {parameter monomial: its (monomial, coefficient) terms}
-            split: dict[Monomial, dict[Monomial, list[tuple[Monomial, Rat]]]] = {}
-            for m, c in coeff.terms.items():
-                base, par, rest = {}, [], []
-                for v, e in m:
-                    if v in roots:
-                        base[roots[v]] = e
-                    elif v in param_set:
-                        par.append((v, e))
-                    else:
-                        rest.append((v, e))
-                u = split.setdefault(Monomial.make(base), {})
-                u.setdefault(Monomial(par), []).append((Monomial(rest), c))
-            for j in range(len(split)):
-                pieces: dict[Monomial, dict[Monomial, Rat]] = {}
-                for w, u in split.items():
-                    wj = w.pow(j)
-                    for q, terms in u.items():
-                        acc = pieces.setdefault(q, {})
-                        for m, c in terms:
-                            m = m.mul(wj)
-                            acc[m] = acc.get(m, 0) + c
-                clauses.extend(Clause.unit(r) for r in parameter_pieces(pieces, tpl.params))
+    forms.pack(max((m.degree for p in invariants for m in p.terms), default=0))
+    slot = {v: i for i, v in enumerate(tpl.vars)}
+    unit, field, fields = forms.unit, (1 << forms.width) - 1, (1 << forms.top) - 1
+    piece_mask, root_mask = field | forms.par_mask, forms.root_mask  # n's field and the parameters
+    rest_mask = ~(piece_mask | root_mask)
+    order = [forms.shift[v] for v in reversed(tpl.params)]  # `parameter_pieces`' order
+    clauses: list[Clause] = []
+    for p in invariants:
+        acc: dict[int, Rat] = {}  # p(X(n)), packed
+        for m, c in p.terms.items():
+            product = {sum(e * unit[v] for v, e in m if v not in slot): c}
+            for v, e in m:
+                if v in slot:
+                    product = _times(product, forms.packed_power(slot[v], e))
+            for k, c in product.items():
+                acc[k] = acc.get(k, 0) + c
+        # {power of n and parameter key: [(rest key, rest, base key, coefficient)]}
+        pieces: dict[int, list[tuple[int, Monomial, int, Rat]]] = {}
+        rests: dict[int, Monomial] = {}
+        for key, c in acc.items():
+            if not c:
+                continue
+            rest = key & rest_mask
+            mono = rests.get(rest)
+            if mono is None:
+                mono = rests[rest] = forms.unpack(rest & fields)
+            piece = pieces.get(key & piece_mask)
+            if piece is None:
+                piece = pieces[key & piece_mask] = []
+            piece.append((rest, mono, key & root_mask, _normal(c)))
+        by_power: dict[int, list[tuple]] = {}
+        for k in sorted(pieces, key=lambda k: [(k >> s) & field for s in order]):
+            by_power.setdefault(k & field, []).append(tuple(zip(*pieces[k])))
+        for npow in sorted(by_power):
+            group = by_power[npow]
+            bases = {base: forms.unpack(base) for piece in group for base in piece[2]}
+            if (len(bases) - 1) * max((e for w in bases.values() for _, e in w), default=0) > field:
+                raise OverflowError("a root's exponent outgrows its packed field")
+            lifted = {base: base + (w.degree << forms.top) for base, w in bases.items()}  # with its degree
+            for j in range(len(bases)):
+                if j:
+                    shifts = {base: j * key for base, key in lifted.items()}
+                    powers = {base: Monomial([(v, e * j) for v, e in w]) for base, w in bases.items()}
+                    samples = [_sample(piece, shifts, powers, forms.join) for piece in group]
+                else:
+                    samples = [_merged(piece, rests) for piece in group]
+                row = [Clause.unit(q) for q in samples if q.terms]
+                clauses.extend(row or [Clause.unit(Polynomial.zero())])
     return clauses
+
+
+def _normal(c: Rat) -> Rat:
+    """`c` as a polynomial stores it: an ``int`` when integral."""
+    return c.numerator if type(c) is not int and c.denominator == 1 else c
+
+
+def _sample(piece: tuple[tuple, tuple, tuple, tuple], shifts: dict[int, int],
+            powers: dict[int, Monomial], join: bool) -> Polynomial:
+    """A piece of a_k(j), j > 0, sign-normal, from its terms (rest key,
+    rest, base key, coefficient) and the key and monomial of each base
+    to the power j.  Its keys are distinct."""
+    rests, monos, bases, coeffs = piece
+    keys = list(map(add, rests, map(shifts.__getitem__, bases)))
+    order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+    if join:
+        ms = [Monomial(monos[i] + powers[bases[i]]) for i in order]
+    else:
+        ms = [monos[i].mul(powers[bases[i]]) for i in order]
+    cs = [coeffs[i] for i in order]
+    return ordered_polynomial(ms, [-c for c in cs] if cs[0] < 0 else cs)
+
+
+def _merged(piece: tuple[tuple, tuple, tuple, tuple], rests: dict[int, Monomial]) -> Polynomial:
+    """A piece of a_k(0), sign-normal: with w^0 = 1 the terms of equal
+    rest merge, and those that cancel drop."""
+    merged: dict[int, Rat] = {}
+    for rest, c in zip(piece[0], piece[3]):
+        merged[rest] = merged.get(rest, 0) + c
+    keys = [k for k in sorted(merged, reverse=True) if merged[k]]
+    cs = [_normal(merged[k]) for k in keys]
+    return ordered_polynomial([rests[k] for k in keys], [-c for c in cs] if cs and cs[0] < 0 else cs)
 
 
 @dataclass

@@ -37,7 +37,8 @@ nor the emitted text may depend on the iteration order of a set of them.
 A polynomial sorts its monomials on first use (`sorted_monomials`) and
 keeps the list; `leading`, `sign_normalize` and SMT-LIB emission all read
 it, and negation shares it, so each term order is computed once and a sign
-flip copies no list.
+flip copies no list.  A caller that makes the terms in descending order
+hands them to `ordered_polynomial`, which keeps that order as the list.
 """
 
 from __future__ import annotations
@@ -356,19 +357,14 @@ class Polynomial:
 
     # -- structural operations ----------------------------------------
 
-    def substitute(
-        self,
-        bindings: Mapping[Var, "Polynomial | Rat"],
-        powers: dict[tuple[Var, int], "Polynomial"] | None = None,
-    ) -> "Polynomial":
+    def substitute(self, bindings: Mapping[Var, "Polynomial | Rat"]) -> "Polynomial":
         """Simultaneous substitution; unbound variables pass through.
 
         One pass over the terms: each term's bound factors are multiplied
         out from powers cached per (variable, exponent), then times its
-        unbound factors, into a single term map.  `powers`, when given, is
-        that cache, and may hold powers of the bound values already.
+        unbound factors, into a single term map.
         """
-        powers = {} if powers is None else powers
+        powers: dict[tuple[Var, int], Polynomial] = {}
         acc: dict[Monomial, Rat] = {}
         hit = False
         for m, c in self.terms.items():
@@ -452,6 +448,15 @@ def _polynomial(terms: dict[Monomial, Rat]) -> Polynomial:
 
 
 _ZERO = Polynomial()
+
+
+def ordered_polynomial(monomials: list[Monomial], coeffs: list[Rat]) -> Polynomial:
+    """The polynomial of distinct `monomials`, already in descending
+    graded lexicographic order, and their nonzero, normalized `coeffs`:
+    its terms are in that order and `monomials` is its sorted list."""
+    p = _polynomial(dict(zip(monomials, coeffs)))
+    p._sorted = monomials
+    return p
 
 
 def sign_normalize(p: Polynomial) -> Polynomial:

@@ -3,8 +3,9 @@
 A template fixes the system size s, a shape tier for the update matrix B,
 an integer partition of s giving symbolic eigenvalue multiplicities, and
 the general closed form X_n = sum_ij C_ij w_i^n n^(j-1).  The template
-holds only the coefficient columns C_ij; `pcpgen.closed_forms` writes the
-exponentials w_i^n and the index n as stand-in symbols.
+holds only the coefficient columns C_ij; `pcpgen.ClosedForms` packs the
+closed forms, with the exponentials w_i^n and the index n, for the
+relation clauses.
 
 `build_template` takes plain data -- the variables in order, pins by
 name, (parameter, position) pairs -- and names every symbol it makes

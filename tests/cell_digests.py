@@ -8,6 +8,9 @@ that single tier: the scripts of all its cells, built through one
 build the same problem for every cell.  Run from the root of a tree:
 
     python tests/cell_digests.py > digests.json
+
+`tests/cell_digests.json` holds the digests of the committed tree, and CI
+requires the printed object to equal it.
 """
 
 import json

@@ -6,12 +6,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loopsynth import pcpgen as pcpgen_module
 from loopsynth.constraints import Clause, decompose, first_violated
 from loopsynth.pcpgen import (
     DegenerateInvariantError,
     base_clauses,
     build_pcp,
-    closed_forms,
     gen_alg,
     gen_coeff,
     gen_init,
@@ -229,6 +229,23 @@ def invariants_over(draw, symbols, max_terms=4, max_exp=2):
     return Polynomial(terms)
 
 
+def closed_forms(tpl):
+    """Per-variable closed form X(n) = sum_ij C_ij w_i^n n^(j-1) as an
+    ordinary polynomial, with stand-in symbols for each w_i^n and for n:
+    the forms, the stand-in for n, and a map from each w^n stand-in to its
+    root w.  A stand-in's name holds a ``^``, which no parsed or generated
+    name can."""
+    n = Var("n^", "root")
+    standin = {w: Var(f"{w.name}^n", "root") for w, _ in tpl.rootspec}
+    forms = [{} for _ in tpl.vars]
+    for (w, j), col in tpl.coeff_columns.items():
+        factor = Monomial.make({standin[w]: 1, n: j - 1})
+        for form, entry in zip(forms, col):
+            for m, c in entry.terms.items():
+                form[m.mul(factor)] = c
+    return [Polynomial(f) for f in forms], n, {s: w for w, s in standin.items()}
+
+
 def regrouped(tpl, invariant):
     """The relation family's former intermediate form, kept as a reference:
     the closed forms substituted into p, regrouped as
@@ -338,6 +355,78 @@ class TestClosedForms:
         want = decompose([c.atoms[0].lhs for c in reference_alg(tpl, invariants)], list(tpl.params))
         assert got == want
         assert [c.smtlib for c in got] == [c.smtlib for c in want]
+
+
+#: Specs whose names push generated names out of their usual order: the
+#: first root of `vars w1 x` is `_w1`, which sorts before every `c...`
+#: coefficient symbol, and the variable `c1_1_1` renames that coefficient
+#: symbol to `_c1_1_1`, the first of them.
+OUT_OF_ORDER_SPECS = {
+    "root-first": "vars w1 x\ninvariant x == w1^2 + w1\n",
+    "coefficient-named": "vars x c1_1_1 y\ninvariant y == x c1_1_1 + x^2\n",
+}
+
+
+def spec_templates(text):
+    """The template of each search cell of a spec, in every tier, and the
+    spec's invariants."""
+    request = SynthRequest.from_spec(parse_spec(text))
+    cells, bases, _ = _search_space(request)
+    templates = [build_template(perm, tier, part, bases.pinned, [(p, perm.index(v)) for p, v in request.params])
+                 for tier, perm, part in cells]
+    return templates, request.invariants
+
+
+def coefficient_symbols(tpl):
+    return {v for col in tpl.coeff_columns.values() for entry in col for v in entry.variables()}
+
+
+class TestPackedKeys:
+    """`gen_alg` builds each term's key by adding packed exponents and
+    each term's monomial as its rest's tuple then its base's, which is
+    sorted only while every coefficient symbol sorts before every root."""
+
+    @pytest.mark.parametrize("name", sorted(OUT_OF_ORDER_SPECS))
+    def test_out_of_order_names_match_the_reference(self, name):
+        templates, invariants = spec_templates(OUT_OF_ORDER_SPECS[name])
+        for tpl in templates:
+            if name == "root-first":
+                first = tpl.rootspec[0][0]
+                assert first.name == "_w1"
+                assert all(first.sort_key < v.sort_key for v in coefficient_symbols(tpl))
+            else:
+                names = {v.name for v in coefficient_symbols(tpl)}
+                assert "_c1_1_1" in names and "c1_1_1" not in names
+            got = gen_alg(tpl, invariants)
+            want = reference_alg(tpl, invariants)
+            assert got == want
+            assert [c.smtlib for c in got] == [c.smtlib for c in want]
+
+    def wide_roots(self):
+        """x^5 + x^4 + x^3 + x^2 + x + y on three distinct roots: its one
+        exponential sum has the 55 monomials of degree 1 to 5 in the roots
+        as bases, so a degree-5 base at n = 54 puts a root to the power
+        270, past an 8-bit field."""
+        vars = make_vars("x", "y", "z")
+        tpl = build_template(vars, ShapeTier.FULL, (1, 1, 1))
+        x, y = Polynomial.var(vars[0]), Polynomial.var(vars[1])
+        return tpl, x ** 5 + x ** 4 + x ** 3 + x ** 2 + x + y
+
+    def test_root_exponents_past_eight_bits(self):
+        tpl, inv = self.wide_roots()
+        got = gen_alg(tpl, [inv])
+        want = reference_alg(tpl, [inv])
+        assert len(got) == 55
+        assert got == want
+        assert [c.smtlib for c in got] == [c.smtlib for c in want]
+        roots = [w for w, _ in tpl.rootspec]
+        assert max(m.degree_of(w) for c in got for m in c.atoms[0].lhs.terms for w in roots) == 270
+
+    def test_a_key_that_would_carry_raises(self, monkeypatch):
+        tpl, inv = self.wide_roots()
+        monkeypatch.setattr(pcpgen_module, "_exponent_bound", lambda degree, rootspec: 255)
+        with pytest.raises(OverflowError):
+            gen_alg(tpl, [inv])
 
 
 def split_by_parameters(clause, params):

@@ -37,6 +37,7 @@ from loopsynth.synth import (
 )
 from loopsynth.template import ShapeTier, build_template, int_partitions
 from loopsynth.verify import check_invariant
+from test_pcpgen import OUT_OF_ORDER_SPECS
 
 
 def make_vars(*names):
@@ -1018,6 +1019,28 @@ def recorded_digests():
         ShapeTier.UPPER: TestClauseTextIdentity.UPPER_TIER_DIGESTS,
         ShapeTier.UNIT_UPPER: TestClauseTextIdentity.UNIT_UPPER_TIER_DIGESTS,
     }
+
+
+class TestOutOfOrderNamesText:
+    """The cell scripts of specs whose names push generated names out of
+    their usual order (`test_pcpgen.OUT_OF_ORDER_SPECS`), in every tier,
+    recorded before the relation clauses came to be built on packed
+    exponent keys."""
+
+    DIGESTS = {
+        ("root-first", "un"): "fc00b470ad0966d25f03c97702f9256dc3d3c1bbe0208fb952b4e44e7267dfce",
+        ("root-first", "up"): "74a3694414b7307190a8678130de6756e624507e8822243478cde57dd503eda7",
+        ("root-first", "fu"): "90131739f7d1de4b2e032808f0b3068622de759e421632177868e9fa40c3a3ab",
+        ("coefficient-named", "un"): "e54d3809e569f69fcb42bd02df89d6b885762bdb3b54d92db98c74f078f0b083",
+        ("coefficient-named", "up"): "9d7b2f15d9d2e9648c80a2ba966465c52f3707d2fe28f0b885cdedafd8f79ad1",
+        ("coefficient-named", "fu"): "466b0ee7873c99276f9605a25569e4bff08a1f57b51a14de222430b20a7acf55",
+    }
+
+    @pytest.mark.parametrize("name, tier", sorted(DIGESTS))
+    def test_cells_emit_the_recorded_text(self, name, tier):
+        req = SynthRequest.from_spec(parse_spec(OUT_OF_ORDER_SPECS[name]))
+        req.tiers = [ShapeTier(tier)]
+        assert _cell_text_digest(req) == self.DIGESTS[(name, tier)]
 
 
 class TestRecordedSearchResults:
