@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .poly import Monomial, Polynomial, Rat, Var, sign_normalize
 
@@ -224,14 +224,22 @@ def decompose_poly(p: Polynomial, vars: Sequence[Var]) -> list[Polynomial]:
     return parameter_pieces(pieces, vars)
 
 
+def piece_key(vars: Sequence[Var], exponent: Callable[[Any, Var], int]) -> Callable[[Any], list[int]]:
+    """The sort key of the pieces of a polynomial split by monomial in
+    `vars`: the reversed exponent vector of a piece's monomial q (the last
+    of `vars` is the most significant), where `exponent(q, v)` is the
+    exponent of v in q.  The pieces come in its ascending order."""
+    order = list(reversed(vars))
+    return lambda q: [exponent(q, v) for v in order]
+
+
 def parameter_pieces(pieces: Mapping[Monomial, Mapping[Monomial, Rat]],
                      vars: Sequence[Var]) -> list[Polynomial]:
     """The pieces of a polynomial split by monomial in `vars`, each given
-    as its terms, in ascending order of the reversed exponent vector of
-    that monomial (the last of `vars` is the most significant), with
-    pieces that cancel dropped, and a single 0 when every piece cancels."""
+    as its terms, in `piece_key`'s order, with pieces that cancel dropped,
+    and a single 0 when every piece cancels."""
     if len(pieces) > 1:
-        order = sorted(pieces, key=lambda q: [q.degree_of(v) for v in reversed(vars)])
+        order = sorted(pieces, key=piece_key(vars, Monomial.degree_of))
         pieces = {q: pieces[q] for q in order}
     return [r for r in map(Polynomial, pieces.values()) if r.terms] or [Polynomial.zero()]
 

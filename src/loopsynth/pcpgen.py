@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Sequence
 
-from .constraints import Clause, Pcp, decompose
+from .constraints import Clause, Pcp, decompose, piece_key
 from .matrix import SymMatrix, char_poly, mat_apply
 from .poly import Monomial, Polynomial, Rat, Var, ordered_polynomial
 from .template import RecurrenceTemplate
@@ -70,9 +70,6 @@ class ClosedForms:
         self.coeffs = {v for col in self.columns.values() for entry in col for v in entry.variables()}
         self.coeffs -= set(self.params)
         roots = [w for w, _ in tpl.rootspec]
-        # a rest's tuple then a base's is a sorted monomial when every
-        # coefficient symbol sorts before every root
-        self.join = max((v.sort_key for v in self.coeffs), default=()) < min(w.sort_key for w in roots)
         self.symbols = sorted({*self.coeffs, *self.params, *roots}, key=lambda v: v.sort_key)
         self.degree = -1  # the largest invariant degree the keys hold; none yet
 
@@ -234,8 +231,8 @@ def gen_alg(
     loop that keeps p.
 
     Each a_k(j) must vanish for every value of the parameters, so it is
-    stated as its pieces by parameter monomial, in `parameter_pieces`'
-    order: pieces that cancel dropped, and one 0 if all do.
+    stated as its pieces by parameter monomial, in `piece_key`'s order:
+    pieces that cancel dropped, and one 0 if all do.
 
     The kernel works on `ClosedForms`' packed keys.  p(X(n)) is summed
     from products of packed form powers, and masks split each of its keys
@@ -276,7 +273,8 @@ def gen_alg(
     unit, field, fields = forms.unit, (1 << forms.width) - 1, (1 << forms.top) - 1
     piece_mask, root_mask = field | forms.par_mask, forms.root_mask  # n's field and the parameters
     rest_mask = ~(piece_mask | root_mask)
-    order = [forms.shift[v] for v in reversed(tpl.params)]  # `parameter_pieces`' order
+    shift = forms.shift
+    by_parameters = piece_key(tpl.params, lambda k, v: (k >> shift[v]) & field)
     clauses: list[Clause] = []
     for p in invariants:
         acc: dict[int, Rat] = {}  # p(X(n)), packed
@@ -300,9 +298,9 @@ def gen_alg(
             piece = pieces.get(key & piece_mask)
             if piece is None:
                 piece = pieces[key & piece_mask] = []
-            piece.append((rest, mono, key & root_mask, _normal(c)))
+            piece.append((rest, mono, key & root_mask, c))
         by_power: dict[int, list[tuple]] = {}
-        for k in sorted(pieces, key=lambda k: [(k >> s) & field for s in order]):
+        for k in sorted(pieces, key=by_parameters):
             by_power.setdefault(k & field, []).append(tuple(zip(*pieces[k])))
         for npow in sorted(by_power):
             group = by_power[npow]
@@ -314,7 +312,7 @@ def gen_alg(
                 if j:
                     shifts = {base: j * key for base, key in lifted.items()}
                     powers = {base: Monomial([(v, e * j) for v, e in w]) for base, w in bases.items()}
-                    samples = [_sample(piece, shifts, powers, forms.join) for piece in group]
+                    samples = [_sample(piece, shifts, powers) for piece in group]
                 else:
                     samples = [_merged(piece, rests) for piece in group]
                 row = [Clause.unit(q) for q in samples if q.terms]
@@ -322,36 +320,25 @@ def gen_alg(
     return clauses
 
 
-def _normal(c: Rat) -> Rat:
-    """`c` as a polynomial stores it: an ``int`` when integral."""
-    return c.numerator if type(c) is not int and c.denominator == 1 else c
-
-
 def _sample(piece: tuple[tuple, tuple, tuple, tuple], shifts: dict[int, int],
-            powers: dict[int, Monomial], join: bool) -> Polynomial:
-    """A piece of a_k(j), j > 0, sign-normal, from its terms (rest key,
-    rest, base key, coefficient) and the key and monomial of each base
-    to the power j.  Its keys are distinct."""
+            powers: dict[int, Monomial]) -> Polynomial:
+    """A piece of a_k(j), j > 0, from its terms (rest key, rest, base key,
+    coefficient) and the key and monomial of each base to the power j.
+    Its keys are distinct."""
     rests, monos, bases, coeffs = piece
     keys = list(map(add, rests, map(shifts.__getitem__, bases)))
     order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
-    if join:
-        ms = [Monomial(monos[i] + powers[bases[i]]) for i in order]
-    else:
-        ms = [monos[i].mul(powers[bases[i]]) for i in order]
-    cs = [coeffs[i] for i in order]
-    return ordered_polynomial(ms, [-c for c in cs] if cs[0] < 0 else cs)
+    return ordered_polynomial([monos[i].mul(powers[bases[i]]) for i in order], [coeffs[i] for i in order])
 
 
 def _merged(piece: tuple[tuple, tuple, tuple, tuple], rests: dict[int, Monomial]) -> Polynomial:
-    """A piece of a_k(0), sign-normal: with w^0 = 1 the terms of equal
-    rest merge, and those that cancel drop."""
+    """A piece of a_k(0): with w^0 = 1 the terms of equal rest merge, and
+    those that cancel drop."""
     merged: dict[int, Rat] = {}
     for rest, c in zip(piece[0], piece[3]):
         merged[rest] = merged.get(rest, 0) + c
     keys = [k for k in sorted(merged, reverse=True) if merged[k]]
-    cs = [_normal(merged[k]) for k in keys]
-    return ordered_polynomial([rests[k] for k in keys], [-c for c in cs] if cs and cs[0] < 0 else cs)
+    return ordered_polynomial([rests[k] for k in keys], [merged[k] for k in keys])
 
 
 @dataclass

@@ -124,7 +124,7 @@ class Monomial(tuple):
             if e < 0:
                 raise ValueError(f"negative exponent for {v.name}")
         items.sort(key=lambda p: p[0].sort_key)
-        return _monomial(items)
+        return Monomial(items)
 
     @staticmethod
     def of(v: Var, exp: int = 1) -> "Monomial":
@@ -146,10 +146,11 @@ class Monomial(tuple):
         a, b = self, other
         if not a or not b:
             return a if not b else b
-        if a[-1][0].sort_key < b[0][0].sort_key:  # disjoint: a's symbols all come first
-            return _new_tuple(Monomial, a + b)
-        if b[-1][0].sort_key < a[0][0].sort_key:
-            return _new_tuple(Monomial, b + a)
+        # disjoint when one's symbols all come first: a larger order key is earlier
+        if a[-1][0].order_key > b[0][0].order_key:
+            return Monomial(a + b)
+        if b[-1][0].order_key > a[0][0].order_key:
+            return Monomial(b + a)
         out, i, j = [], 0, 0
         while i < len(a) and j < len(b):
             (u, e), (v, f) = a[i], b[j]
@@ -168,28 +169,20 @@ class Monomial(tuple):
                 for w, g in b:
                     acc[w] = acc.get(w, 0) + g
                 return Monomial.make(acc)
-        return _monomial((*out, *a[i:], *b[j:]))
+        return Monomial((*out, *a[i:], *b[j:]))
 
     def pow(self, k: int) -> "Monomial":
         if k < 0:
             raise ValueError("negative monomial power")
         if k == 0:
             return _MONOMIAL_ONE
-        return _monomial([(v, e * k) for v, e in self])
+        return Monomial([(v, e * k) for v, e in self])
 
     def without(self, v: Var) -> "Monomial":
         for i, (u, _) in enumerate(self):
             if u is v:
-                return _monomial(self[:i] + self[i + 1:])
+                return Monomial(self[:i] + self[i + 1:])
         return self
-
-
-def _monomial(powers: Iterable[tuple[Var, int]]) -> Monomial:
-    """A monomial from powers already sorted, with positive exponents."""
-    return _new_tuple(Monomial, powers)
-
-
-_new_tuple = tuple.__new__
 
 
 def MONO_KEY(m: Monomial) -> tuple:
@@ -202,7 +195,7 @@ def MONO_KEY(m: Monomial) -> tuple:
     return (degree,) + key
 
 
-_MONOMIAL_ONE = _monomial(())
+_MONOMIAL_ONE = Monomial(())
 
 Rat = Fraction | int
 
@@ -254,7 +247,7 @@ class Polynomial:
 
     @staticmethod
     def var(v: Var) -> "Polynomial":
-        return _polynomial({_monomial(((v, 1),)): 1})
+        return _polynomial({Monomial(((v, 1),)): 1})
 
     @staticmethod
     def coerce(x: "Polynomial | Rat") -> "Polynomial":
@@ -388,7 +381,7 @@ class Polynomial:
                 acc[m] = acc.get(m, 0) + c
                 continue
             hit = True
-            rest = _monomial(tuple(free))
+            rest = Monomial(free)
             for pm, pc in product.items():
                 mm = rest.mul(pm)
                 acc[mm] = acc.get(mm, 0) + pc
@@ -452,9 +445,9 @@ _ZERO = Polynomial()
 
 def ordered_polynomial(monomials: list[Monomial], coeffs: list[Rat]) -> Polynomial:
     """The polynomial of distinct `monomials`, already in descending
-    graded lexicographic order, and their nonzero, normalized `coeffs`:
-    its terms are in that order and `monomials` is its sorted list."""
-    p = _polynomial(dict(zip(monomials, coeffs)))
+    graded lexicographic order, and their nonzero `coeffs`: its terms are
+    in that order and `monomials` is its sorted list."""
+    p = _polynomial(dict(zip(monomials, [c if type(c) is int else _exact(c) for c in coeffs])))
     p._sorted = monomials
     return p
 

@@ -383,8 +383,9 @@ def coefficient_symbols(tpl):
 
 class TestPackedKeys:
     """`gen_alg` builds each term's key by adding packed exponents and
-    each term's monomial as its rest's tuple then its base's, which is
-    sorted only while every coefficient symbol sorts before every root."""
+    each term's monomial as its rest times its base, where joining the
+    two tuples is sorted only while every coefficient symbol sorts before
+    every root."""
 
     @pytest.mark.parametrize("name", sorted(OUT_OF_ORDER_SPECS))
     def test_out_of_order_names_match_the_reference(self, name):

@@ -17,6 +17,7 @@ from loopsynth.poly import (
     MONO_KEY,
     Polynomial,
     Var,
+    ordered_polynomial,
     sign_normalize,
     signed_sum,
 )
@@ -197,6 +198,13 @@ class TestExactCoefficients:
         p = Polynomial({Monomial.of(X): Fraction(4, 2), Monomial(()): Fraction(0)}) + half + half
         assert p.terms == {Monomial.of(X): 2, Monomial(()): 1}
         _assert_normalized(p)
+
+    def test_ordered_terms_are_stored_normalized(self):
+        monos = [Monomial.of(X, 2), Monomial.of(X), Monomial(())]
+        p = ordered_polynomial(monos, [Fraction(4, 2), Fraction(1, 3), -1])
+        assert p.terms == {monos[0]: 2, monos[1]: Fraction(1, 3), monos[2]: -1}
+        _assert_normalized(p)
+        assert p.sorted_monomials() is monos
 
     def test_floats_are_refused(self):
         with pytest.raises(TypeError):
