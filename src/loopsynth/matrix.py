@@ -126,11 +126,3 @@ def _dot(xs: Iterable[Polynomial], ys: Iterable[Polynomial]) -> Polynomial:
         acc = acc + x * y
     return acc
 
-
-def mat_apply(m: SymMatrix, vec: Sequence[Polynomial | Rat]) -> tuple[Polynomial, ...]:
-    """Multiply an s x k matrix by a length-k vector of polynomials."""
-    if m.cols != len(vec):
-        raise ValueError("dimension mismatch")
-    vs = [Polynomial.coerce(v) for v in vec]
-    return tuple(_dot(row, vs) for row in m.entries)
-

@@ -23,24 +23,25 @@ Four clause families are produced:
   each clause is built once, already sorted.
 
 For parameterized templates a clause must hold for every value of the
-parameters, so it is split into its coefficients over the parameter
-monomials, and the problem is parameter-free: `gen_alg` splits each
-relation term by a mask on its key, and `base_clauses` splits each
-coefficient and initial-value equality as it makes it a clause, so every
-piece is sorted once; the root clauses have no parameters.  The templates
-of one `TemplateShape` share det(zI - B) and each product B C_(w,j)
-through a `ShapeProducts`.
+parameters, so it is stated as its coefficients over the parameter
+monomials, and the problem is parameter-free.  Nothing is split after it
+is built: `gen_alg` splits each relation term by a mask on its key, and
+`gen_coeff` and `gen_init` build each of their pieces from the symbols
+of the coefficient columns, whose entries are linear forms over the
+parameters and one; the root clauses have no parameters.  The templates
+of one `TemplateShape` share det(zI - B), split by power of z
+(`chi_by_power`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add
+from operator import add, sub
 from typing import Iterable, Sequence
 
-from .constraints import Clause, Pcp, decompose, piece_key
-from .matrix import SymMatrix, char_poly, mat_apply
+from .constraints import Clause, Pcp, decompose, piece_key  # decompose: only for the benchmark's trace hook
+from .matrix import SymMatrix, char_poly
 from .poly import Monomial, Polynomial, Rat, Var, ordered_polynomial
 from .template import RecurrenceTemplate
 
@@ -130,44 +131,30 @@ def _times(a: dict[int, Rat], b: dict[int, Rat]) -> dict[int, Rat]:
     return out
 
 
-class ShapeProducts:
-    """The parts of the root and coefficient families that every
-    partition of one `TemplateShape` shares: det(zI - B) and the product
-    B C_(w,j) of each coefficient column, each computed at its first use.
-
-    Roots and columns are named by position and slot, so one slot's
-    column, and its product, is the same in every partition that has it.
-    """
-
-    def __init__(self, b: SymMatrix):
-        self.b = b
-        self._chi: Polynomial | None = None
-        self._applied: dict[tuple[Var, int], tuple[Polynomial, ...]] = {}
-
-    def chi(self) -> Polynomial:
-        """det(zI - B) in the indeterminate `_Z`."""
-        if self._chi is None:
-            self._chi = char_poly(self.b, _Z)
-        return self._chi
-
-    def applied(self, tpl: RecurrenceTemplate, slot: tuple[Var, int]) -> tuple[Polynomial, ...]:
-        """B times the template's coefficient column of `slot`."""
-        out = self._applied.get(slot)
-        if out is None:
-            out = self._applied[slot] = mat_apply(self.b, tpl.coeff_columns[slot])
-        return out
+def chi_by_power(b: SymMatrix) -> list[Polynomial]:
+    """The coefficient of each power of z in det(zI - B), lowest first:
+    the part of the root family that every partition of one
+    `TemplateShape` shares."""
+    split = dict(char_poly(b, _Z).coeffs_in(_Z))
+    return [split.get(k, Polynomial.zero()) for k in range(b.rows + 1)]
 
 
 _Z = Var("z^", "root")  # no parsed or generated name holds a ``^``
 
 
-def gen_roots(tpl: RecurrenceTemplate, products: ShapeProducts | None = None) -> list[Clause]:
-    chi = (products or ShapeProducts(tpl.b)).chi()
-    product = Polynomial.const(1)
+def gen_roots(tpl: RecurrenceTemplate, chi: list[Polynomial] | None = None) -> list[Clause]:
+    """det(zI - B) = prod_w (z - w)^m by power of z, ascending, with the
+    powers whose coefficients agree left out; then the roots pairwise
+    distinct and nonzero.  The product's coefficients e_k are built one
+    factor at a time: times z - w, e'_k = e_(k-1) - w e_k.  `chi`, when
+    given, must be `chi_by_power(tpl.b)`."""
+    chi = chi_by_power(tpl.b) if chi is None else chi
+    zero, product = Polynomial.zero(), [Polynomial.const(1)]
     for w, m in tpl.rootspec:
-        product = product * (Polynomial.var(_Z) - Polynomial.var(w)) ** m
-    difference = chi - product
-    out = [Clause.unit(coeff) for _, coeff in difference.coeffs_in(_Z)]
+        wp = Polynomial.var(w)
+        for _ in range(m):
+            product = [a - wp * e for a, e in zip([zero, *product], [*product, zero])]
+    out = [Clause.unit(d) for d in map(sub, chi, product) if d.terms]
     roots = [w for w, _ in tpl.rootspec]
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
@@ -177,39 +164,71 @@ def gen_roots(tpl: RecurrenceTemplate, products: ShapeProducts | None = None) ->
     return out
 
 
-def gen_coeff(tpl: RecurrenceTemplate, products: ShapeProducts | None = None) -> list[Polynomial]:
-    """The coefficient equalities, as their left-hand sides."""
-    products = products or ShapeProducts(tpl.b)
-    out: list[Polynomial] = []
-    for w, m in tpl.rootspec:
-        wpoly = Polynomial.var(w)
-        for j in range(1, m + 1):
-            shifted = [Polynomial.zero()] * tpl.size
-            for k in range(j, m + 1):
-                coef = math.comb(k - 1, j - 1)
-                col = tpl.coeff_columns[(w, k)]
-                shifted = [acc + col[i] * wpoly * coef for i, acc in enumerate(shifted)]
-            applied = products.applied(tpl, (w, j))
-            out.extend(lhs - rhs for lhs, rhs in zip(shifted, applied))
+def _basis(tpl: RecurrenceTemplate) -> list[Var | None]:
+    """The monomials q of the template's linear forms, each parameter and
+    None for 1, in `piece_key`'s order."""
+    return sorted((*tpl.params, None), key=piece_key(tpl.params, lambda q, v: int(q is v)))
+
+
+def _by_basis(entry: Polynomial, params: Sequence[Var]) -> dict[Var | None, Monomial]:
+    """A coefficient column's entry, sum_q c_q q (`TemplateShape.column`),
+    as the monomial c_q of each q in `_basis`."""
+    out = {}
+    for m in entry.terms:
+        q = next((v for v, _ in m if v in params), None)
+        out[q] = m if q is None else m.without(q)
     return out
 
 
-def gen_init(tpl: RecurrenceTemplate) -> list[Polynomial]:
-    """The initial-value equalities sum_w C_(w,1) - X_0 = 0, as their
-    left-hand sides: the closed form at n = 0.  With the coefficient
-    equalities they imply X(n) = B^n X_0 for every n.  Let E_(w,j) =
-    sum_(k>=j) C(k-1, j-1) w C_(w,k) - B C_(w,j), the coefficient
-    equalities of (w, j), and G(k) = sum_(w,j) w^k k^(j-1) E_(w,j) with
-    0^0 = 1.  Expanding (k+1)^(j-1) gives X(k+1) - B X(k) = G(k), so by
-    induction on n
+def gen_coeff(tpl: RecurrenceTemplate) -> list[Clause]:
+    """The coefficient equalities sum_(k>=j) C(k-1, j-1) w C_(w,k) -
+    B C_(w,j) = 0, for each slot (w, j) and row i, as one clause per
+    piece: their coefficients over the parameter monomials q (`_basis`),
+
+        sum_(k>=j) C(k-1, j-1) w c_(w,k,i,q) - sum_l B_il c_(w,j,l,q),
+
+    where c_(w,k,i,q) is the symbol of q in row i of C_(w,k).  No term
+    shares the monomial w c_(w,j,i,q), so no piece cancels."""
+    basis = _basis(tpl)
+    cols = {slot: [_by_basis(e, tpl.params) for e in col] for slot, col in tpl.coeff_columns.items()}
+    out: list[Clause] = []
+    for w, m in tpl.rootspec:
+        wm = Monomial.of(w)
+        for j in range(1, m + 1):
+            for i, row in enumerate(tpl.b.entries):
+                for q in basis:
+                    terms = {wm.mul(cols[(w, k)][i][q]): math.comb(k - 1, j - 1) for k in range(j, m + 1)}
+                    for entry, col in zip(row, cols[(w, j)]):
+                        for bm, bc in entry.terms.items():
+                            mono = bm.mul(col[q])
+                            terms[mono] = terms.get(mono, 0) - bc
+                    out.append(Clause.unit(Polynomial(terms)))
+    return out
+
+
+def gen_init(tpl: RecurrenceTemplate) -> list[Clause]:
+    """The initial-value equalities sum_w C_(w,1) - X_0 = 0: the closed
+    form at n = 0.  With the coefficient equalities they imply X(n) = B^n
+    X_0 for every n.  Let E_(w,j) = sum_(k>=j) C(k-1, j-1) w C_(w,k) -
+    B C_(w,j), the coefficient equalities of (w, j), and G(k) =
+    sum_(w,j) w^k k^(j-1) E_(w,j) with 0^0 = 1.  Expanding (k+1)^(j-1)
+    gives X(k+1) - B X(k) = G(k), so by induction on n
 
         X(n) - B^n X_0 = B^n (X(0) - X_0) + sum_(k<n) B^(n-1-k) G(k).
-    """
-    firsts = [col for (_, j), col in tpl.coeff_columns.items() if j == 1]
-    return [
-        sum((col[i] for col in firsts), Polynomial.zero()) - x0
-        for i, x0 in enumerate(tpl.init_exprs)
-    ]
+
+    One clause per piece: the pieces are the equalities' coefficients
+    over the parameter monomials q (`_basis`), sum_w c_(w,1,i,q) - A_iq
+    for each row i."""
+    basis, column = _basis(tpl), {q: k for k, q in enumerate((*tpl.params, None))}  # a_matrix column of q
+    firsts = [[_by_basis(e, tpl.params) for e in col] for (_, j), col in tpl.coeff_columns.items() if j == 1]
+    out: list[Clause] = []
+    for i, row in enumerate(tpl.a_matrix.entries):
+        for q in basis:
+            terms = {col[i][q]: 1 for col in firsts}
+            for am, ac in row[column[q]].terms.items():
+                terms[am] = terms.get(am, 0) - ac
+            out.append(Clause.unit(Polynomial(terms)))
+    return out
 
 
 def gen_alg(
@@ -347,33 +366,24 @@ class PcpBundle:
 
     template: RecurrenceTemplate
     pcp: Pcp  # the cell's clauses; synth adds the nontriviality and blocking ones
+    variables: list[Var]  # the base's sorted symbols, and so `pcp`'s (see `synth._SharedBases`)
 
 
-def base_clauses(tpl: RecurrenceTemplate, products: ShapeProducts | None = None) -> list[Clause]:
+def base_clauses(tpl: RecurrenceTemplate, chi: list[Polynomial] | None = None) -> list[Clause]:
     """The root, coefficient and initial-value (n = 0 only, see `gen_init`)
-    families, in that order, free of the parameter symbols of a
-    parameterized template: the coefficient and initial-value equalities
-    are split over the parameter monomials as they are made into clauses,
-    and every root clause is parameter-free.
+    families, in that order, each clause free of the parameter symbols of
+    a parameterized template: a coefficient or initial-value clause is
+    one piece of an equality (`gen_coeff`, `gen_init`), and the root
+    clauses have no parameters.
 
     They never read the invariants.  Template symbols are named by
     position, so in the triangular tiers these clauses depend only on the
     tier, the partition, and which positions are pinned (to which value)
-    or parameterized -- not on the variable order itself.  `products`,
-    when given, must be the `ShapeProducts` of the template's B; the
-    templates of one shape can share it.
+    or parameterized -- not on the variable order itself.  `chi`, when
+    given, must be `chi_by_power(tpl.b)`; the templates of one shape can
+    share it.
     """
-    products = products or ShapeProducts(tpl.b)
-    roots = gen_roots(tpl, products)
-    equalities = gen_coeff(tpl, products) + gen_init(tpl)
-    if not tpl.params:
-        return roots + [Clause.unit(p) for p in equalities]
-    out = roots + decompose(equalities, tpl.params)
-    for c in out:
-        leftover = c.variables() & set(tpl.params)
-        if leftover:
-            raise AssertionError(f"parameter symbols survived decomposition: {leftover}")
-    return out
+    return gen_roots(tpl, chi) + gen_coeff(tpl) + gen_init(tpl)
 
 
 def build_pcp(
@@ -381,21 +391,23 @@ def build_pcp(
     invariants: Sequence[Polynomial],
     base: Pcp | None = None,
     forms: ClosedForms | None = None,
+    variables: list[Var] | None = None,
 ) -> PcpBundle:
     """Union of the four clause families, in a fixed deterministic order:
     `base_clauses`, then `gen_alg`'s relation clauses, both parameter-free.
 
     `base`, when given, must be the clause set of `base_clauses(tpl)`, and
-    `forms` the template's `ClosedForms`; a caller that builds many
-    templates sharing them computes them once, and `base` is copied, not
-    changed.
+    `forms` the template's `ClosedForms` and `variables` `base.variables()`;
+    a caller that builds many templates sharing them computes them once,
+    and `base` is copied, not changed.
     """
-    pcp = Pcp(base_clauses(tpl)) if base is None else base.copy()
+    base = Pcp(base_clauses(tpl)) if base is None else base
+    pcp = base.copy()
     alg = gen_alg(tpl, invariants, forms)
     _reject_degenerate(alg)
     for c in alg:
         pcp.add(c)
-    return PcpBundle(template=tpl, pcp=pcp)
+    return PcpBundle(tpl, pcp, base.variables() if variables is None else variables)
 
 
 def _reject_degenerate(clauses: Iterable[Clause]) -> None:

@@ -171,13 +171,6 @@ class Monomial(tuple):
                 return Monomial.make(acc)
         return Monomial((*out, *a[i:], *b[j:]))
 
-    def pow(self, k: int) -> "Monomial":
-        if k < 0:
-            raise ValueError("negative monomial power")
-        if k == 0:
-            return _MONOMIAL_ONE
-        return Monomial([(v, e * k) for v, e in self])
-
     def without(self, v: Var) -> "Monomial":
         for i, (u, _) in enumerate(self):
             if u is v:

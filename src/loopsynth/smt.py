@@ -253,7 +253,8 @@ def run_solver(script: str, cfg: SolverConfig, out: BinaryIO, err: BinaryIO) -> 
 
 
 class SolverRun:
-    """One solve of `clauses` with the `cfg` backend.
+    """One solve of `clauses` with the `cfg` backend, over `variables`,
+    which, when given, must be `variables_of(clauses)`.
 
     An external solver is started when the run is made; `result` waits for
     it and `cancel` stops it.  However the run ends (read, timed out or
@@ -265,9 +266,9 @@ class SolverRun:
     keeps only its message: a kept exception would hold, through its
     traceback, the frame that holds the run."""
 
-    def __init__(self, clauses: Iterable[Clause], cfg: SolverConfig):
+    def __init__(self, clauses: Iterable[Clause], cfg: SolverConfig, variables: list[Var] | None = None):
         self.clauses = list(clauses)
-        self.variables = variables_of(self.clauses)
+        self.variables = variables_of(self.clauses) if variables is None else variables
         self.proc: subprocess.Popen | None = None
         self.error: str | None = None
         if not cfg.builtin:

@@ -16,14 +16,14 @@ is built from the parts of its shape -- the tier, the pin of each
 position and the position of each parameter's variable -- and of its
 key, the shape and the partition.  The shape's parts do not depend on
 the partition and are built once per shape: B, the initial values,
-each coefficient column, det(zI - B), each product B C_(w,j) and the
-nontriviality clause.  The key's are one template, whose `vars` each
-cell replaces, the order-independent clause families (roots,
-coefficients, initial values) and the closed forms.  Within one search,
-the variable orders of a triangular tier that agree on the key share
-them, and the partitions of a shape share its parts; each part is built
-at the first cell that needs it and held only until the last, and each
-cell builds only its relation clauses.
+each coefficient column, det(zI - B) and the nontriviality clause.
+The key's are one template, whose `vars` each cell replaces, the
+order-independent clause families (roots, coefficients, initial
+values), their sorted symbols, which are every cell's, and the closed
+forms.  Within one search, the variable orders of a triangular tier
+that agree on the key share them, and the partitions of a shape share
+its parts; each part is built at the first cell that needs it and held
+only until the last, and each cell builds only its relation clauses.
 
 With an external solver, the next cell's solver is started as soon as
 that cell is built, while the current cell's solver runs, so Python
@@ -60,7 +60,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .constraints import Clause, Pcp
 from .parser import SpecFile
-from .pcpgen import ClosedForms, DegenerateInvariantError, PcpBundle, ShapeProducts, base_clauses, build_pcp
+from .pcpgen import ClosedForms, DegenerateInvariantError, PcpBundle, base_clauses, build_pcp, chi_by_power
 from .poly import Polynomial, Var, fresh_name, signed_sum
 from .smt import (
     ModelValue,
@@ -231,7 +231,7 @@ def _search(request: SynthRequest, cfg: SolverConfig) -> SynthResult:
                 raise SolverTimeout("no time budget left")
             bundle = _cell_problem(request, perm, tier, part, bases)
             if bundle is not None:
-                runs.append((bundle, SolverRun(bundle.pcp, cfg)))
+                runs.append((bundle, SolverRun(bundle.pcp, cfg, bundle.variables)))
             if len(runs) >= window:
                 yield runs[0]
                 runs.popleft()
@@ -251,7 +251,7 @@ def _search(request: SynthRequest, cfg: SolverConfig) -> SynthResult:
                 if len(found) >= request.count:
                     break
                 bundle.pcp.add(_blocking_clause(bundle.template, res.model))
-                res = SolverRun(bundle.pcp, cfg).result(deadline)
+                res = SolverRun(bundle.pcp, cfg, bundle.variables).result(deadline)
             if res.status == "unknown":
                 undecided.add(_UNKNOWN_NOTE)
             if len(found) >= request.count:
@@ -357,12 +357,22 @@ class _SharedBases:
     A cell's shape is its tier, the pin of each position and the position
     of each parameter's variable; its key is its shape and its partition.
     Template symbols are named by position and slot, so the cells of one
-    shape share the partition-free parts: the `TemplateShape`, its
-    `ShapeProducts` (det(zI - B) and each B C_(w,j)) and the nontriviality
-    clause; and the cells of one key differ only in `vars`, so they share
-    the key's template, its base clauses as one clause set and its closed
-    forms.  Each part is built at the first cell that needs it and held
-    only until the last, so nothing that a single cell uses is held.
+    shape share the partition-free parts: the `TemplateShape`, det(zI - B)
+    by power of z (`chi_by_power`) and the nontriviality clause; and the
+    cells of one key differ only in `vars`, so they share the key's
+    template, its base clauses as one clause set, their sorted symbols and
+    its closed forms.  Each part is built at the first cell that needs it
+    and held only until the last, so nothing that a single cell uses is
+    held.
+
+    The base's symbols are every symbol of each cell of the key, in any
+    order and with any blocking clauses added, so each cell's solver run
+    declares that one list.  Every template symbol (b, w, c, a) has a term
+    in some base clause that cannot cancel: b_il c_(w,1,l,q) and
+    w c_(w,k,i,q) in a coefficient clause (`gen_coeff`), a_iq in an
+    initial-value one.  And a relation clause mentions only c and w
+    symbols, the nontriviality and blocking clauses only b and a symbols,
+    and no clause a variable or, once split, a parameter.
 
     The full tier searches one order, so its key is unshared and its
     shape spans the partitions.  In a triangular tier two orders share a
@@ -391,25 +401,25 @@ class _SharedBases:
 
     def take(
         self, perm: tuple[Var, ...], tier: ShapeTier, partition: tuple[int, ...]
-    ) -> tuple[RecurrenceTemplate, Pcp, ClosedForms, Clause | None]:
-        """The template, base clause set and closed forms of the cell's
-        key, and the nontriviality clause of its shape."""
+    ) -> tuple[RecurrenceTemplate, Pcp, ClosedForms, list[Var], Clause | None]:
+        """The template, base clause set, closed forms and symbols of the
+        cell's key, and the nontriviality clause of its shape."""
         params = [(p, perm.index(v)) for p, v in self.params]
         shape_key = (tier, tuple(self.pinned.get(v.name) for v in perm), tuple(i for _, i in params))
         orders = 1 if tier is ShapeTier.FULL else self.orders
 
-        def shape_parts() -> tuple[TemplateShape, ShapeProducts, Clause | None]:
+        def shape_parts() -> tuple[TemplateShape, list[Polynomial], Clause | None]:
             shape = TemplateShape(perm, tier, self.pinned, params)
-            return shape, ShapeProducts(shape.b), _nontriviality_clause(shape)
+            return shape, chi_by_power(shape.b), _nontriviality_clause(shape)
 
-        shape, products, nontrivial = self._hold(shape_key, orders * self.parts[tier], shape_parts)
+        shape, chi, nontrivial = self._hold(shape_key, orders * self.parts[tier], shape_parts)
 
-        def key_parts() -> tuple[RecurrenceTemplate, Pcp, ClosedForms]:
+        def key_parts() -> tuple[RecurrenceTemplate, Pcp, ClosedForms, list[Var]]:
             tpl = build_template(perm, tier, partition, self.pinned, params, shape)
-            return tpl, Pcp(base_clauses(tpl, products)), ClosedForms(tpl)
+            base = Pcp(base_clauses(tpl, chi))
+            return tpl, base, ClosedForms(tpl), base.variables()
 
-        tpl, base, forms = self._hold(shape_key + (partition,), orders, key_parts)
-        return tpl, base, forms, nontrivial
+        return *self._hold(shape_key + (partition,), orders, key_parts), nontrivial
 
     def _hold(self, key: tuple, cells: int, build: Callable[[], tuple]) -> tuple:
         """The parts of `key`, built at the first of its `cells` cells and
@@ -431,9 +441,9 @@ def _cell_problem(
 ) -> PcpBundle | None:
     """The cell's constraint problem, or None if no loop can come from it:
     its key's parts from `bases`, and its own relation clauses."""
-    tpl, base, forms, nontrivial = bases.take(perm, tier, partition)
+    tpl, base, forms, variables, nontrivial = bases.take(perm, tier, partition)
     try:
-        bundle = build_pcp(replace(tpl, vars=perm), request.invariants, base, forms)
+        bundle = build_pcp(replace(tpl, vars=perm), request.invariants, base, forms, variables)
     except DegenerateInvariantError:
         return None
     if nontrivial is None:
@@ -514,5 +524,5 @@ def first_cell_script(request: SynthRequest) -> str:
     for tier, perm, part in cells:
         bundle = _cell_problem(request, perm, tier, part, bases)
         if bundle is not None:
-            return emit_smtlib(list(bundle.pcp))
+            return emit_smtlib(list(bundle.pcp), bundle.variables)
     raise RequestError("no admissible search cell")

@@ -4,8 +4,9 @@ spec in `benchmarks/` and each shape tier, as one JSON object
 
 Each digest is `test_synth._cell_text_digest` of the spec's request with
 that single tier: the scripts of all its cells, built through one
-`_SharedBases` in search order.  Two trees that print the same object
-build the same problem for every cell.  Run from the root of a tree:
+`_SharedBases` in search order, each declaring the bundle's symbol list
+as its solver run does.  Two trees that print the same object build and
+send the same problem for every cell.  Run from the root of a tree:
 
     python tests/cell_digests.py > digests.json
 

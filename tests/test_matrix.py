@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopsynth.matrix import SymMatrix, char_poly, mat_apply
+from helpers import mat_apply
+from loopsynth.matrix import SymMatrix, char_poly
 from loopsynth.poly import Polynomial, Var
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)

@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import mat_apply, monomial_pow
 from loopsynth import pcpgen as pcpgen_module
 from loopsynth.constraints import Clause, decompose, first_violated
 from loopsynth.pcpgen import (
@@ -17,7 +19,7 @@ from loopsynth.pcpgen import (
     gen_init,
     gen_roots,
 )
-from loopsynth.matrix import SymMatrix, char_poly, mat_apply
+from loopsynth.matrix import SymMatrix, char_poly
 from loopsynth.parser import parse_spec
 from loopsynth.poly import MONO_KEY, Monomial, Polynomial, Var
 from loopsynth.synth import SynthRequest, _search_space
@@ -137,6 +139,80 @@ def init_clauses_by_matrix_powers(tpl):
     return out
 
 
+def reference_base(tpl):
+    """The coefficient and initial-value equalities whole, as their
+    left-hand sides, built from polynomial products: the reference that
+    `gen_coeff` and `gen_init`, which build the equalities' pieces over
+    the parameter monomials directly, are checked against."""
+    coeff = []
+    for w, m in tpl.rootspec:
+        wpoly = Polynomial.var(w)
+        for j in range(1, m + 1):
+            shifted = [Polynomial.zero()] * tpl.size
+            for k in range(j, m + 1):
+                col = tpl.coeff_columns[(w, k)]
+                shifted = [acc + col[i] * wpoly * math.comb(k - 1, j - 1) for i, acc in enumerate(shifted)]
+            applied = mat_apply(tpl.b, tpl.coeff_columns[(w, j)])
+            coeff.extend(lhs - rhs for lhs, rhs in zip(shifted, applied))
+    firsts = [col for (_, j), col in tpl.coeff_columns.items() if j == 1]
+    init = [sum((col[i] for col in firsts), Polynomial.zero()) - x0 for i, x0 in enumerate(tpl.init_exprs)]
+    return coeff, init
+
+
+def whole_equalities(tpl):
+    """The left-hand sides of the coefficient and initial-value
+    equalities, whole.  Without parameters each equality is one piece, so
+    they are `gen_coeff`'s and `gen_init`'s own; with parameters those
+    give the equalities' pieces, so they are `reference_base`'s, which
+    `TestBaseClauses` ties to the program."""
+    if tpl.params:
+        return reference_base(tpl)
+    return [c.atoms[0].lhs for c in gen_coeff(tpl)], [c.atoms[0].lhs for c in gen_init(tpl)]
+
+
+def reference_root_equalities(tpl):
+    """det(zI - B) - prod_w (z - w)^m, expanded and regrouped by power of
+    z: one unit equality per nonzero coefficient, ascending."""
+    z = Var("z^", "root")
+    product = Polynomial.const(1)
+    for w, m in tpl.rootspec:
+        product = product * (Polynomial.var(z) - Polynomial.var(w)) ** m
+    return [Clause.unit(c) for _, c in (char_poly(tpl.b, z) - product).coeffs_in(z)]
+
+
+#: Variable and parameter names, some of which push generated names out
+#: of their usual order: `w1` renames the first root `_w1`, `c1_1_1` and
+#: `c1_1_1_1` rename coefficient symbols, `b11` and `a11` matrix and
+#: initial-value ones.
+BASE_VAR_NAMES = [("x", "y", "z", "u"), ("w1", "x", "y", "z"), ("x", "c1_1_1", "y", "z"), ("b12", "a1", "w2", "c2_1_1")]
+BASE_PARAM_NAMES = [("x0", "y0"), ("c1_1_1_1", "_w1"), ("b11", "a11")]
+
+
+class TestBaseClauses:
+    @pytest.mark.parametrize("tier", list(ShapeTier), ids=lambda t: t.value)
+    @pytest.mark.parametrize("s", range(1, 5))
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=8)
+    def test_pieces_match_the_split_reference(self, tier, s, data):
+        """For every partition, with random pins and 0-2 parameters,
+        `base_clauses` is the root clauses, then the reference's
+        equalities split by `decompose`: the same clauses in the same
+        order with the same text."""
+        names = data.draw(st.sampled_from(BASE_VAR_NAMES))[:s]
+        positions = data.draw(st.permutations(range(s)))[:data.draw(st.integers(0, min(2, s)))]
+        params = [(Var(p, "param"), i) for p, i in zip(data.draw(st.sampled_from(BASE_PARAM_NAMES)), positions)]
+        pins = {names[i]: data.draw(small_rationals) for i in range(s)
+                if i not in positions and data.draw(st.booleans())}
+        for part in int_partitions(s):
+            tpl = build_template(make_vars(*names), tier, part, pins, params)
+            roots = gen_roots(tpl)
+            assert [c for c in roots if c.is_unit_equality] == reference_root_equalities(tpl)
+            coeff, init = reference_base(tpl)
+            got, want = base_clauses(tpl), roots + decompose(coeff + init, tpl.params)
+            assert got == want
+            assert [c.smtlib for c in got] == [c.smtlib for c in want]
+
+
 class TestInitialValues:
     @pytest.mark.parametrize("name", ["fmi2", "eucliddiv"])
     def test_full_tier_matches_matrix_powers(self, name):
@@ -147,7 +223,8 @@ class TestInitialValues:
         for tier, perm, part in cells:
             params = [(p, perm.index(v)) for p, v in request.params]
             tpl = build_template(perm, tier, part, pinned, params)
-            assert list(map(Clause.unit, gen_init(tpl))) == init_clauses_by_matrix_powers(tpl)[:tpl.size]
+            _coeff, init = whole_equalities(tpl)
+            assert list(map(Clause.unit, init)) == init_clauses_by_matrix_powers(tpl)[:tpl.size]
 
 
 def signed(lhs, term):
@@ -189,17 +266,18 @@ class TestInitialValueCertificate:
         G(k) = sum_(w,j) w^k k^(j-1) E_(w,j) sums the coefficient clauses.
         Each equality's sign is fixed by its w * C_(w,j) term (at n = 0, by
         its C_(w1,1) term), which has the coefficient 1 in the expression
-        the equality states."""
+        the equality states.  The certificate is about whole equalities
+        (`whole_equalities`)."""
         tpl = CERTIFIED[name]
         s = tpl.size
         slots = list(tpl.coeff_columns)
-        coeff = gen_coeff(tpl)
-        rows = list(itertools.product(slots, range(s)))  # gen_coeff's clause order
+        coeff, init = whole_equalities(tpl)
+        rows = list(itertools.product(slots, range(s)))  # the equalities' order
         columns = {slot: [Polynomial.zero()] * s for slot in slots}  # the E_(w,j)
         for ((w, j), i), lhs in zip(rows, coeff):
             columns[(w, j)][i] = signed(lhs, Polynomial.var(w) * tpl.coeff_columns[(w, j)][i])
         first = tpl.coeff_columns[(tpl.rootspec[0][0], 1)]
-        init = [signed(lhs, first[i]) for i, lhs in enumerate(gen_init(tpl))]
+        init = [signed(lhs, first[i]) for i, lhs in enumerate(init)]
         assert len(init) == s
 
         def g(k):
@@ -277,7 +355,7 @@ def reference_alg(tpl, invariants):
             for j in range(len(bases)):
                 acc = {}
                 for w in bases:
-                    wj = w.pow(j)
+                    wj = monomial_pow(w, j)
                     for m, c in group[w].terms.items():
                         m = m.mul(wj)
                         acc[m] = acc.get(m, 0) + c

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import monomial_pow
 from loopsynth import smt
 from loopsynth.constraints import Clause, Pcp
 from loopsynth.poly import Monomial, Polynomial, Var
@@ -418,7 +419,7 @@ else:
 def exp_sum_at(terms, n):
     """The exponential sum sum_i w_i^n * u_i over (base monomial w_i,
     polynomial u_i) terms, at the index n."""
-    return sum((Polynomial({w.pow(n): 1}) * u for w, u in terms), Polynomial.zero())
+    return sum((Polynomial({monomial_pow(w, n): 1}) * u for w, u in terms), Polynomial.zero())
 
 
 def make_cfc_problem(side_clauses, terms):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopsynth import pcpgen as pcpgen_module, synth as synth_module
+from loopsynth.constraints import variables_of
 from loopsynth.matrix import char_poly
 from loopsynth.parser import ParseError, parse_invariant, parse_loop, parse_spec
 from loopsynth.pcpgen import DegenerateInvariantError, base_clauses, build_pcp
@@ -27,6 +28,7 @@ from loopsynth.synth import (
     RequestError,
     SynthRequest,
     _SharedBases,
+    _blocking_clause,
     _cell_problem,
     _cells,
     _effective_vars,
@@ -61,8 +63,8 @@ def unknown_runs(monkeypatch):
     scripts = []
 
     class UnknownRun:
-        def __init__(self, clauses, cfg):
-            scripts.append(emit_smtlib(list(clauses)))
+        def __init__(self, clauses, cfg, variables):
+            scripts.append(emit_smtlib(list(clauses), variables))
 
         def result(self, deadline):
             return SimpleNamespace(status="unknown")
@@ -951,14 +953,31 @@ def fresh_cell_problem(req, perm, tier, part, pinned):
 
 def _cell_text_digest(req):
     """SHA-256 over the SMT-LIB script of every search cell of the
-    request, in search order."""
+    request, in search order, each declaring the bundle's symbols as its
+    solver run does."""
     digest = hashlib.sha256()
     for bundle in built_cells(req):
         if bundle is None:
             digest.update(b"none\n")
             continue
-        digest.update(emit_smtlib(list(bundle.pcp)).encode())
+        digest.update(emit_smtlib(list(bundle.pcp), bundle.variables).encode())
     return digest.hexdigest()
+
+
+class TestKeySymbols:
+    @pytest.mark.parametrize("tier", list(ShapeTier), ids=lambda t: t.value)
+    def test_every_cell_has_its_keys_symbols(self, tier):
+        """Each built cell of every corpus spec has exactly the symbols of
+        its key's base clauses, which its solver runs declare, and keeps
+        them once a blocking clause on every matrix and initial-value
+        symbol is added."""
+        for spec in sorted(BENCHMARKS.glob("*.spec")):
+            for bundle in filter(None, built_cells(benchmark_request(spec.stem, [tier]))):
+                assert variables_of(bundle.pcp) == bundle.variables
+                tpl = bundle.template
+                model = {v: Fraction(1) for v in tpl.b.variables() | tpl.a_matrix.variables()}
+                bundle.pcp.add(_blocking_clause(tpl, model))
+                assert variables_of(bundle.pcp) == bundle.variables
 
 
 class TestClauseTextIdentity:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from loopsynth.matrix import SymMatrix, mat_apply
+from loopsynth.matrix import SymMatrix
 from loopsynth.parser import ParseError, parse_spec
 from loopsynth.poly import Polynomial, Var
 from loopsynth.template import ShapeTier, build_template, int_partitions
