@@ -11,7 +11,7 @@ complete order bound.
 """
 
 from .constraints import Atom, Clause, Pcp
-from .parser import ParseError, parse_expression, parse_invariant, parse_loop, parse_spec
+from .parser import ParseError, ParseTimeout, parse_expression, parse_invariant, parse_loop, parse_spec
 from .pcpgen import DegenerateInvariantError, PcpBundle, build_pcp
 from .poly import Monomial, Polynomial, Var
 from .smt import (
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraicTag", "Atom", "Clause", "ConcreteSystem",
-    "DegenerateInvariantError", "Loop", "Monomial", "ParseError", "Pcp",
+    "DegenerateInvariantError", "Loop", "Monomial", "ParseError", "ParseTimeout", "Pcp",
     "PcpBundle", "Polynomial", "RecurrenceTemplate", "RequestError", "ShapeTier",
     "SolverConfig", "SolverError", "SolverTimeout", "SynthRequest",
     "SynthResult", "Var", "Verdict", "build_pcp", "build_template",

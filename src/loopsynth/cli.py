@@ -10,12 +10,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
 
-from .parser import LoopFile, ParseError, parse_invariant, parse_loop, parse_spec
+from .parser import LoopFile, ParseError, ParseTimeout, parse_invariant, parse_loop, parse_spec
 from .poly import Var
 from .smt import SolverConfig, SolverConfigError, SolverError
 from .synth import RequestError, SynthRequest, SynthResult, first_cell_script, synthesize
@@ -89,24 +90,28 @@ def _parse_partition(text: str) -> tuple[int, ...]:
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
 def synth(specfile, solver, timeout, tier, partition, size, aux_one, count, emit_smt2, as_json):
     """Synthesize loops satisfying the invariants in SPECFILE."""
+    start = time.monotonic()
     try:
-        request = SynthRequest.from_spec(parse_spec(_read(specfile)))
+        request = SynthRequest.from_spec(parse_spec(_read(specfile)), timeout, start)
     except (ParseError, ValueError) as e:
         raise SystemExit(_fail(EXIT_INPUT, str(e), as_json))
+    except ParseTimeout:
+        request = None
+    try:
+        cfg = SolverConfig.default(solver)
+    except SolverConfigError as e:
+        raise SystemExit(_fail(EXIT_INPUT, str(e), as_json))
+    if request is None:
+        _emit_synth_result(_parse_timeout(start, cfg), as_json)
+        raise SystemExit(EXIT_TIMEOUT)
     if tier:
         request.tiers = None if tier == "auto" else [ShapeTier.parse(tier)]
     if partition:
         request.partitions = [_parse_partition(partition)]
     if size is not None:
         request.size = size
-    if timeout is not None:
-        request.timeout = timeout
     request.aux_one |= aux_one
     request.count = count
-    try:
-        cfg = SolverConfig.default(solver)
-    except SolverConfigError as e:
-        raise SystemExit(_fail(EXIT_INPUT, str(e), as_json))
     try:
         if emit_smt2:
             _write(emit_smt2, first_cell_script(request), as_json)
@@ -119,6 +124,13 @@ def synth(specfile, solver, timeout, tier, partition, size, aux_one, count, emit
     if result.status == "found":
         raise SystemExit(EXIT_OK)
     raise SystemExit(EXIT_TIMEOUT if result.status == "timeout" else EXIT_NEGATIVE)
+
+
+def _parse_timeout(start: float, cfg: SolverConfig) -> SynthResult:
+    """The result of a request whose budget, started at `start`, ran out
+    while its invariants were parsed."""
+    return SynthResult("timeout", millis=int((time.monotonic() - start) * 1000), backend=cfg.backend,
+                       note="the budget ran out while the invariants were parsed")
 
 
 def _emit_synth_result(result: SynthResult, as_json: bool) -> None:
@@ -246,14 +258,18 @@ def bench(directory, solver, timeout, jobs, csv_path, include_reconstructed):
         row = {"instance": path.stem, "status": "", "tier": "", "partition": "",
                "permutation": "", "millis": "", "verified": "", "backend": "", "note": ""}
         try:
+            start = time.monotonic()
             spec = parse_spec(path.read_text())
             if spec.reconstructed and not include_reconstructed:
                 row["status"] = "skipped"
                 return row
-            request = SynthRequest.from_spec(spec)
-            request.timeout = timeout
             row["backend"] = cfg.backend
-            result = synthesize(request, cfg)
+            try:
+                request = SynthRequest.from_spec(spec, timeout, start)
+            except ParseTimeout:
+                result = _parse_timeout(start, cfg)
+            else:
+                result = synthesize(request, cfg)
             row["status"] = result.status
             row["note"] = result.note
             row["millis"] = str(result.millis)

@@ -4,6 +4,15 @@ A constraint problem is a set of clauses, each a disjunction of polynomial
 equations p = 0 and disequations p != 0.  A single variable assignment must
 satisfy all clauses at once.  A clause renders itself as an SMT-LIB 2 term
 once (`Clause.smtlib`), however many solver scripts assert it.
+
+This module is the one writer of that text: a term whole (`smt_term`) or
+as a head and a tail (`smt_head`, `smt_tail`), and an equation from its
+terms' texts (`smt_equation`).  `pcpgen`'s relation kernel writes each
+relation clause with them and makes it from its text (`Clause.written`):
+its polynomial is built on the first read of its atoms, which an external
+solver that does not answer `sat` never causes.  So a clause set tells
+clauses apart by their text (`Pcp`), which is sound within one problem,
+whose symbols have distinct names.
 """
 
 from __future__ import annotations
@@ -57,12 +66,18 @@ class _once:
         return value
 
 
-@dataclass(frozen=True)
 class Clause:
     """A nonempty disjunction of atoms; a model satisfies it by satisfying
-    at least one atom."""
+    at least one atom.  Immutable once made.
 
-    atoms: tuple[Atom, ...]
+    A clause made by `written` starts as its SMT-LIB text alone, and its
+    polynomial is built on the first read of `atoms`: a relation clause's
+    text is all that an external solver reads, and its atoms are read only
+    by the built-in backend, the exact re-check of a model, and `str`.
+    """
+
+    def __init__(self, atoms: tuple[Atom, ...]):
+        self.atoms = atoms  # shadows the on-demand `atoms` below
 
     @staticmethod
     def unit(lhs: Polynomial, rel: str = "=") -> "Clause":
@@ -74,6 +89,19 @@ class Clause:
         if not atoms:
             raise ValueError("clause needs at least one disjunct")
         return Clause(atoms)
+
+    @staticmethod
+    def written(smtlib: str, lhs: Callable[[], Polynomial]) -> "Clause":
+        """The unit equality lhs() = 0, given as its text, which must be
+        the `smtlib` of `Clause.unit(lhs())`; `lhs` is called on the first
+        read of `atoms`."""
+        clause = object.__new__(Clause)
+        clause.smtlib, clause._lhs = smtlib, lhs
+        return clause
+
+    @_once
+    def atoms(self) -> tuple[Atom, ...]:  # only a `written` clause gets here
+        return (Atom.make(self._lhs(), "="),)
 
     @property
     def is_unit_equality(self) -> bool:
@@ -94,6 +122,15 @@ class Clause:
         """The clause as an SMT-LIB 2 term over real constants."""
         rendered = [_smt_atom(a) for a in self.atoms]
         return rendered[0] if len(rendered) == 1 else "(or " + " ".join(rendered) + ")"
+
+    def __eq__(self, other):
+        return self.atoms == other.atoms if isinstance(other, Clause) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.atoms)
+
+    def __repr__(self):
+        return f"Clause({self.atoms!r})"
 
     def __str__(self):
         return " or ".join(str(a) for a in self.atoms)
@@ -128,31 +165,44 @@ class _Memo(dict):
 
 #: The text `v v ... v` of each (symbol, exponent) factor, made once.
 _FACTORS = _Memo(lambda f: " ".join([f[0].name] * f[1]))
-#: The text `(* c ` that opens a term with each coefficient c != 1, made
-#: once.  A cell's terms share a handful of coefficients.
-_PREFIXES = _Memo(lambda c: f"(* {_smt_rational(c)} ")
+#: The text `(* c ` that opens a term with each coefficient c, `(* ` for
+#: c = 1, made once.  A cell's terms share a handful of coefficients.
+_PREFIXES = _Memo(lambda c: "(* " if c == 1 else f"(* {_smt_rational(c)} ")
 
 
-def _smt_poly(p: Polynomial) -> str:
-    if p.is_zero():
-        return "0"
-    terms, factors, prefixes = p.terms, _FACTORS, _PREFIXES
-    parts = []
-    for mono in p.sorted_monomials():
-        coeff = terms[mono]
-        if not mono:
-            parts.append(_smt_rational(coeff))
-        elif coeff != 1:
-            parts.append(prefixes[coeff] + " ".join(map(factors.__getitem__, mono)) + ")")
-        elif len(mono) == 1 and mono[0][1] == 1:
-            parts.append(mono[0][0].name)
-        else:
-            parts.append("(* " + " ".join(map(factors.__getitem__, mono)) + ")")
-    return parts[0] if len(parts) == 1 else "(+ " + " ".join(parts) + ")"
+def smt_term(c: Rat, mono: Monomial) -> str:
+    """The SMT-LIB text of the term c * mono."""
+    if not mono:
+        return _smt_rational(c)
+    if c == 1 and len(mono) == 1 and mono[0][1] == 1:
+        return mono[0][0].name
+    return _PREFIXES[c] + " ".join(map(_FACTORS.__getitem__, mono)) + ")"
+
+
+def smt_head(c: Rat, mono: Monomial) -> str:
+    """The text of the term c * mono * t up to t's factors: for nonempty
+    monomials mono and t, where each symbol of mono comes before each of
+    t's, `smt_head(c, mono) + smt_tail(t, 1)` is `smt_term(c, mono * t)`."""
+    return _PREFIXES[c] + " ".join(map(_FACTORS.__getitem__, mono))
+
+
+def smt_tail(t: Monomial, j: int) -> str:
+    """The rest of a term's text after its `smt_head`, for the monomial
+    t ** j."""
+    return " " + " ".join([_FACTORS[(v, e * j)] for v, e in t]) + ")"
+
+
+def smt_equation(terms: Sequence[str]) -> str:
+    """The text of p = 0, for p given as the texts of its terms in
+    descending order."""
+    if len(terms) == 1:
+        return f"(= {terms[0]} 0)"
+    return "(= (+ " + " ".join(terms) + ") 0)" if terms else "(= 0 0)"
 
 
 def _smt_atom(a: Atom) -> str:
-    body = f"(= {_smt_poly(a.lhs)} 0)"
+    terms = a.lhs.terms
+    body = smt_equation([smt_term(terms[m], m) for m in a.lhs.sorted_monomials()])
     return body if a.rel == "=" else f"(not {body})"
 
 
@@ -160,18 +210,22 @@ class Pcp:
     """An ordered, deduplicated clause set.
 
     Clause order is insertion order, which makes downstream solver scripts
-    deterministic.
+    deterministic.  Clauses are told apart by their SMT-LIB text, which
+    reads no atoms of a `Clause.written` one: two clauses of one problem
+    are equal exactly when their texts are, since the symbols of a problem
+    have distinct names (its script declares each name once).
     """
 
     def __init__(self, clauses: Iterable[Clause] = ()):
         self.clauses: list[Clause] = []
-        self._seen: set[Clause] = set()
+        self._seen: set[str] = set()
         for c in clauses:
             self.add(c)
 
     def add(self, clause: Clause) -> None:
-        if clause not in self._seen:
-            self._seen.add(clause)
+        text = clause.smtlib
+        if text not in self._seen:
+            self._seen.add(text)
             self.clauses.append(clause)
 
     def copy(self) -> "Pcp":

@@ -7,11 +7,17 @@ benchmark corpus: `^` for powers, implicit multiplication (`2y`, `3x(x-1)`,
 conjunction.  Implicit multiplication binds tighter than explicit `*`/`/`
 operands joined by whitespace do not, and `^` binds tighter than implicit
 multiplication (`2y^2` is `2*(y^2)`).
+
+A power is expanded as it is parsed, which can take long: `(a+b+c+d)^40`
+has 12,341 terms.  So an invariant can be parsed against a deadline, which
+the expansion checks once per row of each product it makes.
 """
 
 from __future__ import annotations
 
+import math
 import re
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -32,6 +38,10 @@ class ParseError(ValueError):
         if pos is not None:
             message = f"{message} (at position {pos})"
         super().__init__(message)
+
+
+class ParseTimeout(Exception):
+    """The deadline passed while a power was being expanded."""
 
 
 @dataclass
@@ -85,11 +95,12 @@ def _split_ident(name: str, known: Mapping[str, Var]) -> list[Var] | None:
 class ExprParser:
     """Recursive-descent parser producing exact polynomials."""
 
-    def __init__(self, text: str, symbols: Mapping[str, Var], offset: int = 0):
+    def __init__(self, text: str, symbols: Mapping[str, Var], offset: int = 0, deadline: float = math.inf):
         self.text = text
         self.symbols = dict(symbols)
         self.tokens = _tokenize(text, offset)
         self.i = 0
+        self.deadline = deadline  # a `time.monotonic()` instant
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -159,8 +170,29 @@ class ExprParser:
             exp = self.advance()
             if exp.kind != "num":
                 raise ParseError("exponent must be a nonnegative integer", exp.pos)
-            return base ** int(exp.text)
+            return self.power(base, int(exp.text))
         return base
+
+    def power(self, base: Polynomial, k: int) -> Polynomial:
+        """`base ** k`, by the same products, each checking the deadline
+        once per row."""
+        out = None
+        while k:
+            if k & 1:
+                out = base if out is None else self.times(out, base)
+            base = self.times(base, base) if k > 1 else base
+            k >>= 1
+        return Polynomial.const(1) if out is None else out
+
+    def times(self, a: Polynomial, b: Polynomial) -> Polynomial:
+        acc: dict = {}
+        for m1, c1 in a.terms.items():
+            if time.monotonic() >= self.deadline:
+                raise ParseTimeout("the budget ran out while a power was expanded")
+            for m2, c2 in b.terms.items():
+                m = m1.mul(m2)
+                acc[m] = acc.get(m, 0) + c1 * c2
+        return Polynomial(acc)
 
     def primary(self) -> Polynomial:
         tok = self.advance()
@@ -210,10 +242,12 @@ def parse_expression(text: str, symbols: Mapping[str, Var]) -> Polynomial:
     return result
 
 
-def parse_equation(text: str, symbols: Mapping[str, Var], offset: int = 0) -> Polynomial:
+def parse_equation(text: str, symbols: Mapping[str, Var], offset: int = 0,
+                   deadline: float = math.inf) -> Polynomial:
     """`lhs == rhs` (or `lhs = rhs`) as the polynomial lhs - rhs.  Error
-    positions count from `offset`, where `text` starts in a longer text."""
-    p = ExprParser(text, symbols, offset)
+    positions count from `offset`, where `text` starts in a longer text.
+    `ParseTimeout` when `deadline` passes while a power is expanded."""
+    p = ExprParser(text, symbols, offset, deadline)
     lhs = _descend(p.expr)
     tok = p.advance()
     if tok.kind != "op" or tok.text not in ("==", "="):
@@ -234,12 +268,13 @@ def _descend(parse: Callable[[], Polynomial]) -> Polynomial:
         raise ParseError("expression nested too deeply") from None
 
 
-def parse_invariant(text: str, symbols: Mapping[str, Var]) -> list[Polynomial]:
+def parse_invariant(text: str, symbols: Mapping[str, Var], deadline: float = math.inf) -> list[Polynomial]:
     """A conjunction of equations separated by '&&'.  Error positions
-    count from the start of `text`, in every conjunct."""
+    count from the start of `text`, in every conjunct.  `ParseTimeout`
+    when `deadline` passes while a power is expanded."""
     out, start = [], 0
     for part in text.split("&&"):
-        out.append(parse_equation(part, symbols, start))
+        out.append(parse_equation(part, symbols, start, deadline))
         start += len(part) + len("&&")
     return out
 
@@ -285,12 +320,13 @@ class SpecFile:
             out[pname] = Var(pname, "param")
         return out
 
-    def invariants(self) -> list[Polynomial]:
+    def invariants(self, deadline: float = math.inf) -> list[Polynomial]:
+        """The invariants, parsed by `deadline` (see `parse_invariant`)."""
         syms = self.symbols()
         out = []
         for lineno, text in zip(self.invariant_lines, self.invariant_texts, strict=True):
             try:
-                out.extend(parse_invariant(text, syms))
+                out.extend(parse_invariant(text, syms, deadline))
             except ParseError as e:
                 raise ParseError(f"line {lineno}: {e}") from None
         return out

@@ -20,7 +20,11 @@ Four clause families are produced:
   `gen_alg`).  `gen_alg` computes them in one kernel on integer exponent
   keys, which `ClosedForms` lays out once per search key: a product of
   monomials is a sum of keys, and integer order on keys is term order, so
-  each clause is built once, already sorted.
+  each clause is built once, already sorted.  It writes each clause as its
+  SMT-LIB text, and the clause's polynomial is made only when its atoms
+  are first read (by the built-in backend, the exact re-check of a `sat`
+  model, or `str`), so a cell sent to an external solver that does not
+  answer `sat` never makes them.
 
 For parameterized templates a clause must hold for every value of the
 parameters, so it is stated as its coefficients over the parameter
@@ -37,10 +41,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from operator import add, sub
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .constraints import Clause, Pcp, decompose, piece_key  # decompose: only for the benchmark's trace hook
+from .constraints import (  # decompose: only for the benchmark's trace hook
+    Clause, Pcp, decompose, piece_key, smt_equation, smt_head, smt_tail, smt_term,
+)
 from .matrix import SymMatrix, char_poly
 from .poly import Monomial, Polynomial, Rat, Var, ordered_polynomial
 from .template import RecurrenceTemplate
@@ -72,6 +79,12 @@ class ClosedForms:
         self.coeffs -= set(self.params)
         roots = [w for w, _ in tpl.rootspec]
         self.symbols = sorted({*self.coeffs, *self.params, *roots}, key=lambda v: v.sort_key)
+        # whether `gen_alg` may write a term as its rest's text and then its
+        # base's: every coefficient symbol comes before every root, and
+        # every term of a form has a coefficient symbol
+        self.rest_first = (all(v.sort_key < w.sort_key for v in self.coeffs for w in roots)
+                      and all(any(v in self.coeffs for v, _ in m)
+                              for col in self.columns.values() for entry in col for m in entry.terms))
         self.degree = -1  # the largest invariant degree the keys hold; none yet
 
     def pack(self, degree: int) -> None:
@@ -277,6 +290,20 @@ def gen_alg(
     for; a sample's roots are checked against their fields all the same,
     so a key that would carry raises `OverflowError`.
 
+    Each sample is made as its SMT-LIB text (`Clause.written`), and its
+    polynomial only when its atoms are first read.  The text of a term of
+    a_k(j), j > 0, is its head, the text of its coefficient and rest
+    (`smt_head`), written once per term and sign, joined to its tail, that
+    of its base to the power j (`smt_tail`), written once per base and j;
+    the sign is fixed as `Clause.unit` fixes it, by the leading term.
+    Head then tail is the term's factor order when every coefficient
+    symbol comes before every root and every term of a form has a
+    coefficient symbol (`ClosedForms.rest_first`); where not, as when
+    `vars w1 ...` names the first root `_w1`, a sample is written from
+    its monomials.  A piece of some a_k(0) that is a lone nonzero constant is
+    a contradiction, and raises `DegenerateInvariantError`; it comes
+    before any later sample of the same piece that is one.
+
     `forms`, when given, must be the template's `ClosedForms`; templates
     that differ only in `vars` can share them.
     """
@@ -304,60 +331,108 @@ def gen_alg(
                     product = _times(product, forms.packed_power(slot[v], e))
             for k, c in product.items():
                 acc[k] = acc.get(k, 0) + c
-        # {power of n and parameter key: [(rest key, rest, base key, coefficient)]}
-        pieces: dict[int, list[tuple[int, Monomial, int, Rat]]] = {}
+        # {power of n and parameter key: [(rest key, base key, coefficient)]}
+        pieces: dict[int, list[tuple[int, int, Rat]]] = {}
         rests: dict[int, Monomial] = {}
         for key, c in acc.items():
             if not c:
                 continue
             rest = key & rest_mask
-            mono = rests.get(rest)
-            if mono is None:
-                mono = rests[rest] = forms.unpack(rest & fields)
+            if rest not in rests:
+                rests[rest] = forms.unpack(rest & fields)
             piece = pieces.get(key & piece_mask)
             if piece is None:
                 piece = pieces[key & piece_mask] = []
-            piece.append((rest, mono, key & root_mask, c))
-        by_power: dict[int, list[tuple]] = {}
+            piece.append((rest, key & root_mask, c))
+        by_power: dict[int, list[_Piece]] = {}
         for k in sorted(pieces, key=by_parameters):
-            by_power.setdefault(k & field, []).append(tuple(zip(*pieces[k])))
+            by_power.setdefault(k & field, []).append(_Piece(pieces[k], rests))
         for npow in sorted(by_power):
             group = by_power[npow]
-            bases = {base: forms.unpack(base) for piece in group for base in piece[2]}
+            bases = {base: forms.unpack(base) for base in dict.fromkeys(b for piece in group for b in piece.bases)}
             if (len(bases) - 1) * max((e for w in bases.values() for _, e in w), default=0) > field:
                 raise OverflowError("a root's exponent outgrows its packed field")
             lifted = {base: base + (w.degree << forms.top) for base, w in bases.items()}  # with its degree
-            for j in range(len(bases)):
-                if j:
-                    shifts = {base: j * key for base, key in lifted.items()}
-                    powers = {base: Monomial([(v, e * j) for v, e in w]) for base, w in bases.items()}
-                    samples = [_sample(piece, shifts, powers) for piece in group]
-                else:
-                    samples = [_merged(piece, rests) for piece in group]
-                row = [Clause.unit(q) for q in samples if q.terms]
-                clauses.extend(row or [Clause.unit(Polynomial.zero())])
+            row = [piece.merged() for piece in group]
+            clauses.extend([c for c in row if c is not None] or [Clause.unit(Polynomial.zero())])
+            for j in range(1, len(bases)):
+                tails = {base: smt_tail(w, j) if w else "" for base, w in bases.items()}
+                clauses.extend([piece.sample(j, lifted, bases, tails if forms.rest_first else None)
+                                for piece in group])
     return clauses
 
 
-def _sample(piece: tuple[tuple, tuple, tuple, tuple], shifts: dict[int, int],
-            powers: dict[int, Monomial]) -> Polynomial:
-    """A piece of a_k(j), j > 0, from its terms (rest key, rest, base key,
-    coefficient) and the key and monomial of each base to the power j.
-    Its keys are distinct."""
-    rests, monos, bases, coeffs = piece
-    keys = list(map(add, rests, map(shifts.__getitem__, bases)))
-    order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
-    return ordered_polynomial([monos[i].mul(powers[bases[i]]) for i in order], [coeffs[i] for i in order])
+class _Piece:
+    """The terms of one piece of some a_k, as columns: rest key, base key
+    and coefficient, with each rest's monomial in `monos`.  It writes the
+    text of a_k(j)'s piece, j > 0, as a head per term and a tail per base:
+    a term's head is the text of its coefficient and rest (`smt_head`), or
+    its whole text when its base is 1, and its tail that of its base to
+    the power j (`smt_tail`), or nothing for the base 1."""
 
+    __slots__ = ("rests", "bases", "coeffs", "monos", "heads")
 
-def _merged(piece: tuple[tuple, tuple, tuple, tuple], rests: dict[int, Monomial]) -> Polynomial:
-    """A piece of a_k(0): with w^0 = 1 the terms of equal rest merge, and
-    those that cancel drop."""
-    merged: dict[int, Rat] = {}
-    for rest, c in zip(piece[0], piece[3]):
-        merged[rest] = merged.get(rest, 0) + c
-    keys = [k for k in sorted(merged, reverse=True) if merged[k]]
-    return ordered_polynomial([rests[k] for k in keys], [merged[k] for k in keys])
+    def __init__(self, terms: list[tuple[int, int, Rat]], rests: dict[int, Monomial]):
+        self.rests, self.bases, self.coeffs = map(list, zip(*terms))
+        self.monos = rests
+        self.heads: dict[bool, list[str]] = {}  # by whether the sample is negated
+
+    def merged(self) -> Clause | None:
+        """The piece of a_k(0), where w^0 = 1, so terms of equal rest
+        merge and those that cancel drop; None when all cancel.  A lone
+        nonzero constant is a contradiction."""
+        merged: dict[int, Rat] = {}
+        for rest, c in zip(self.rests, self.coeffs):
+            merged[rest] = merged.get(rest, 0) + c
+        keys = [k for k in sorted(merged, reverse=True) if merged[k]]
+        if not keys:
+            return None
+        monos = [self.monos[k] for k in keys]
+        coeffs = [merged[k] for k in keys]
+        if coeffs[0] < 0:
+            coeffs = [-c for c in coeffs]
+        if not monos[0]:  # 1 comes last, so here it is alone
+            raise DegenerateInvariantError(
+                f"invariant reduces to the contradiction {coeffs[0]} = 0; no loop can satisfy it")
+        return Clause.written(smt_equation(list(map(smt_term, coeffs, monos))),
+                              lambda: ordered_polynomial(monos, coeffs))
+
+    def sample(self, j: int, lifted: dict[int, int], bases: dict[int, Monomial],
+               tails: dict[int, str] | None) -> Clause:
+        """The piece of a_k(j), j > 0, from each base's key with its degree
+        (`lifted`), monomial and tail.  Its keys are distinct, so it has
+        every term.  Written from its monomials when there are no tails,
+        as for forms that are not `rest_first`."""
+        order = self._order(j, lifted)
+        negate = self.coeffs[order[0]] < 0
+        if tails is None:
+            return Clause.unit(self.lhs(j, lifted, bases, negate))
+        heads = self.heads.get(negate)
+        if heads is None:
+            sign = -1 if negate else 1
+            heads = self.heads[negate] = [
+                smt_head(sign * c, self.monos[r]) if b else smt_term(sign * c, self.monos[r])
+                for r, b, c in zip(self.rests, self.bases, self.coeffs)
+            ]
+        ends = map(tails.__getitem__, map(self.bases.__getitem__, order))
+        texts = list(map(add, map(heads.__getitem__, order), ends))
+        return Clause.written(smt_equation(texts), partial(self.lhs, j, lifted, bases, negate))
+
+    def _order(self, j: int, lifted: dict[int, int]) -> list[int]:
+        """The terms of a_k(j)'s piece in descending order: by key, rest +
+        j times the lifted base."""
+        keys = list(map(add, self.rests, map(j.__mul__, map(lifted.__getitem__, self.bases))))
+        return sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+
+    def lhs(self, j: int, lifted: dict[int, int], bases: dict[int, Monomial], negate: bool) -> Polynomial:
+        """The polynomial of a_k(j)'s piece, j > 0, negated or not."""
+        order, powers = self._order(j, lifted), {}
+        for b in self.bases:
+            if b not in powers:
+                powers[b] = Monomial([(v, e * j) for v, e in bases[b]])
+        sign = -1 if negate else 1
+        return ordered_polynomial([self.monos[self.rests[i]].mul(powers[self.bases[i]]) for i in order],
+                                  [sign * self.coeffs[i] for i in order])
 
 
 @dataclass
@@ -403,18 +478,6 @@ def build_pcp(
     """
     base = Pcp(base_clauses(tpl)) if base is None else base
     pcp = base.copy()
-    alg = gen_alg(tpl, invariants, forms)
-    _reject_degenerate(alg)
-    for c in alg:
+    for c in gen_alg(tpl, invariants, forms):
         pcp.add(c)
     return PcpBundle(tpl, pcp, base.variables() if variables is None else variables)
-
-
-def _reject_degenerate(clauses: Iterable[Clause]) -> None:
-    for c in clauses:
-        if c.is_unit_equality:
-            lhs = c.atoms[0].lhs
-            if lhs.is_constant() and not lhs.is_zero():
-                raise DegenerateInvariantError(
-                    f"invariant reduces to the contradiction {lhs} = 0; no loop can satisfy it"
-                )

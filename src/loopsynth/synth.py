@@ -94,21 +94,27 @@ class SynthRequest:
     aux_one: bool = False  # add an auxiliary variable pinned to 1
     timeout: float = 60.0
     count: int = 1
+    start: float | None = None  # when its clock started (`time.monotonic()`); None: with the search
 
     @staticmethod
-    def from_spec(spec: SpecFile) -> "SynthRequest":
-        """The request the spec describes, with a 60 s budget unless the
-        spec sets one."""
+    def from_spec(spec: SpecFile, timeout: float | None = None, start: float | None = None) -> "SynthRequest":
+        """The request the spec describes, with a budget of `timeout`
+        seconds, else the spec's, else 60, on a clock started at `start`,
+        else now.  The clock runs while the invariants are parsed, and
+        `ParseTimeout` is raised when the budget runs out there."""
+        start = time.monotonic() if start is None else start
+        timeout = timeout if timeout is not None else 60.0 if spec.timeout is None else spec.timeout
         symbols = spec.symbols()
         return SynthRequest(
-            invariants=spec.invariants(),
+            invariants=spec.invariants(start + timeout),
             vars=[symbols[name] for name in spec.var_names],
             params=[(symbols[p], symbols[v]) for p, v in spec.params],
             pinned=dict(spec.init_pins),
             tiers=None if spec.tier == "auto" else [ShapeTier.parse(spec.tier)],
             size=spec.size,
             aux_one=spec.aux_one,
-            timeout=60.0 if spec.timeout is None else spec.timeout,
+            timeout=timeout,
+            start=start,
         )
 
 
@@ -214,7 +220,7 @@ def synthesize(request: SynthRequest, cfg: SolverConfig | None = None) -> SynthR
 
 
 def _search(request: SynthRequest, cfg: SolverConfig) -> SynthResult:
-    start = time.monotonic()
+    start = time.monotonic() if request.start is None else request.start
     deadline = start + request.timeout
 
     cells, bases, aux = _search_space(request)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from loopsynth.cli import EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, EXIT_SOLVER, main
+from loopsynth.cli import EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, EXIT_SOLVER, EXIT_TIMEOUT, main
 
 
 DOUBLE_SPEC = "vars x y\ninvariant x == 2y\nsize 3\ntier un\n"
@@ -462,6 +462,35 @@ class TestEquivCommand:
         assert res.exit_code == EXIT_INPUT, res.output
         assert f"error: {message}" in res.output
         assert isinstance(res.exception, SystemExit)  # no traceback
+
+
+class TestParseBudget:
+    """Expanding (a+b+c+d)^40 takes seconds; the request's budget, which
+    starts before its invariants are parsed, ends it as a timeout."""
+
+    SPEC = "vars a b c d\ninvariant a == (a+b+c+d)^40\n"
+
+    @pytest.mark.parametrize("where", ["spec", "flag"])
+    def test_synth_times_out_while_parsing(self, runner, tmp_path, where):
+        spec = write(tmp_path, "power.spec", self.SPEC + ("timeout 1\n" if where == "spec" else ""))
+        flag = ["--timeout", "1"] if where == "flag" else []
+        begin = time.monotonic()
+        res = runner.invoke(main, ["synth", spec, "--solver", "builtin", "--json"] + flag)
+        assert time.monotonic() - begin < 2
+        assert res.exit_code == EXIT_TIMEOUT, res.output
+        assert isinstance(res.exception, SystemExit)
+        payload = json.loads(res.output)
+        assert payload["status"] == "timeout" and 1000 <= payload["millis"] < 2000
+        assert payload["note"] == "the budget ran out while the invariants were parsed"
+
+    def test_bench_records_a_timeout_row(self, runner, tmp_path):
+        write(tmp_path, "power.spec", self.SPEC)
+        write(tmp_path, "double.spec", DOUBLE_SPEC)
+        res = runner.invoke(main, ["bench", str(tmp_path), "--solver", "builtin", "--timeout", "1"])
+        assert res.exit_code == EXIT_NEGATIVE, res.output
+        rows = {r["instance"]: r for r in csv.DictReader(io.StringIO(res.output))}
+        assert rows["power"]["status"] == "timeout" and 1000 <= int(rows["power"]["millis"]) < 2000
+        assert rows["double"]["status"] == "found"
 
 
 class TestBenchCommand:

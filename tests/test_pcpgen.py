@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import mat_apply, monomial_pow
 from loopsynth import pcpgen as pcpgen_module
-from loopsynth.constraints import Clause, decompose, first_violated
+from loopsynth.constraints import Clause, _smt_atom, decompose, first_violated
 from loopsynth.pcpgen import (
     DegenerateInvariantError,
     base_clauses,
@@ -22,7 +22,8 @@ from loopsynth.pcpgen import (
 from loopsynth.matrix import SymMatrix, char_poly
 from loopsynth.parser import parse_spec
 from loopsynth.poly import MONO_KEY, Monomial, Polynomial, Var
-from loopsynth.synth import SynthRequest, _search_space
+from loopsynth.smt import SolverConfig
+from loopsynth.synth import SynthRequest, _search_space, synthesize
 from loopsynth.template import ShapeTier, build_template, int_partitions
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -363,6 +364,25 @@ def reference_alg(tpl, invariants):
     return clauses
 
 
+def contradicts(clauses):
+    """Whether some clause is a lone nonzero constant."""
+    return any(c.atoms[0].lhs.is_constant() and not c.atoms[0].lhs.is_zero() for c in clauses)
+
+
+def assert_alg(tpl, invariants, want, forms=None):
+    """`gen_alg` gives the clauses `want`, each written as the text of its
+    atoms and equal to `want`'s, or refuses the invariants when `want`
+    holds a contradiction."""
+    if contradicts(want):
+        with pytest.raises(DegenerateInvariantError):
+            gen_alg(tpl, invariants, forms)
+        return
+    got = gen_alg(tpl, invariants, forms)
+    written = [c.smtlib for c in got]  # before any atom is read
+    assert got == want
+    assert written == [_smt_atom(c.atoms[0]) for c in got] == [c.smtlib for c in want]
+
+
 class TestClosedForms:
     def test_shape(self):
         """Each form is sum_j c_j * W * N^(j-1) over the coefficient symbols:
@@ -429,10 +449,8 @@ class TestClosedForms:
         tpl = TEMPLATES[name]
         symbols = list(tpl.vars) + list(tpl.params)
         invariants = data.draw(st.lists(invariants_over(symbols), min_size=1, max_size=2))
-        got = gen_alg(tpl, invariants)
         want = decompose([c.atoms[0].lhs for c in reference_alg(tpl, invariants)], list(tpl.params))
-        assert got == want
-        assert [c.smtlib for c in got] == [c.smtlib for c in want]
+        assert_alg(tpl, invariants, want)
 
 
 #: Specs whose names push generated names out of their usual order: the
@@ -508,6 +526,55 @@ class TestPackedKeys:
             gen_alg(tpl, [inv])
 
 
+#: Every corpus spec, and the specs whose names push generated names out
+#: of their usual order.
+WRITTEN_SPECS = {spec.stem: spec.read_text() for spec in sorted(BENCHMARKS.glob("*.spec"))} | OUT_OF_ORDER_SPECS
+
+
+class TestWrittenText:
+    """A relation clause is made as its SMT-LIB text, and its atoms are
+    built on their first read."""
+
+    @pytest.mark.parametrize("tier", list(ShapeTier), ids=lambda t: t.value)
+    def test_every_search_cell_writes_the_text_of_its_atoms(self, tier):
+        """Every search cell of `WRITTEN_SPECS` in the tier, walked in
+        search order through its key's shared closed forms: each relation
+        clause's text is that of its atoms, and the atoms are the
+        regroup-and-instantiate reference's, split by parameter monomial."""
+        for text in WRITTEN_SPECS.values():
+            request = replace(SynthRequest.from_spec(parse_spec(text)), tiers=[tier])
+            cells, bases, _ = _search_space(request)
+            for _, perm, part in cells:
+                tpl, _, forms, _, _ = bases.take(perm, tier, part)
+                tpl = replace(tpl, vars=perm)
+                rows = reference_alg(tpl, request.invariants)
+                want = decompose([c.atoms[0].lhs for c in rows], list(tpl.params))
+                assert_alg(tpl, request.invariants, want, forms)
+
+    def test_an_undecided_search_builds_no_relation_atoms(self, monkeypatch):
+        """intcbrt's fu cells against a solver that answers unknown: the
+        scripts are sent and no relation clause's polynomial is built.
+        Reading one clause's atoms builds it."""
+        built = []
+
+        def counted(monos, coeffs):
+            built.append(len(monos))
+            return Polynomial(dict(zip(monos, coeffs)))
+
+        monkeypatch.setattr(pcpgen_module, "ordered_polynomial", counted)
+        request = SynthRequest.from_spec(parse_spec((BENCHMARKS / "intcbrt.spec").read_text()))
+        request.tiers = [ShapeTier.FULL]
+        result = synthesize(request, SolverConfig(("sh", "-c", "cat >/dev/null; echo unknown")))
+        assert (result.status, result.note) == ("notfound", "some search cells were undecided by the solver")
+        assert built == []
+        cells, bases, _ = _search_space(request)
+        tier, perm, part = next(cells)
+        tpl, _, forms, _, _ = bases.take(perm, tier, part)
+        clause = gen_alg(replace(tpl, vars=perm), request.invariants, forms)[-1]
+        assert built == []
+        assert clause.atoms[0].lhs.terms and len(built) == 1
+
+
 def split_by_parameters(clause, params):
     """A relation clause as the pieces of its lhs per parameter monomial:
     ascending on the reversed exponent vector, and a single 0 for a zero
@@ -546,9 +613,7 @@ class TestParameterPieces:
                                         min_size=1, max_size=2))
         want = [piece for row in reference_alg(tpl, invariants)
                 for piece in split_by_parameters(row, list(tpl.params))]
-        got = gen_alg(tpl, invariants)
-        assert got == want
-        assert [c.smtlib for c in got] == [c.smtlib for c in want]
+        assert_alg(tpl, invariants, want)
 
     def test_a_row_whose_pieces_all_cancel_is_one_zero_clause(self):
         """x(n) = (a + b x0 + c y0) (w1^n - w2^n) + t y0 w2^n: at n = 0 the
