@@ -49,7 +49,7 @@ from .constraints import (  # decompose: only for the benchmark's trace hook
     Clause, Pcp, decompose, piece_key, smt_equation, smt_head, smt_tail, smt_term,
 )
 from .matrix import SymMatrix, char_poly
-from .poly import Monomial, Polynomial, Rat, Var, ordered_polynomial
+from .poly import Monomial, Polynomial, Rat, Var, ordered_polynomial, packed_times
 from .template import RecurrenceTemplate
 
 
@@ -113,7 +113,7 @@ class ClosedForms:
         """The packed form of position i to the power e >= 1."""
         q = self.packed.get((i, e))
         if q is None:
-            q = self.packed[(i, e)] = _times(self.packed_power(i, e - 1), self.packed[(i, 1)])
+            q = self.packed[(i, e)] = packed_times(self.packed_power(i, e - 1), self.packed[(i, 1)])
         return q
 
     def unpack(self, key: int) -> Monomial:
@@ -132,16 +132,6 @@ def _exponent_bound(degree: int, rootspec: Sequence[tuple[Var, int]]) -> int:
     at most `degree` (the proof is in `gen_alg`)."""
     r, m = len(rootspec), max(m for _, m in rootspec)
     return degree * max(m - 1, math.comb(r + degree, degree) - 1)
-
-
-def _times(a: dict[int, Rat], b: dict[int, Rat]) -> dict[int, Rat]:
-    """The product of two packed polynomials."""
-    out: dict[int, Rat] = {}
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            k = k1 + k2
-            out[k] = out.get(k, 0) + c1 * c2
-    return out
 
 
 def chi_by_power(b: SymMatrix) -> list[Polynomial]:
@@ -328,7 +318,7 @@ def gen_alg(
             product = {sum(e * unit[v] for v, e in m if v not in slot): c}
             for v, e in m:
                 if v in slot:
-                    product = _times(product, forms.packed_power(slot[v], e))
+                    product = packed_times(product, forms.packed_power(slot[v], e))
             for k, c in product.items():
                 acc[k] = acc.get(k, 0) + c
         # {power of n and parameter key: [(rest key, base key, coefficient)]}

@@ -436,6 +436,17 @@ def _polynomial(terms: dict[Monomial, Rat]) -> Polynomial:
 _ZERO = Polynomial()
 
 
+def packed_times(a: dict[int, Rat], b: dict[int, Rat]) -> dict[int, Rat]:
+    """The product of two polynomials on packed integer exponent keys, in
+    which a product of monomials is the sum of their keys."""
+    out: dict[int, Rat] = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            out[k] = out.get(k, 0) + c1 * c2
+    return out
+
+
 def ordered_polynomial(monomials: list[Monomial], coeffs: list[Rat]) -> Polynomial:
     """The polynomial of distinct `monomials`, already in descending
     graded lexicographic order, and their nonzero `coeffs`: its terms are

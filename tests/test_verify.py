@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loopsynth.parser import parse_invariant, parse_loop
 from loopsynth.poly import Monomial, Polynomial, Var
 from loopsynth.verify import ConcreteSystem, Verdict, check_equiv_modulo, check_invariant, order_bound
 
@@ -312,35 +313,44 @@ class TestRandomOracle:
 
 
 PARAM = Var("k", "param")
+PARAM2 = Var("j", "param")
 FRACTION = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+WIDE = st.fractions(min_value=-2, max_value=2, max_denominator=256)
 
 
 @st.composite
 def kernel_cases(draw):
-    """A system of size 1-3 with entries whose denominators reach 4, initial
-    values that may be linear in the parameter k, and an invariant over
-    the variables and k.  A `random` invariant mostly fails at once.  A
-    `late` one is a multiple of x - x_0, so it holds at n = 0 and mostly
+    """A system of size 1-3, initial values that may be linear in the
+    parameters k and j, and an invariant whose terms raise each variable
+    to 0-2, one of them possibly to 3, with coefficients that may carry k
+    and j squared.  Entries, initial values and coefficients have
+    denominators up to 256 where the invariant has degree at most 3 in the
+    variables, else up to 4.  A `random` invariant mostly fails at once.
+    A `late` one is a multiple of x - x_0, so it holds at n = 0 and mostly
     fails later.  For a `conserved` one the update keeps the sum of the
     variables, and the invariant is a multiple of that sum minus its
     initial value, so it holds."""
     s = draw(st.integers(1, 3))
-    rows = [[draw(FRACTION) for _ in range(s)] for _ in range(s)]
     kind = draw(st.sampled_from(["random", "late", "conserved"]))
+    shapes = []  # each term's exponents of the variables, k and j
+    for _ in range(draw(st.integers(1, 3))):
+        exponents = [draw(st.integers(0, 2)) for _ in range(s + 2)]
+        exponents[draw(st.integers(0, s - 1))] += draw(st.integers(0, 1))  # a cube
+        shapes.append(exponents)
+    low = max(sum(e[:s]) for e in shapes) + (kind != "random") <= 3
+    number = st.one_of(FRACTION, WIDE) if low else FRACTION
+    rows = [[draw(number) for _ in range(s)] for _ in range(s)]
     if kind == "conserved":  # columns of U - I sum to zero
         for j in range(s):
             rows[s - 1][j] = (j == s - 1) - sum(rows[i][j] - (i == j) for i in range(s - 1))
     init = []
     for _ in range(s):
-        a, b = draw(FRACTION), draw(FRACTION)
-        init.append(a * Polynomial.var(PARAM) + b if a and draw(st.booleans()) else b)
+        a, b, c = draw(FRACTION), draw(number), draw(FRACTION)
+        linear = b + (a * Polynomial.var(PARAM) if a and draw(st.booleans()) else 0)
+        init.append(linear + c * Polynomial.var(PARAM2) if c and draw(st.booleans()) else linear)
     sys = make_system("xyz"[:s], rows, init)
-    symbols = [*sys.vars, PARAM]
-    terms = {}
-    for _ in range(draw(st.integers(1, 3))):
-        mono = Monomial.make({v: draw(st.integers(0, 2)) for v in symbols})
-        terms[mono] = draw(FRACTION)
-    p = Polynomial(terms)
+    symbols = (*sys.vars, PARAM, PARAM2)
+    p = Polynomial({Monomial.make(dict(zip(symbols, e))): draw(number) for e in shapes})
     if kind != "random":
         p = p if not p.is_zero() else Polynomial.const(1)
     if kind == "late":
@@ -398,3 +408,82 @@ class TestKernel:
         assert a == b and hash(a) == hash(b) and "rows" not in repr(a)
         assert a.rows == (((0, 1), (1, Fraction(1, 2))), ((1, 1),))
         assert all(type(c) is int for c in (a.rows[0][0][1], a.rows[1][0][1]))
+
+
+def parameter_update_cases():
+    """Code-built systems with a parameter in an update entry, which the
+    loop reader refuses: each entry keeps its values polynomials in k and
+    j, of a degree that grows with n."""
+    k, j = Polynomial.var(PARAM), Polynomial.var(PARAM2)
+    x, y, u = (Var(n, "program", i) for i, n in enumerate("xyu"))
+    X, Y = Polynomial.var(x), Polynomial.var(y)
+    # x += k, y += 1: x - k y - j holds; a degree-3 multiple of it too
+    shift = ConcreteSystem((x, y, u), ((1, 0, k), (0, 1, 1), (0, 0, 1)), (j, Fraction(0), Fraction(1)))
+    # x *= k/2, y *= k/2 with y = 2x at the start
+    geometric = ConcreteSystem((x, y), ((k * Fraction(1, 2), 0), (0, k * Fraction(1, 2))),
+                               (j + Fraction(1, 3), 2 * j + Fraction(2, 3)))
+    return [
+        (shift, X - k * Y - j),
+        (shift, (X - k * Y - j) * (X * X - Y * j + Fraction(1, 256))),
+        (shift, X - k * Y - j - Y * Y * Fraction(1, 64)),
+        (shift, X * X * X - j ** 3),
+        (geometric, Y - 2 * X),
+        (geometric, Y * Y - 4 * X * X),
+        (geometric, X * X - (j + Fraction(1, 3)) * X),
+        (geometric, Y - 2 * X - 1),
+        (geometric, Y * X - 2 * X * X + k * X * Fraction(1, 128)),
+    ]
+
+
+def width_limit_system(step):
+    """x = k + j, stepped by x += step: x^3 - (k + j)^3 has degree 3 in the
+    parameters, so their fields are two bits wide and an exponent 3 fills
+    one; a field one bit narrower would carry a square into the other
+    parameter's field."""
+    x, u = Var("x", "program", 0), Var("u", "program", 1)
+    init = Polynomial.var(PARAM) + Polynomial.var(PARAM2)
+    sys = ConcreteSystem((x, u), ((1, step), (0, 1)), (init, Fraction(1)))
+    return sys, Polynomial.var(x) ** 3 - init ** 3
+
+
+class TestPackedKernel:
+    """The integer kernel on what the loop reader never gives it, and at
+    its packed fields' width limit, against the substitution reference."""
+
+    @pytest.mark.parametrize("case", range(len(parameter_update_cases())))
+    def test_parameter_in_an_update_entry(self, case):
+        sys, p = parameter_update_cases()[case]
+        verdict, reference = check_invariant(sys, p), reference_verdict(sys, p)
+        assert verdict == reference
+        if reference.witness is not None:
+            assert type(verdict.witness[1]) is type(reference.witness[1])
+
+    def test_width_limit(self):
+        sys, p = width_limit_system(0)
+        assert check_invariant(sys, p) == reference_verdict(sys, p) == Verdict(True, 5)
+        sys, p = width_limit_system(1)
+        verdict = check_invariant(sys, p)
+        assert verdict == reference_verdict(sys, p)
+        k, j = Polynomial.var(PARAM), Polynomial.var(PARAM2)
+        assert verdict.witness == (1, 3 * (k + j) ** 2 + 3 * (k + j) + 1)
+
+
+INTCBRT = "x, s, r = 35/64 + a0, 7/16, -1/4\nwhile true\nx = x - s\ns = s + 6r + 3\nr = r + 1\nend"
+INTCBRT_INV = "1 + 4a0 + 6r^2 == 3r + 4r^3 + 4x && 1/4 + 3r^2 == s"
+
+
+class TestIntcbrt:
+    """The corpus loop with the largest order bounds, a parameter and a
+    fractional invariant coefficient."""
+
+    def verdicts(self, text):
+        loop = parse_loop(text)
+        return [check_invariant(loop.system, p) for p in parse_invariant(INTCBRT_INV, loop.symbols())]
+
+    def test_proved_loop(self):
+        assert self.verdicts(INTCBRT) == [Verdict(True, 35), Verdict(True, 15)]
+
+    def test_off_by_one_64th_fails_at_iteration_2(self):
+        first, second = self.verdicts(INTCBRT.replace("s = s + 6r + 3", "s = s + 6r + 3 + 1/64"))
+        assert first == Verdict(False, 35, (2, Fraction(1, 16))) and type(first.witness[1]) is Fraction
+        assert second == Verdict(False, 15, (1, Fraction(-1, 64)))
