@@ -7,10 +7,10 @@ once (`Clause.smtlib`), however many solver scripts assert it.
 
 This module is the one writer of that text: a term whole (`smt_term`) or
 as a head and a tail (`smt_head`, `smt_tail`), and an equation from its
-terms' texts (`smt_equation`).  `pcpgen`'s relation kernel writes each
-relation clause with them and makes it from its text (`Clause.written`):
-its polynomial is built on the first read of its atoms, which an external
-solver that does not answer `sat` never causes.  So a clause set tells
+terms' texts (`smt_equation`).  `pcpgen` writes each equality of its
+four clause families with them and makes it from its text
+(`Clause.written`): its polynomial is built on the first read of its
+atoms, which an external solver that does not answer `sat` never causes.  So a clause set tells
 clauses apart by their text (`Pcp`), which is sound within one problem,
 whose symbols have distinct names.
 """
@@ -71,9 +71,9 @@ class Clause:
     at least one atom.  Immutable once made.
 
     A clause made by `written` starts as its SMT-LIB text alone, and its
-    polynomial is built on the first read of `atoms`: a relation clause's
-    text is all that an external solver reads, and its atoms are read only
-    by the built-in backend, the exact re-check of a model, and `str`.
+    polynomial is built on the first read of `atoms`: a clause's text is
+    all that an external solver reads, and its atoms are read only by the
+    built-in backend, the exact re-check of a model, and `str`.
     """
 
     def __init__(self, atoms: tuple[Atom, ...]):

@@ -20,11 +20,18 @@ Four clause families are produced:
   `gen_alg`).  `gen_alg` computes them in one kernel on integer exponent
   keys, which `ClosedForms` lays out once per search key: a product of
   monomials is a sum of keys, and integer order on keys is term order, so
-  each clause is built once, already sorted.  It writes each clause as its
-  SMT-LIB text, and the clause's polynomial is made only when its atoms
-  are first read (by the built-in backend, the exact re-check of a `sat`
-  model, or `str`), so a cell sent to an external solver that does not
-  answer `sat` never makes them.
+  each clause is built once, already sorted.
+
+All four families are written as SMT-LIB text.  Each equality's terms
+are sorted once, on integer keys whose order is `MONO_KEY`'s: the
+relation clauses' packed keys, and for the other three families keys
+with one field per symbol of the search key (`base_units`), whose list
+is read off the template (`base_variables`).  Its sign is fixed by the
+leading term, as `Clause.unit` fixes it, and its polynomial is made only
+when its atoms are first read (by the built-in backend, the exact
+re-check of a `sat` model, or `str`), so a cell sent to an external
+solver that does not answer `sat` never makes one.  Only the root
+family's disequations are made from their polynomials.
 
 For parameterized templates a clause must hold for every value of the
 parameters, so it is stated as its coefficients over the parameter
@@ -42,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from operator import add, sub
+from operator import add
 from typing import Sequence
 
 from .constraints import (  # decompose: only for the benchmark's trace hook
@@ -143,21 +150,36 @@ def chi_by_power(b: SymMatrix) -> list[Polynomial]:
 
 
 _Z = Var("z^", "root")  # no parsed or generated name holds a ``^``
+_ONE = Monomial(())
 
 
-def gen_roots(tpl: RecurrenceTemplate, chi: list[Polynomial] | None = None) -> list[Clause]:
-    """det(zI - B) = prod_w (z - w)^m by power of z, ascending, with the
-    powers whose coefficients agree left out; then the roots pairwise
-    distinct and nonzero.  The product's coefficients e_k are built one
-    factor at a time: times z - w, e'_k = e_(k-1) - w e_k.  `chi`, when
-    given, must be `chi_by_power(tpl.b)`."""
+def gen_roots(tpl: RecurrenceTemplate, chi: list[Polynomial] | None = None,
+              unit: dict[Var, int] | None = None) -> list[Clause]:
+    """det(zI - B) = prod_w (z - w)^m by power of z, ascending; then the
+    roots pairwise distinct and nonzero.  The product's coefficients e_k
+    are built one factor at a time: times z - w, e'_k = e_(k-1) - w e_k.
+    Both sides are monic, so z^s, s the size, is left out, and each lower
+    power k gives a clause with every term of both sides: chi_k is over
+    the symbols of B and e_k over the roots, with degree s - k > 0.
+    `chi`, when given, must be `chi_by_power(tpl.b)`, and `unit`
+    `base_units(tpl)`."""
     chi = chi_by_power(tpl.b) if chi is None else chi
-    zero, product = Polynomial.zero(), [Polynomial.const(1)]
+    unit = base_units(tpl) if unit is None else unit
+    product: list[dict[Monomial, Rat]] = [{_ONE: 1}]
     for w, m in tpl.rootspec:
-        wp = Polynomial.var(w)
+        wm = Monomial.of(w)
         for _ in range(m):
-            product = [a - wp * e for a, e in zip([zero, *product], [*product, zero])]
-    out = [Clause.unit(d) for d in map(sub, chi, product) if d.terms]
+            step = [{}, *map(dict, product)]  # times z
+            for acc, e in zip(step, product):
+                for mono, c in e.items():
+                    t = mono.mul(wm)
+                    acc[t] = acc.get(t, 0) - c
+            product = step
+    out = []
+    for p, e in zip(chi, product[:-1]):
+        terms = [(_key(m, unit), c, m) for m, c in p.terms.items()]
+        terms += [(_key(m, unit), -c, m) for m, c in e.items()]
+        out.append(_written(terms))
     roots = [w for w, _ in tpl.rootspec]
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
@@ -173,43 +195,51 @@ def _basis(tpl: RecurrenceTemplate) -> list[Var | None]:
     return sorted((*tpl.params, None), key=piece_key(tpl.params, lambda q, v: int(q is v)))
 
 
-def _by_basis(entry: Polynomial, params: Sequence[Var]) -> dict[Var | None, Monomial]:
+def _by_basis(entry: Polynomial, params: Sequence[Var],
+              unit: dict[Var, int]) -> dict[Var | None, tuple[Monomial, int]]:
     """A coefficient column's entry, sum_q c_q q (`TemplateShape.column`),
-    as the monomial c_q of each q in `_basis`."""
+    as the monomial c_q of each q in `_basis`, with its key."""
     out = {}
     for m in entry.terms:
         q = next((v for v, _ in m if v in params), None)
-        out[q] = m if q is None else m.without(q)
+        c = m if q is None else m.without(q)
+        out[q] = (c, _key(c, unit))
     return out
 
 
-def gen_coeff(tpl: RecurrenceTemplate) -> list[Clause]:
+def gen_coeff(tpl: RecurrenceTemplate, unit: dict[Var, int] | None = None) -> list[Clause]:
     """The coefficient equalities sum_(k>=j) C(k-1, j-1) w C_(w,k) -
     B C_(w,j) = 0, for each slot (w, j) and row i, as one clause per
     piece: their coefficients over the parameter monomials q (`_basis`),
 
         sum_(k>=j) C(k-1, j-1) w c_(w,k,i,q) - sum_l B_il c_(w,j,l,q),
 
-    where c_(w,k,i,q) is the symbol of q in row i of C_(w,k).  No term
-    shares the monomial w c_(w,j,i,q), so no piece cancels."""
+    where c_(w,k,i,q) is the symbol of q in row i of C_(w,k).  Each B_il
+    is a symbol, 1 or 0, so no two terms share a monomial and none
+    cancels.  `unit`, when given, must be `base_units(tpl)`."""
+    unit = base_units(tpl) if unit is None else unit
     basis = _basis(tpl)
-    cols = {slot: [_by_basis(e, tpl.params) for e in col] for slot, col in tpl.coeff_columns.items()}
+    cols = {slot: [_by_basis(e, tpl.params, unit) for e in col] for slot, col in tpl.coeff_columns.items()}
+    rows = [[(l, bm, -bc, _key(bm, unit)) for l, entry in enumerate(row) for bm, bc in entry.terms.items()]
+            for row in tpl.b.entries]
     out: list[Clause] = []
     for w, m in tpl.rootspec:
-        wm = Monomial.of(w)
+        wm, wk = Monomial.of(w), unit[w]
         for j in range(1, m + 1):
-            for i, row in enumerate(tpl.b.entries):
+            for i, row in enumerate(rows):
                 for q in basis:
-                    terms = {wm.mul(cols[(w, k)][i][q]): math.comb(k - 1, j - 1) for k in range(j, m + 1)}
-                    for entry, col in zip(row, cols[(w, j)]):
-                        for bm, bc in entry.terms.items():
-                            mono = bm.mul(col[q])
-                            terms[mono] = terms.get(mono, 0) - bc
-                    out.append(Clause.unit(Polynomial(terms)))
+                    terms = []
+                    for k in range(j, m + 1):
+                        c, ck = cols[(w, k)][i][q]
+                        terms.append((wk + ck, math.comb(k - 1, j - 1), wm.mul(c)))
+                    for l, bm, bc, bk in row:
+                        c, ck = cols[(w, j)][l][q]
+                        terms.append((bk + ck, bc, bm.mul(c)))
+                    out.append(_written(terms))
     return out
 
 
-def gen_init(tpl: RecurrenceTemplate) -> list[Clause]:
+def gen_init(tpl: RecurrenceTemplate, unit: dict[Var, int] | None = None) -> list[Clause]:
     """The initial-value equalities sum_w C_(w,1) - X_0 = 0: the closed
     form at n = 0.  With the coefficient equalities they imply X(n) = B^n
     X_0 for every n.  Let E_(w,j) = sum_(k>=j) C(k-1, j-1) w C_(w,k) -
@@ -221,17 +251,43 @@ def gen_init(tpl: RecurrenceTemplate) -> list[Clause]:
 
     One clause per piece: the pieces are the equalities' coefficients
     over the parameter monomials q (`_basis`), sum_w c_(w,1,i,q) - A_iq
-    for each row i."""
+    for each row i.  Each A_iq is a symbol or a constant, so no term
+    cancels.  `unit`, when given, must be `base_units(tpl)`."""
+    unit = base_units(tpl) if unit is None else unit
     basis, column = _basis(tpl), {q: k for k, q in enumerate((*tpl.params, None))}  # a_matrix column of q
-    firsts = [[_by_basis(e, tpl.params) for e in col] for (_, j), col in tpl.coeff_columns.items() if j == 1]
+    firsts = [[_by_basis(e, tpl.params, unit) for e in col] for (_, j), col in tpl.coeff_columns.items() if j == 1]
     out: list[Clause] = []
     for i, row in enumerate(tpl.a_matrix.entries):
         for q in basis:
-            terms = {col[i][q]: 1 for col in firsts}
-            for am, ac in row[column[q]].terms.items():
-                terms[am] = terms.get(am, 0) - ac
-            out.append(Clause.unit(Polynomial(terms)))
+            terms = [(ck, 1, c) for c, ck in (col[i][q] for col in firsts)]
+            terms += [(_key(am, unit), -ac, am) for am, ac in row[column[q]].terms.items()]
+            out.append(_written(terms))
     return out
+
+
+def _key(m: Monomial, unit: dict[Var, int]) -> int:
+    """The packed key of a monomial of a base clause (`base_units`)."""
+    return sum([e * unit[v] for v, e in m])
+
+
+def _written(terms: list[tuple[int, Rat, Monomial]]) -> Clause:
+    """The unit equality of `terms`, (key, coefficient, monomial) triples
+    with distinct keys and nonzero coefficients, in any order: one sort on
+    the keys puts them in `MONO_KEY` order (`base_units`)."""
+    terms.sort(reverse=True)
+    return _ordered([m for _, _, m in terms], [c for _, c, _ in terms])
+
+
+def _ordered(monos: list[Monomial], coeffs: list[Rat]) -> Clause:
+    """The unit equality sum_i coeffs[i] monos[i] = 0, for distinct
+    `monos` in descending `MONO_KEY` order and nonzero `coeffs`, made as
+    its text (`Clause.written`), with the sign fixed as `Clause.unit`
+    fixes it, by the leading term; its polynomial is made on the first
+    read of its atoms."""
+    if coeffs and coeffs[0] < 0:
+        coeffs = [-c for c in coeffs]
+    return Clause.written(smt_equation(list(map(smt_term, coeffs, monos))),
+                          partial(ordered_polynomial, monos, coeffs))
 
 
 def gen_alg(
@@ -378,14 +434,10 @@ class _Piece:
         if not keys:
             return None
         monos = [self.monos[k] for k in keys]
-        coeffs = [merged[k] for k in keys]
-        if coeffs[0] < 0:
-            coeffs = [-c for c in coeffs]
         if not monos[0]:  # 1 comes last, so here it is alone
             raise DegenerateInvariantError(
-                f"invariant reduces to the contradiction {coeffs[0]} = 0; no loop can satisfy it")
-        return Clause.written(smt_equation(list(map(smt_term, coeffs, monos))),
-                              lambda: ordered_polynomial(monos, coeffs))
+                f"invariant reduces to the contradiction {abs(merged[keys[0]])} = 0; no loop can satisfy it")
+        return _ordered(monos, [merged[k] for k in keys])
 
     def sample(self, j: int, lifted: dict[int, int], bases: dict[int, Monomial],
                tails: dict[int, str] | None) -> Clause:
@@ -393,10 +445,10 @@ class _Piece:
         (`lifted`), monomial and tail.  Its keys are distinct, so it has
         every term.  Written from its monomials when there are no tails,
         as for forms that are not `rest_first`."""
+        if tails is None:
+            return _ordered(*self.terms(j, lifted, bases))
         order = self._order(j, lifted)
         negate = self.coeffs[order[0]] < 0
-        if tails is None:
-            return Clause.unit(self.lhs(j, lifted, bases, negate))
         heads = self.heads.get(negate)
         if heads is None:
             sign = -1 if negate else 1
@@ -414,15 +466,20 @@ class _Piece:
         keys = list(map(add, self.rests, map(j.__mul__, map(lifted.__getitem__, self.bases))))
         return sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
 
-    def lhs(self, j: int, lifted: dict[int, int], bases: dict[int, Monomial], negate: bool) -> Polynomial:
-        """The polynomial of a_k(j)'s piece, j > 0, negated or not."""
+    def terms(self, j: int, lifted: dict[int, int], bases: dict[int, Monomial]) -> tuple[list[Monomial], list[Rat]]:
+        """The monomials and coefficients of a_k(j)'s piece, j > 0, in
+        descending order."""
         order, powers = self._order(j, lifted), {}
         for b in self.bases:
             if b not in powers:
                 powers[b] = Monomial([(v, e * j) for v, e in bases[b]])
-        sign = -1 if negate else 1
-        return ordered_polynomial([self.monos[self.rests[i]].mul(powers[self.bases[i]]) for i in order],
-                                  [sign * self.coeffs[i] for i in order])
+        return ([self.monos[self.rests[i]].mul(powers[self.bases[i]]) for i in order],
+                [self.coeffs[i] for i in order])
+
+    def lhs(self, j: int, lifted: dict[int, int], bases: dict[int, Monomial], negate: bool) -> Polynomial:
+        """The polynomial of a_k(j)'s piece, j > 0, negated or not."""
+        monos, coeffs = self.terms(j, lifted, bases)
+        return ordered_polynomial(monos, [-c for c in coeffs] if negate else coeffs)
 
 
 @dataclass
@@ -431,24 +488,65 @@ class PcpBundle:
 
     template: RecurrenceTemplate
     pcp: Pcp  # the cell's clauses; synth adds the nontriviality and blocking ones
-    variables: list[Var]  # the base's sorted symbols, and so `pcp`'s (see `synth._SharedBases`)
+    variables: list[Var]  # `base_variables(template)`, and so `pcp`'s (see `synth._SharedBases`)
 
 
-def base_clauses(tpl: RecurrenceTemplate, chi: list[Polynomial] | None = None) -> list[Clause]:
+def base_clauses(tpl: RecurrenceTemplate, chi: list[Polynomial] | None = None,
+                 variables: list[Var] | None = None) -> list[Clause]:
     """The root, coefficient and initial-value (n = 0 only, see `gen_init`)
     families, in that order, each clause free of the parameter symbols of
     a parameterized template: a coefficient or initial-value clause is
     one piece of an equality (`gen_coeff`, `gen_init`), and the root
-    clauses have no parameters.
+    clauses have no parameters.  Each equality is made as its text, its
+    terms sorted on keys laid out over the clauses' symbols, which are
+    read off the template (`base_variables`, `base_units`).
 
     They never read the invariants.  Template symbols are named by
     position, so in the triangular tiers these clauses depend only on the
     tier, the partition, and which positions are pinned (to which value)
     or parameterized -- not on the variable order itself.  `chi`, when
-    given, must be `chi_by_power(tpl.b)`; the templates of one shape can
-    share it.
+    given, must be `chi_by_power(tpl.b)`, and `variables`
+    `base_variables(tpl)`; the templates of one shape can share `chi`.
     """
-    return gen_roots(tpl, chi) + gen_coeff(tpl) + gen_init(tpl)
+    unit = base_units(tpl, variables)
+    return gen_roots(tpl, chi, unit) + gen_coeff(tpl, unit) + gen_init(tpl, unit)
+
+
+def base_variables(tpl: RecurrenceTemplate) -> list[Var]:
+    """The symbols of `base_clauses(tpl)`, sorted by `sort_key`, read off
+    the template: those of B, of the initial values and of the coefficient
+    columns, parameters left out, and the roots.
+
+    That is `variables_of(base_clauses(tpl))`, and no atom is read to
+    find it.  Each of these symbols has a term in some base clause, and
+    no term of a base clause cancels (`gen_coeff`, `gen_init`): b_il has
+    b_il c_(w,1,l,q) in the coefficient clause of (w, 1, i, q), for any
+    root w and parameter monomial q; w and c_(w,k,i,q) have w c_(w,k,i,q)
+    in that of (w, k, i, q); a_iq has a_iq in the initial-value clause of
+    (i, q).  And no base clause has another symbol: the root clauses are
+    over B and the roots, the coefficient clauses over B, the roots and
+    the coefficient symbols, and the initial-value clauses over the
+    coefficient symbols and A, with the parameters split out."""
+    symbols = tpl.b.variables() | tpl.a_matrix.variables() | {w for w, _ in tpl.rootspec}
+    symbols.update(v for col in tpl.coeff_columns.values() for entry in col for v in entry.variables())
+    return sorted(symbols - set(tpl.params), key=lambda v: v.sort_key)
+
+
+def base_units(tpl: RecurrenceTemplate, variables: list[Var] | None = None) -> dict[Var, int]:
+    """The packed key of each symbol of `base_clauses(tpl)`, on which the
+    families sort their terms: one field per symbol of `variables`, which
+    when given must be `base_variables(tpl)`, the earliest most
+    significant, each wide enough for the size s, and the degree above
+    every field.  A monomial's key is the sum of its symbols' keys times
+    their exponents.  No exponent in a base clause passes s: a root's is
+    at most its multiplicity, det(zI - B) is a sum of products of
+    distinct entries of B, and every other term has each symbol once.  So
+    no field carries, and, as in `gen_alg`, integer order on keys is the
+    order of `MONO_KEY`."""
+    variables = base_variables(tpl) if variables is None else variables
+    width = tpl.size.bit_length()
+    top = width * len(variables)
+    return {v: (1 << top) + (1 << (top - width * (i + 1))) for i, v in enumerate(variables)}
 
 
 def build_pcp(
@@ -460,14 +558,16 @@ def build_pcp(
 ) -> PcpBundle:
     """Union of the four clause families, in a fixed deterministic order:
     `base_clauses`, then `gen_alg`'s relation clauses, both parameter-free.
+    The bundle's symbols are read off the template (`base_variables`).
 
     `base`, when given, must be the clause set of `base_clauses(tpl)`, and
-    `forms` the template's `ClosedForms` and `variables` `base.variables()`;
-    a caller that builds many templates sharing them computes them once,
-    and `base` is copied, not changed.
+    `forms` the template's `ClosedForms` and `variables`
+    `base_variables(tpl)`; a caller that builds many templates sharing
+    them computes them once, and `base` is copied, not changed.
     """
-    base = Pcp(base_clauses(tpl)) if base is None else base
+    variables = base_variables(tpl) if variables is None else variables
+    base = Pcp(base_clauses(tpl, None, variables)) if base is None else base
     pcp = base.copy()
     for c in gen_alg(tpl, invariants, forms):
         pcp.add(c)
-    return PcpBundle(tpl, pcp, base.variables() if variables is None else variables)
+    return PcpBundle(tpl, pcp, variables)

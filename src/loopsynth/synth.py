@@ -60,7 +60,9 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .constraints import Clause, Pcp
 from .parser import SpecFile
-from .pcpgen import ClosedForms, DegenerateInvariantError, PcpBundle, base_clauses, build_pcp, chi_by_power
+from .pcpgen import (
+    ClosedForms, DegenerateInvariantError, PcpBundle, base_clauses, base_variables, build_pcp, chi_by_power,
+)
 from .poly import Polynomial, Var, fresh_name, signed_sum
 from .smt import (
     ModelValue,
@@ -371,14 +373,13 @@ class _SharedBases:
     and held only until the last, so nothing that a single cell uses is
     held.
 
-    The base's symbols are every symbol of each cell of the key, in any
-    order and with any blocking clauses added, so each cell's solver run
-    declares that one list.  Every template symbol (b, w, c, a) has a term
-    in some base clause that cannot cancel: b_il c_(w,1,l,q) and
-    w c_(w,k,i,q) in a coefficient clause (`gen_coeff`), a_iq in an
-    initial-value one.  And a relation clause mentions only c and w
-    symbols, the nontriviality and blocking clauses only b and a symbols,
-    and no clause a variable or, once split, a parameter.
+    The key's symbol list is read off its template (`base_variables`,
+    whose docstring proves it is exactly the base clauses' symbols), so
+    no base atom is built to find it.  It is every symbol of each cell of
+    the key, in any order and with any blocking clauses added, so each
+    cell's solver run declares that one list: a relation clause mentions
+    only c and w symbols, the nontriviality and blocking clauses only b
+    and a symbols, and no clause a variable or, once split, a parameter.
 
     The full tier searches one order, so its key is unshared and its
     shape spans the partitions.  In a triangular tier two orders share a
@@ -422,8 +423,8 @@ class _SharedBases:
 
         def key_parts() -> tuple[RecurrenceTemplate, Pcp, ClosedForms, list[Var]]:
             tpl = build_template(perm, tier, partition, self.pinned, params, shape)
-            base = Pcp(base_clauses(tpl, chi))
-            return tpl, base, ClosedForms(tpl), base.variables()
+            variables = base_variables(tpl)
+            return tpl, Pcp(base_clauses(tpl, chi, variables)), ClosedForms(tpl), variables
 
         return *self._hold(shape_key + (partition,), orders, key_parts), nontrivial
 

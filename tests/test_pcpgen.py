@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import mat_apply, monomial_pow
+from helpers import COLLIDING_SPECS, mat_apply, monomial_pow, reference_coeff, reference_init, reference_roots
 from loopsynth import pcpgen as pcpgen_module
 from loopsynth.constraints import Clause, _smt_atom, decompose, first_violated
 from loopsynth.pcpgen import (
@@ -528,7 +528,8 @@ class TestPackedKeys:
 
 #: Every corpus spec, and the specs whose names push generated names out
 #: of their usual order.
-WRITTEN_SPECS = {spec.stem: spec.read_text() for spec in sorted(BENCHMARKS.glob("*.spec"))} | OUT_OF_ORDER_SPECS
+WRITTEN_SPECS = ({spec.stem: spec.read_text() for spec in sorted(BENCHMARKS.glob("*.spec"))}
+                 | OUT_OF_ORDER_SPECS | COLLIDING_SPECS)
 
 
 class TestWrittenText:
@@ -550,6 +551,24 @@ class TestWrittenText:
                 rows = reference_alg(tpl, request.invariants)
                 want = decompose([c.atoms[0].lhs for c in rows], list(tpl.params))
                 assert_alg(tpl, request.invariants, want, forms)
+
+    @pytest.mark.parametrize("tier", list(ShapeTier), ids=lambda t: t.value)
+    def test_every_key_writes_the_text_of_its_base_atoms(self, tier):
+        """The template of every search key of `WRITTEN_SPECS` in the tier,
+        as the search builds it: each root, coefficient and initial-value
+        clause's text, read before its atoms are, is that of the clause
+        the polynomial reference builds, and its atoms are the
+        reference's."""
+        for text in WRITTEN_SPECS.values():
+            request = replace(SynthRequest.from_spec(parse_spec(text)), tiers=[tier])
+            cells, bases, _ = _search_space(request)
+            templates = {id(tpl): tpl for tpl in (bases.take(perm, tier, part)[0] for _, perm, part in cells)}
+            for tpl in templates.values():
+                families = [(gen_roots(tpl), reference_roots(tpl)), (gen_coeff(tpl), reference_coeff(tpl)),
+                            (gen_init(tpl), reference_init(tpl))]
+                for got, want in families:
+                    assert [c.smtlib for c in got] == [c.smtlib for c in want]
+                    assert [c.atoms for c in got] == [c.atoms for c in want]
 
     def test_an_undecided_search_builds_no_relation_atoms(self, monkeypatch):
         """intcbrt's fu cells against a solver that answers unknown: the

@@ -9,6 +9,7 @@ import sys
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,6 +17,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import COLLIDING_SPECS
 from loopsynth import pcpgen as pcpgen_module, synth as synth_module
 from loopsynth.constraints import variables_of
 from loopsynth.matrix import char_poly
@@ -827,9 +829,9 @@ class TestSearchSpace:
                               tuple(i for _, i in params)))
             return build_template(perm, tier, part, pinned, params, shape)
 
-        def counting_base_clauses(tpl, products):
+        def counting_base_clauses(tpl, products, variables):
             built.append(tpl)
-            return base_clauses(tpl, products)
+            return base_clauses(tpl, products, variables)
 
         monkeypatch.setattr(synth_module, "build_template", recording_build_template)
         monkeypatch.setattr(synth_module, "base_clauses", counting_base_clauses)
@@ -889,9 +891,9 @@ class TestSearchSpace:
     ):
         sizes, built = [], []
 
-        def counting_base_clauses(tpl, products):
+        def counting_base_clauses(tpl, products, variables):
             built.append(tpl)
-            return base_clauses(tpl, products)
+            return base_clauses(tpl, products, variables)
 
         class RecordingBases(_SharedBases):
             def take(self, *cell):
@@ -967,12 +969,16 @@ def _cell_text_digest(req):
 class TestKeySymbols:
     @pytest.mark.parametrize("tier", list(ShapeTier), ids=lambda t: t.value)
     def test_every_cell_has_its_keys_symbols(self, tier):
-        """Each built cell of every corpus spec has exactly the symbols of
-        its key's base clauses, which its solver runs declare, and keeps
+        """Each built cell of every corpus spec and of the specs whose
+        names collide with template symbols has exactly the symbols read
+        off its key's template, which its solver runs declare, and keeps
         them once a blocking clause on every matrix and initial-value
         symbol is added."""
-        for spec in sorted(BENCHMARKS.glob("*.spec")):
-            for bundle in filter(None, built_cells(benchmark_request(spec.stem, [tier]))):
+        requests = [benchmark_request(spec.stem, [tier]) for spec in sorted(BENCHMARKS.glob("*.spec"))]
+        requests += [replace(SynthRequest.from_spec(parse_spec(text)), tiers=[tier])
+                     for text in COLLIDING_SPECS.values()]
+        for req in requests:
+            for bundle in filter(None, built_cells(req)):
                 assert variables_of(bundle.pcp) == bundle.variables
                 tpl = bundle.template
                 model = {v: Fraction(1) for v in tpl.b.variables() | tpl.a_matrix.variables()}
